@@ -8,7 +8,8 @@
 // Build & run:  ./build/examples/example_attack_demo
 #include <cstdio>
 
-#include "protocol/attacks.h"
+#include "modem/modem.h"
+#include "protocol/attack_agents.h"
 
 int main() {
   using namespace wearlock;
@@ -21,13 +22,22 @@ int main() {
     sim::Rng rng(99);
     OtpService otp({'s', 'e', 'c', 'r', 'e', 't'});
     Keyguard keyguard;
-    const auto result = BruteForceAttack(otp, keyguard, rng,
-                                         /*required_ber=*/0.1,
-                                         /*max_attempts=*/50);
-    std::printf("  guesses fired : %zu\n", result.attempts);
-    std::printf("  any accepted  : %s\n", result.succeeded ? "YES (!)" : "no");
+    otp.NextTokenBits();  // a deployment always has one token live
+    int guesses = 0;
+    bool accepted = false;
+    while (keyguard.CanAttemptWearlock() && guesses < 50 && !accepted) {
+      ++guesses;
+      const auto guess =
+          static_cast<std::uint32_t>(rng.UniformInt(0, 0xFFFFFFFFull));
+      accepted = otp.ValidateBits(modem::BitsFromWord(guess), 0.1).accepted;
+      if (!accepted) keyguard.ReportFailure();
+    }
+    std::printf("  guesses fired : %d\n", guesses);
+    std::printf("  any accepted  : %s\n", accepted ? "YES (!)" : "no");
     std::printf("  keyguard      : %s\n\n",
-                result.locked_out ? "LOCKED OUT after 3 failures" : "open");
+                keyguard.state() == LockState::kLockedOut
+                    ? "LOCKED OUT after 3 failures"
+                    : "open");
   }
 
   std::printf("=== 2. Co-located attacker ===\n");
@@ -36,10 +46,14 @@ int main() {
   for (double d : {3.0, 2.0, 1.4, 0.8, 0.4}) {
     ScenarioConfig scenario = ScenarioConfig::Config1();
     scenario.seed = 31;
-    const auto result = CoLocatedAttack(scenario, d);
+    scenario.scene.distance_m = d;
+    // The attacker holds still next to a still victim: assume motion
+    // gets through and let the modem's range bound do the work.
+    scenario.phone.enable_sensor_filter = false;
+    const UnlockReport report = UnlockSession(scenario).Attempt();
     std::printf("  %.1f m: %-16s (token BER %.3f)%s\n", d,
-                ToString(result.outcome).c_str(), result.token_ber,
-                result.unlocked ? "  <- inside the secure range" : "");
+                ToString(report.outcome).c_str(), report.token_ber,
+                report.unlocked ? "  <- inside the secure range" : "");
   }
   std::printf("  The modem itself is the rangefinder: beyond ~1 m no mode\n"
               "  meets the BER bound, so the phone refuses to transmit.\n\n");
@@ -50,15 +64,15 @@ int main() {
   {
     ScenarioConfig scenario = ScenarioConfig::Config1();
     scenario.seed = 32;
-    const auto slow = ReplayAttack(scenario, 0.6, /*replay_delay_ms=*/800.0);
-    std::printf("  capture succeeded    : %s\n",
-                slow.capture_succeeded ? "yes (the channel is public)" : "no");
+    const AttackReport slow = RunAttackScenario(
+        scenario, sim::AttackSpec::Parse("replay@0.6:delay=800"));
     std::printf("  replay w/ 800 ms lag : %s\n",
-                ToString(slow.replay_outcome).c_str());
-    const auto instant = ReplayAttack(scenario, 0.6, /*replay_delay_ms=*/0.0);
+                ToString(slow.victim_outcome).c_str());
+    const AttackReport instant = RunAttackScenario(
+        scenario, sim::AttackSpec::Parse("replay@0.6:delay=0"));
     std::printf("  hypothetical 0-lag   : %s (stale token, BER %.2f)\n",
-                ToString(instant.replay_outcome).c_str(),
-                instant.replay_token_ber);
+                ToString(instant.victim_outcome).c_str(),
+                instant.attacker_token_ber);
   }
   std::printf("  Every unlock burns its counter: the recorded token never\n"
               "  validates again, and real replay gear adds detectable lag.\n");

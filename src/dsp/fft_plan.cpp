@@ -95,28 +95,21 @@ void FftPlan::Inverse(Complex* data) const {
 }
 
 std::shared_ptr<const FftPlan> PlanCache::Get(std::size_t n) {
-  std::shared_ptr<const FftPlan> found;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(n);
-    if (it != plans_.end()) found = it->second;
-  }
-  if (found) {
+  // Find or build under one lock, so each size is built (and counted as
+  // a miss) exactly once. Plans are only built during warm-up, so the
+  // O(n log n) construction never blocks a steady-state lookup.
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = plans_.find(n);
+  if (it != plans_.end()) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     WL_COUNT("dsp.plan_cache.hit");
-    return found;
+    return it->second;
   }
-  // Build outside the lock: construction is O(n log n) and lookups for
-  // other sizes shouldn't wait on it. If two threads race on the same
-  // size, the first insert wins and the loser's plan is dropped.
   auto plan = std::make_shared<const FftPlan>(n);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    found = plans_.emplace(n, std::move(plan)).first->second;
-  }
+  plans_.emplace(n, plan);
   misses_.fetch_add(1, std::memory_order_relaxed);
   WL_COUNT("dsp.plan_cache.miss");
-  return found;
+  return plan;
 }
 
 PlanCache& PlanCache::Shared() {

@@ -1,5 +1,6 @@
 #include "protocol/attack_agents.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -26,6 +27,13 @@ constexpr double kRelayPickupM = 0.25;
 
 sim::Rng AdversaryRng(const ScenarioConfig& scenario) {
   return sim::Rng(scenario.seed ^ kAdversarySeedSalt);
+}
+
+/// Speaker drive for an active attacker that transmits `level` times
+/// louder than the victim's probe volume. Its speaker is the phone
+/// model, so the drive saturates at full scale.
+double AttackerDrive(double victim_volume, double level) {
+  return std::min(1.0, victim_volume * level);
 }
 
 /// Flatten the attacked session into a row scoring the ATTACKER:
@@ -192,9 +200,9 @@ class RelayAgent : public AttackAgent {
     scenario.attack = spec_;
     scenario.scene.distance_m = spec_.distance_m;
     // The wearer is elsewhere; the attacker holds the stolen phone
-    // still (worst case for the motion filter, as attacks.h's
-    // co-located attacker) inside the same large room (worst case for
-    // the ambient filter).
+    // still (worst case for the motion filter: the sensor filter is
+    // off) inside the same large room (worst case for the ambient
+    // filter).
     scenario.same_body = false;
     scenario.phone.enable_sensor_filter = false;
     UnlockSession session(scenario);
@@ -273,7 +281,7 @@ class ProbeAgent : public AttackAgent {
     train.reserve(span + chirp.size());
     while (train.size() < span) audio::Append(train, chirp);
     const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
-        train, victim_volume * spec_.level);
+        train, AttackerDrive(victim_volume, spec_.level));
     const audio::PropagationModel path(scenario.scene.propagation);
     audio::Samples at_watch = path.Propagate(emitted, spec_.distance_m);
     dev.Record("probe-emit", spec_.level);
@@ -329,7 +337,7 @@ class OvershadowAgent : public AttackAgent {
       const double victim_volume =
           recon_rep.probe_volume > 0.0 ? recon_rep.probe_volume : 1.0;
       const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
-          forged.samples, victim_volume * spec_.level);
+          forged.samples, AttackerDrive(victim_volume, spec_.level));
       const audio::PropagationModel path(scenario.scene.propagation);
       // Aligned with the legitimate frame start (the overshadower is
       // synchronized up to its own propagation delay).

@@ -97,21 +97,16 @@ void AttemptMachine::ResumeSlice(std::coroutine_handle<> handle) {
   {
     // Observability is ambient (thread-local); under multiplexing each
     // slice reinstalls this session's sinks so interleaved sessions
-    // never mix samples. Null hooks (the synchronous shim) leave the
-    // caller's installs in effect.
-    std::optional<obs::ScopedTracer> install_tracer;
-    std::optional<obs::ScopedMetricsRegistry> install_metrics;
-    if (hooks_.tracer != nullptr) install_tracer.emplace(hooks_.tracer);
-    if (hooks_.metrics != nullptr) install_metrics.emplace(hooks_.metrics);
+    // never mix samples.
+    obs::ScopedTracer install_tracer(hooks_.tracer);
+    obs::ScopedMetricsRegistry install_metrics(hooks_.metrics);
     handle.resume();
   }
-  if (root_.done() && !notified_) {
-    done_ = true;
-    notified_ = true;
-    if (hooks_.on_done) {
-      const std::function<void()> on_done = std::move(hooks_.on_done);
-      on_done();  // may schedule new work; must not destroy the machine
-    }
+  if (root_.done()) {
+    // The root task's final slice: nothing is scheduled after it, so
+    // this runs exactly once.
+    const std::function<void()> on_done = std::move(hooks_.on_done);
+    on_done();  // may schedule new work; must not destroy the machine
   }
 }
 
@@ -1060,9 +1055,9 @@ sim::CoTask<UnlockReport> AttemptMachine::RunInner() {
     WL_SPAN_V(validate_span, "phase2.token_validate");
     TokenValidation validation;
     if (bits.size() == phase2_config.payload_bits) {
-      // Token validation: BER against the expected counter window (the
-      // counter only advances on acceptance, so re-validating across
-      // ARQ rounds cannot burn the window).
+      // Token validation: BER against this attempt's live token (only
+      // acceptance burns it, so re-validating across ARQ rounds is
+      // safe).
       validation = otp_->ValidateBits(bits, required_ber);
       report.token_ber = validation.ber;
       WL_SPAN_ATTR(validate_span, "token_ber", validation.ber);

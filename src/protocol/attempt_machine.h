@@ -6,19 +6,16 @@
 // timeouts, bounded backoff, link-outage waits, upload transfers, the
 // distance-bounding exchange - suspends the coroutine and schedules its
 // continuation on the queue, so a single thread multiplexes thousands
-// of in-flight attempts at different protocol stages. The legacy
-// blocking PhoneController::Attempt() is now a thin shim: it drives one
-// machine on a private queue to completion, which drains synchronously
-// and byte-identically to the old call chain (the PR-3/4/5/8 goldens
-// pin this).
+// of in-flight attempts at different protocol stages. UnlockSession
+// owns the only driver: its blocking Attempt() drains one session's
+// machine on a private queue, and StartAsync() shares a caller's queue.
 //
 // Clock doctrine (docs/architecture.md): the queue's clock is shared
 // and only orders the interleave; the machine advances its *session's*
 // sim::VirtualClock by its own wait amounts when each event fires, so
 // per-session timelines are independent of co-tenants. Observability is
 // ambient (thread-local), so each resume slice reinstalls the session's
-// tracer/metrics around the coroutine step (AttemptHooks); with null
-// hooks the caller's ambient sinks stay in effect - the shim path.
+// tracer/metrics around the coroutine step (AttemptHooks).
 #pragma once
 
 #include <coroutine>
@@ -40,9 +37,7 @@
 namespace wearlock::protocol {
 
 /// Per-slice ambient wiring plus completion notification for one
-/// event-driven attempt. All members optional: null sinks leave the
-/// caller's ambient tracer/metrics installed (the synchronous shim),
-/// an empty on_done means the owner polls done() after the drain.
+/// event-driven attempt. All three members are required.
 struct AttemptHooks {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
@@ -69,13 +64,11 @@ class AttemptMachine {
   AttemptMachine& operator=(const AttemptMachine&) = delete;
 
   /// Schedule the first slice. The machine must stay alive until
-  /// done() (pending events hold a pointer to it).
+  /// hooks.on_done runs (pending events hold a pointer to it).
   void Start();
 
-  bool done() const { return done_; }
-
   /// The finished attempt's report; rethrows if the protocol body
-  /// threw. Call at most once, after done().
+  /// threw. Call at most once, from or after hooks.on_done.
   UnlockReport TakeReport();
 
  private:
@@ -99,11 +92,9 @@ class AttemptMachine {
   /// installed; fires on_done when the root task completes.
   void ResumeSlice(std::coroutine_handle<> handle);
 
-  /// The old Attempt() wrapper: root span, protocol body, verdict
-  /// span, end-of-attempt metrics.
+  /// Root span, protocol body, verdict span, end-of-attempt metrics.
   sim::CoTask<> Run();
-  /// The protocol body (the old AttemptInner), one co_await per
-  /// modeled wait.
+  /// The protocol body, one co_await per modeled wait.
   sim::CoTask<UnlockReport> RunInner();
 
   const PhoneConfig& config_;
@@ -124,8 +115,6 @@ class AttemptMachine {
   sim::CoTask<> root_;
   sim::EventQueue::EventId pending_event_ = 0;
   UnlockReport report_;
-  bool done_ = false;
-  bool notified_ = false;
 };
 
 }  // namespace wearlock::protocol

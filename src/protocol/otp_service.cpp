@@ -7,11 +7,8 @@
 namespace wearlock::protocol {
 
 OtpService::OtpService(std::vector<std::uint8_t> key,
-                       std::uint64_t initial_counter, unsigned window)
-    : key_(std::move(key)),
-      send_counter_(initial_counter),
-      expected_counter_(initial_counter),
-      window_(window) {
+                       std::uint64_t initial_counter)
+    : key_(std::move(key)), send_counter_(initial_counter) {
   if (key_.empty()) throw std::invalid_argument("OtpService: empty key");
 }
 
@@ -20,32 +17,20 @@ std::uint32_t OtpService::TokenAt(std::uint64_t counter) const {
 }
 
 std::vector<std::uint8_t> OtpService::NextTokenBits() {
+  live_ = true;  // minting retires every earlier token
   return modem::BitsFromWord(TokenAt(send_counter_++));
-}
-
-std::vector<std::uint8_t> OtpService::CurrentTokenBits() const {
-  return modem::BitsFromWord(TokenAt(send_counter_));
 }
 
 TokenValidation OtpService::ValidateBits(const std::vector<std::uint8_t>& bits,
                                          double required_ber) {
   TokenValidation v;
-  if (bits.size() != 32) return v;  // malformed payload: reject
-  // Search every issued-but-unvalidated counter within the window.
-  const std::uint64_t hi =
-      std::min(send_counter_, expected_counter_ + window_ + 1);
-  for (std::uint64_t c = expected_counter_; c < hi; ++c) {
-    auto expected = modem::BitsFromWord(TokenAt(c));
-    const double ber = modem::BitErrorRate(expected, bits);
-    if (ber < v.ber) {
-      v.ber = ber;
-      v.matched_counter = c;
-      v.expected_bits = std::move(expected);
-    }
-  }
-  if (v.ber <= required_ber && hi > expected_counter_) {
+  if (bits.size() != 32 || !live_) return v;  // malformed or nothing live
+  v.matched_counter = send_counter_ - 1;
+  v.expected_bits = modem::BitsFromWord(TokenAt(v.matched_counter));
+  v.ber = modem::BitErrorRate(v.expected_bits, bits);
+  if (v.ber <= required_ber) {
     v.accepted = true;
-    expected_counter_ = v.matched_counter + 1;
+    live_ = false;  // one-time: the accepted token is burned
   }
   return v;
 }

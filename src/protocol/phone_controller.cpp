@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "protocol/attempt_machine.h"
-#include "sim/event_queue.h"
 
 namespace wearlock::protocol {
 
@@ -47,25 +46,6 @@ PhoneController::PhoneController(PhoneConfig config, OtpService* otp,
                                  Keyguard* keyguard)
     : config_(config), otp_(otp), keyguard_(keyguard) {
   config_.frame.plan.Validate();
-}
-
-UnlockReport PhoneController::Attempt(audio::TwoMicScene& scene,
-                                      WatchController& watch,
-                                      sim::WirelessLink& link,
-                                      const sensors::MotionPair& motion,
-                                      const OffloadPlanner& offload,
-                                      sim::VirtualClock& clock,
-                                      const AttackInjection& attack,
-                                      sim::FaultInjector* faults) {
-  // Blocking shim over the event-driven machine: a private queue drains
-  // this one attempt to completion, which replays the old synchronous
-  // call chain byte-for-byte (null hooks keep the caller's ambient
-  // tracer/metrics installed, exactly as before the refactor).
-  sim::EventQueue queue;
-  const std::unique_ptr<AttemptMachine> machine = StartAttempt(
-      queue, scene, watch, link, motion, offload, clock, attack, faults, {});
-  queue.RunUntilIdle();
-  return machine->TakeReport();
 }
 
 std::unique_ptr<AttemptMachine> PhoneController::StartAttempt(

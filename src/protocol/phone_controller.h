@@ -270,8 +270,7 @@ struct UnlockReport {
 };
 
 /// Hook for injecting acoustic-path manipulation. The attack agents
-/// (attack_agents.h) assemble these from a sim::AttackSpec; attacks.h
-/// keeps the older standalone attack functions on the same hooks.
+/// (attack_agents.h) assemble these from a sim::AttackSpec.
 struct AttackInjection {
   sim::Millis extra_acoustic_delay_ms = 0.0;
   /// When set, this recording replaces what the watch heard in Phase 2
@@ -307,25 +306,16 @@ class PhoneController {
  public:
   PhoneController(PhoneConfig config, OtpService* otp, Keyguard* keyguard);
 
-  /// One power-button press: runs the whole protocol against the given
-  /// scene/watch/link and returns the full report. Advances `clock` by
-  /// every modeled latency. When `faults` is non-null, every control
-  /// message and capture routes through it and the resilience policy
-  /// (timeouts, ARQ, degrade ladder) earns its keep; when null, the
-  /// path is byte-identical to the fault-free protocol. Synchronous
-  /// shim over StartAttempt: drives one machine on a private queue.
-  UnlockReport Attempt(audio::TwoMicScene& scene, WatchController& watch,
-                       sim::WirelessLink& link,
-                       const sensors::MotionPair& motion,
-                       const OffloadPlanner& offload, sim::VirtualClock& clock,
-                       const AttackInjection& attack = {},
-                       sim::FaultInjector* faults = nullptr);
-
-  /// Event-driven form of Attempt(): assigns the session id, builds
-  /// the attempt's state machine and schedules its first slice on
-  /// `queue`. The caller owns the machine and must keep it (and every
-  /// reference argument) alive until machine->done(); the queue
-  /// multiplexes any number of such machines (protocol/attempt_machine.h).
+  /// One power-button press: assigns the session id, builds the
+  /// attempt's state machine and schedules its first slice on `queue`.
+  /// The machine runs the whole protocol against the given scene/watch/
+  /// link and advances `clock` by every modeled latency. When `faults`
+  /// is non-null, every control message and capture routes through it
+  /// and the resilience policy (timeouts, ARQ, degrade ladder) earns its
+  /// keep; when null, the path is the fault-free protocol. The caller
+  /// owns the machine and must keep it (and every reference argument)
+  /// alive until hooks.on_done runs; the queue multiplexes any number
+  /// of such machines (protocol/attempt_machine.h).
   std::unique_ptr<AttemptMachine> StartAttempt(
       sim::EventQueue& queue, audio::TwoMicScene& scene,
       WatchController& watch, sim::WirelessLink& link,

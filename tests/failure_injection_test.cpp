@@ -60,9 +60,9 @@ TEST(FailureInjection, LinkDropsBetweenAttempts) {
   EXPECT_TRUE(back.unlocked);
 }
 
-TEST(FailureInjection, CounterDesyncRecoversWithinWindow) {
-  // Failed deliveries burn tokens; the validator's look-ahead window must
-  // resynchronize once the channel recovers.
+TEST(FailureInjection, BurnedCountersDoNotBlockRecovery) {
+  // Failed deliveries burn tokens; the validator only checks the latest
+  // mint, so the first attempt after the channel recovers validates.
   ScenarioConfig config = Base(9004);
   UnlockSession session(config);
   // Burn two tokens with out-of-range failures.
@@ -73,7 +73,7 @@ TEST(FailureInjection, CounterDesyncRecoversWithinWindow) {
   session.Attempt();
   session.keyguard().UnlockWithCredential();
   session.keyguard().Relock();
-  // Channel restored: the resync window covers the burned counters.
+  // Channel restored: this attempt's mint is the live token.
   session.scene().set_distance(0.3);
   const auto report = session.Attempt();
   EXPECT_TRUE(report.unlocked) << ToString(report.outcome);

@@ -108,6 +108,24 @@ TEST_F(FleetDeterminismTest, RollupBytesIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(FleetDeterminismTest, EveryCohortCountsEachOfItsSessionsOnce) {
+  const CampaignSpec spec = MiniSpec();
+  const CampaignResult result = RunCampaign(spec, 2);
+  std::uint64_t genuine = 0;
+  std::uint64_t impostor = 0;
+  for (const auto& [key, cohort] : result.sink.cohorts()) {
+    genuine += cohort.genuine;
+    impostor += cohort.impostor;
+    // Every cohort exposes a total-latency sketch with as many
+    // observations as sessions.
+    ASSERT_NE(cohort.stages.find("total"), cohort.stages.end()) << key;
+    EXPECT_EQ(cohort.stages.at("total").count(), cohort.sessions) << key;
+  }
+  EXPECT_EQ(genuine + impostor, spec.sessions);
+  EXPECT_GT(genuine, 0u);
+  EXPECT_GT(impostor, 0u);  // impostor cadence plus the attacked cells
+}
+
 TEST_F(FleetDeterminismTest, RollupBytesIdenticalAcrossShardSizes) {
   // Shard boundaries only decide which queue multiplexes a session,
   // never what the session does - including the ragged-final-shard and

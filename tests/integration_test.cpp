@@ -3,7 +3,10 @@
 // attack suite, and offloading consistency.
 #include <gtest/gtest.h>
 
-#include "protocol/attacks.h"
+#include <algorithm>
+
+#include "modem/modem.h"
+#include "protocol/attack_agents.h"
 #include "protocol/session.h"
 
 namespace wearlock::protocol {
@@ -257,19 +260,38 @@ TEST(UnlockSession, TraceRecordsTheProtocolSteps) {
 
 // ----------------------------------------------------------------- attacks
 TEST(Attacks, BruteForceHitsLockout) {
+  // The attacker holds the phone out of acoustic range and fires random
+  // 32-bit token guesses at the validator; the 3-strike keyguard locks
+  // WearLock out long before the keyspace matters.
   sim::Rng rng(71);
   OtpService otp({'s', 'e', 'c', 'r', 'e', 't'});
   Keyguard keyguard;
-  const auto result = BruteForceAttack(otp, keyguard, rng);
-  EXPECT_FALSE(result.succeeded);
-  EXPECT_TRUE(result.locked_out);
-  EXPECT_EQ(result.attempts, 3u);
+  otp.NextTokenBits();  // a deployment always has one token live
+  int guesses = 0;
+  while (keyguard.CanAttemptWearlock() && guesses < 100) {
+    ++guesses;
+    const auto guess =
+        static_cast<std::uint32_t>(rng.UniformInt(0, 0xFFFFFFFFull));
+    EXPECT_FALSE(otp.ValidateBits(modem::BitsFromWord(guess), 0.1).accepted);
+    keyguard.ReportFailure();
+  }
+  EXPECT_EQ(keyguard.state(), LockState::kLockedOut);
+  EXPECT_EQ(guesses, 3);
+}
+
+/// The attacker carries the victim's phone to `distance_m` from the watch
+/// and presses power. Motion is assumed to get through (worst case for
+/// the defender), so only the modem's range bound answers.
+UnlockReport CoLocatedAttempt(ScenarioConfig scenario, double distance_m) {
+  scenario.scene.distance_m = distance_m;
+  scenario.phone.enable_sensor_filter = false;
+  return UnlockSession(scenario).Attempt();
 }
 
 TEST(Attacks, CoLocatedFailsBeyondSecureRange) {
-  const auto near = CoLocatedAttack(BaseScenario(72), 0.5);
+  const auto near = CoLocatedAttempt(BaseScenario(72), 0.5);
   EXPECT_TRUE(near.unlocked);  // inside the secure range: modem closes
-  const auto far = CoLocatedAttack(BaseScenario(72), 2.2);
+  const auto far = CoLocatedAttempt(BaseScenario(72), 2.2);
   EXPECT_FALSE(far.unlocked);
   EXPECT_TRUE(far.outcome == UnlockOutcome::kTokenRejected ||
               far.outcome == UnlockOutcome::kInsufficientSnr ||
@@ -277,22 +299,28 @@ TEST(Attacks, CoLocatedFailsBeyondSecureRange) {
       << ToString(far.outcome);
 }
 
+bool TapeWasReplayed(const AttackReport& report) {
+  return std::any_of(
+      report.events.begin(), report.events.end(),
+      [](const sim::AttackEvent& e) { return e.stage == "replay"; });
+}
+
 TEST(Attacks, ReplayDefeatedByTimingWindow) {
-  ScenarioConfig config = BaseScenario(73);
-  const auto result = ReplayAttack(config, 0.5, /*replay_delay_ms=*/900.0);
-  ASSERT_TRUE(result.capture_succeeded);
-  EXPECT_FALSE(result.unlocked);
-  EXPECT_EQ(result.replay_outcome, UnlockOutcome::kTimingViolation);
+  const AttackReport r = RunAttackScenario(
+      BaseScenario(73), sim::AttackSpec::Parse("replay@0.5:delay=900"));
+  ASSERT_TRUE(TapeWasReplayed(r));
+  EXPECT_FALSE(r.false_unlock);
+  EXPECT_EQ(r.victim_outcome, UnlockOutcome::kTimingViolation);
 }
 
 TEST(Attacks, InstantReplayStillFailsOnStaleToken) {
   // Even a hypothetical zero-latency replay dies: the OTP counter moved.
-  ScenarioConfig config = BaseScenario(74);
-  const auto result = ReplayAttack(config, 0.4, /*replay_delay_ms=*/0.0);
-  ASSERT_TRUE(result.capture_succeeded);
-  EXPECT_FALSE(result.unlocked);
-  EXPECT_EQ(result.replay_outcome, UnlockOutcome::kTokenRejected);
-  EXPECT_GT(result.replay_token_ber, 0.1);
+  const AttackReport r = RunAttackScenario(
+      BaseScenario(74), sim::AttackSpec::Parse("replay@0.4:delay=0"));
+  ASSERT_TRUE(TapeWasReplayed(r));
+  EXPECT_FALSE(r.false_unlock);
+  EXPECT_EQ(r.victim_outcome, UnlockOutcome::kTokenRejected);
+  EXPECT_GT(r.attacker_token_ber, 0.1);
 }
 
 }  // namespace

@@ -81,18 +81,32 @@ TEST(OtpService, ReplayOfValidatedTokenFails) {
   OtpService otp({'k', 'e', 'y'});
   const auto bits = otp.NextTokenBits();
   EXPECT_TRUE(otp.ValidateBits(bits, 0.1).accepted);
-  // Same bits again: counter advanced, the old token is dead. A replay
-  // only matches if a *future* token happens to be <=10% away - with
-  // HMAC outputs that practically never happens.
+  // Same bits again: acceptance burned the token, and nothing is live
+  // until the next mint.
+  EXPECT_FALSE(otp.ValidateBits(bits, 0.1).accepted);
+  // After the next mint the replay is compared against the new token,
+  // which with HMAC outputs is practically never <=10% away.
+  otp.NextTokenBits();
   EXPECT_FALSE(otp.ValidateBits(bits, 0.1).accepted);
 }
 
-TEST(OtpService, WindowRecoversFromLostDelivery) {
-  OtpService otp({'k', 'e', 'y'}, 0, /*window=*/3);
+TEST(OtpService, LatestTokenValidatesAfterLostDelivery) {
+  OtpService otp({'k', 'e', 'y'});
   otp.NextTokenBits();                 // token 0, lost
   const auto bits1 = otp.NextTokenBits();  // token 1, delivered
   const auto v = otp.ValidateBits(bits1, 0.05);
   EXPECT_TRUE(v.accepted);
+  EXPECT_EQ(v.matched_counter, 1u);
+}
+
+TEST(OtpService, MintingRetiresEarlierTokens) {
+  // A failed attempt's token never validated, but the next attempt's
+  // mint retires it: a clean recording of it must not unlock later.
+  OtpService otp({'k', 'e', 'y'});
+  const auto stale = otp.NextTokenBits();  // token 0, attempt failed
+  otp.NextTokenBits();                     // token 1, the next attempt
+  const auto v = otp.ValidateBits(stale, 0.1);
+  EXPECT_FALSE(v.accepted);
   EXPECT_EQ(v.matched_counter, 1u);
 }
 

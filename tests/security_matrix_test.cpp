@@ -34,8 +34,10 @@
 #include "obs/rollup.h"
 #include "protocol/attack_agents.h"
 #include "protocol/distance_bounding.h"
+#include "protocol/fleet.h"
 #include "protocol/session.h"
 #include "sim/adversary.h"
+#include "sim/device.h"
 #include "sim/executor.h"
 
 namespace wearlock {
@@ -354,6 +356,33 @@ TEST(ReplayDefenseTest, EveryEvasionFallsToAnotherLayer) {
   }
 }
 
+/// A victim attempt that fails never burns its token, but the replay's
+/// own attempt mints a new one, which retires it. Plan index 195 of this
+/// campaign is such a session: a dropped-and-impaired victim attempt is
+/// token-rejected, and the attacker holds a clean 0.5 m tape of it.
+TEST(ReplayDefenseTest, TapeOfAFailedAttemptIsRetiredByTheNextMint) {
+  protocol::CampaignSpec spec;
+  spec.sessions = 256;
+  spec.seed = 10;
+  spec.max_retries = 2;
+  spec.fault_specs = {"", "drop=0.3"};
+  spec.impairment_specs = {"", "sro=50,reverb=400,pairs=2"};
+  spec.attack_specs = {"", "replay@0.5"};
+  const protocol::SessionPlan plan = protocol::PlanSession(spec, 195);
+  ASSERT_EQ(plan.attack.kind, AttackKind::kReplay);
+  // Campaign timing, as `wearlock_fleet` runs under
+  // WEARLOCK_FIXED_HOST_MS=1.25.
+  const double previous_timing = sim::FixedHostTimingMs();
+  sim::SetFixedHostTimingMs(1.25);
+  const AttackReport r = RunAttackScenario(plan.scenario, plan.attack);
+  sim::SetFixedHostTimingMs(previous_timing);
+  bool replayed = false;
+  for (const auto& e : r.events) replayed = replayed || e.stage == "replay";
+  ASSERT_TRUE(replayed) << "the tap must capture the victim's attempt";
+  EXPECT_EQ(r.victim_outcome, UnlockOutcome::kTokenRejected);
+  EXPECT_FALSE(r.false_unlock);
+}
+
 /// What saves the eavesdropped token is freshness, not secrecy: the
 /// directional mic decodes it clean, and the validator still shrugs.
 TEST(EavesdropDefenseTest, RecoveredTokenIsStaleByConstruction) {
@@ -386,6 +415,24 @@ TEST(OvershadowDefenseTest, NeitherPowerRegimeYieldsAnAttackerUnlock) {
     const AttackReport r = run("overshadow@1.5:level=6");
     EXPECT_EQ(r.victim_outcome, UnlockOutcome::kTokenRejected);
     EXPECT_FALSE(r.false_unlock);
+  }
+}
+
+/// In a noisy room the victim's probe volume is high, so the default
+/// overshadow level asks for more than full scale: the attacker's drive
+/// saturates instead of aborting the run.
+TEST(OvershadowDefenseTest, DefaultLevelSaturatesInANoisyRoom) {
+  const AttackSpec spec = AttackSpec::Parse("overshadow");
+  ASSERT_GT(spec.level, 1.0);
+  for (int config = 0; config < kNumConfigs; ++config) {
+    SCOPED_TRACE("config " + std::to_string(config + 1));
+    ScenarioConfig c = ConfigByIndex(config);
+    c.scene.environment = audio::Environment::kOffice;
+    c.seed = 9200 + static_cast<std::uint64_t>(config);
+    c.phone.distance_bounding.enable = true;
+    const AttackReport r = RunAttackScenario(c, spec);
+    EXPECT_FALSE(r.false_unlock);
+    EXPECT_FALSE(r.events.empty());
   }
 }
 

@@ -2,8 +2,9 @@
 // (obs/sketch.h): ExactSum must be order- and shard-invariant at the
 // bit level, Sketch merges must commute byte-identically, and quantile
 // estimates must honour the relative-error bound against an exact
-// sample quantile. These are the properties the fleet-campaign gate
-// (fleet_campaign_test, tools/ci.sh) builds on.
+// sample quantile. These are the properties the fleet-campaign gates
+// (fleet_determinism_test, telemetry_golden_replay, tools/ci.sh) build
+// on.
 #include <algorithm>
 #include <cmath>
 #include <limits>

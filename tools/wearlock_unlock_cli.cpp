@@ -8,13 +8,17 @@
 //                       [--different-room] [--no-link] [--config 1|2|3]
 //                       [--activity sitting|walking|running]
 //                       [--attempts N] [--seed S] [--retries R]
-//                       [--threads T] [--faults SPEC] [--attack SPEC]
+//                       [--faults SPEC] [--attack SPEC]
 //                       [--impairments SPEC]
 //                       [--trace out.json] [--metrics out.json]
 //                       [--fault-trace out.jsonl]
 //                       [--attack-trace out.jsonl]
 //                       [--channel-trace out.jsonl]
 //                       [--session-log out.jsonl] [--verbose]
+//
+// The --attempts presses all run on one session, so OTP counters,
+// keyguard state and the virtual clock carry from each attempt into the
+// next. Campaigns of independent sessions belong to wearlock_fleet.
 //
 // --trace writes a Chrome trace_event JSON of every span the attempts
 // produced (virtual-time timestamps; open in chrome://tracing or
@@ -25,7 +29,7 @@
 // e.g. "drop=0.3,flap@rts,trunc=0.5") and arms the resilience policy;
 // with a fixed --seed this replays a CI fault-matrix cell exactly.
 // --fault-trace writes the injected-fault event log as JSONL (the
-// committed-golden format; sequential mode only, like --trace).
+// committed-golden format).
 //
 // --attack subjects the session to a channel-level attacker
 // (sim::AttackSpec grammar: KIND[@DISTANCE][:key=value]..., KIND in
@@ -41,75 +45,80 @@
 // --impairments arms deterministic channel impairments on the scene
 // (audio::ImpairmentPlan grammar, e.g. "sro=50,reverb=300,pairs=2") and
 // lets the phone's channel hardening (drift tracking, acoustic MAC,
-// robust degrade ladder) fight them; see docs/channels.md. A malformed
-// or out-of-range spec exits 2. --channel-trace writes the channel
-// event log - impairment arming plus the receiver's drift/MAC/degrade
-// decisions - as JSONL (the committed-golden format; sequential mode
-// only, like --fault-trace).
+// robust degrade ladder) fight them; see docs/channels.md.
+// --channel-trace writes the channel event log - impairment arming plus
+// the receiver's drift/MAC/degrade decisions - as JSONL (the
+// committed-golden format).
 //
 // --session-log writes one telemetry SessionRecord per attempt as JSONL
-// (the wearlock_telemetry CLI's input format). Works in both modes; in
-// parallel mode records land in attempt order, and the record *set* is
-// identical at any thread count.
+// (the wearlock_telemetry CLI's input format).
 //
-// Passing --threads T (any T, including 1) fans the attempts across a
-// sim::ParallelExecutor: each attempt becomes an independent
-// UnlockSession whose seed is forked from (--seed, attempt index), and
-// the per-attempt traces print in attempt order regardless of
-// scheduling. Explicit --threads 1 runs that same independent-sessions
-// plan on one thread - byte-identical output to --threads 8, which the
-// CI telemetry gate pins. Omitting --threads keeps the classic
-// sequential behavior of one session attempted repeatedly, which
-// --trace/--metrics/--fault-trace require.
+// Any malformed or out-of-range value - an unknown --env, --config or
+// --activity name, a number with trailing junk, a --distance inside the
+// propagation model's reference distance, fewer than one attempt - and
+// any unknown flag exits 2 with a usage message.
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "audio/impairments.h"
+#include "audio/propagation.h"
 #include "obs/log.h"
 #include "protocol/attack_agents.h"
 #include "protocol/session.h"
 #include "sim/adversary.h"
-#include "sim/executor.h"
 
 namespace {
 using namespace wearlock;
 using namespace wearlock::protocol;
 
-audio::Environment ParseEnv(const char* s) {
-  if (std::strcmp(s, "office") == 0) return audio::Environment::kOffice;
-  if (std::strcmp(s, "classroom") == 0) return audio::Environment::kClassroom;
-  if (std::strcmp(s, "cafe") == 0) return audio::Environment::kCafe;
-  if (std::strcmp(s, "grocery") == 0) return audio::Environment::kGroceryStore;
-  return audio::Environment::kQuietRoom;
+int Usage() {
+  std::fprintf(
+      stderr,
+      "usage: wearlock_unlock_cli [--env quiet|office|classroom|cafe|grocery]\n"
+      "                           [--distance M] [--same-hand]\n"
+      "                           [--different-body] [--different-room]\n"
+      "                           [--no-link] [--config 1|2|3]\n"
+      "                           [--activity sitting|walking|running]\n"
+      "                           [--attempts N] [--seed S] [--retries R]\n"
+      "                           [--faults SPEC] [--attack SPEC]\n"
+      "                           [--impairments SPEC]\n"
+      "                           [--trace out.json] [--metrics out.json]\n"
+      "                           [--fault-trace out.jsonl]\n"
+      "                           [--attack-trace out.jsonl]\n"
+      "                           [--channel-trace out.jsonl]\n"
+      "                           [--session-log out.jsonl] [--verbose]\n");
+  return 2;
 }
 
-// atoi/atof-shaped wrappers over std::from_chars (the banned-api lint
-// rejects the real thing): any malformed value yields 0, like the
-// functions they replace, except trailing junk is rejected rather than
-// silently truncated.
-long long ParseIntFlag(const char* s) {
-  long long value = 0;
-  const char* end = s + std::strlen(s);
-  const auto result = std::from_chars(s, end, value);
-  return result.ec == std::errc() && result.ptr == end ? value : 0;
+bool ParseEnv(const std::string& s, audio::Environment* out) {
+  if (s == "quiet") { *out = audio::Environment::kQuietRoom; return true; }
+  if (s == "office") { *out = audio::Environment::kOffice; return true; }
+  if (s == "classroom") { *out = audio::Environment::kClassroom; return true; }
+  if (s == "cafe") { *out = audio::Environment::kCafe; return true; }
+  if (s == "grocery") {
+    *out = audio::Environment::kGroceryStore;
+    return true;
+  }
+  return false;
 }
 
-double ParseDoubleFlag(const char* s) {
-  double value = 0.0;
-  const char* end = s + std::strlen(s);
-  const auto result = std::from_chars(s, end, value);
-  return result.ec == std::errc() && result.ptr == end ? value : 0.0;
+bool ParseActivity(const std::string& s, sensors::Activity* out) {
+  if (s == "sitting") { *out = sensors::Activity::kSitting; return true; }
+  if (s == "walking") { *out = sensors::Activity::kWalking; return true; }
+  if (s == "running") { *out = sensors::Activity::kRunning; return true; }
+  return false;
 }
 
-sensors::Activity ParseActivity(const char* s) {
-  if (std::strcmp(s, "walking") == 0) return sensors::Activity::kWalking;
-  if (std::strcmp(s, "running") == 0) return sensors::Activity::kRunning;
-  return sensors::Activity::kSitting;
+/// The whole string must be one number: std::from_chars (the banned-api
+/// lint rejects atoi/atof) with trailing junk rejected.
+template <typename T>
+bool ParseNumber(const std::string& s, T* out) {
+  const auto result = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return result.ec == std::errc() && result.ptr == s.data() + s.size();
 }
 
 std::string FormatReport(int attempt, const UnlockReport& report) {
@@ -139,8 +148,6 @@ int main(int argc, char** argv) {
   config.scene.distance_m = 0.3;
   int attempts = 1;
   int retries = 0;
-  std::size_t threads = 1;
-  bool threads_set = false;
   std::string trace_path;
   std::string metrics_path;
   std::string fault_trace_path;
@@ -152,13 +159,25 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
+    std::string value;
+    auto next = [&]() -> const std::string& {
+      value = i + 1 < argc ? argv[++i] : "";
+      return value;
+    };
+    auto bad_value = [&] {
+      std::fprintf(stderr, "bad %s value: '%s'\n", arg.c_str(), value.c_str());
+      return Usage();
     };
     if (arg == "--env") {
-      config.scene.environment = ParseEnv(next());
+      if (!ParseEnv(next(), &config.scene.environment)) return bad_value();
     } else if (arg == "--distance") {
-      config.scene.distance_m = ParseDoubleFlag(next());
+      // Inside the reference distance the propagation model is undefined.
+      double d = 0.0;
+      if (!ParseNumber(next(), &d) || !std::isfinite(d) ||
+          d < audio::PropagationSpec{}.reference_distance_m) {
+        return bad_value();
+      }
+      config.scene.distance_m = d;
     } else if (arg == "--same-hand") {
       config.scene.distance_m = 0.15;
       config.scene.propagation = audio::PropagationSpec::BodyBlockedNlos();
@@ -170,29 +189,26 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-link") {
       config.wireless_connected = false;
     } else if (arg == "--config") {
-      const int n = static_cast<int>(ParseIntFlag(next()));
+      int n = 0;
+      if (!ParseNumber(next(), &n) || n < 1 || n > 3) return bad_value();
       if (n == 2) config = ScenarioConfig::Config2();
       if (n == 3) config = ScenarioConfig::Config3();
     } else if (arg == "--activity") {
-      config.activity = ParseActivity(next());
+      if (!ParseActivity(next(), &config.activity)) return bad_value();
     } else if (arg == "--attempts") {
-      attempts = static_cast<int>(ParseIntFlag(next()));
+      if (!ParseNumber(next(), &attempts) || attempts < 1) return bad_value();
     } else if (arg == "--retries") {
-      retries = static_cast<int>(ParseIntFlag(next()));
-    } else if (arg == "--threads") {
-      threads_set = true;
-      threads = static_cast<std::size_t>(ParseIntFlag(next()));
-      if (threads == 0) threads = sim::ParallelExecutor::DefaultThreadCount();
+      if (!ParseNumber(next(), &retries) || retries < 0) return bad_value();
     } else if (arg == "--session-log") {
       session_log_path = next();
     } else if (arg == "--seed") {
-      config.seed = static_cast<std::uint64_t>(ParseIntFlag(next()));
+      if (!ParseNumber(next(), &config.seed)) return bad_value();
     } else if (arg == "--faults") {
       try {
         config.faults = sim::FaultPlan::Parse(next());
       } catch (const std::invalid_argument& error) {
         std::fprintf(stderr, "bad --faults spec: %s\n", error.what());
-        return 2;
+        return Usage();
       }
     } else if (arg == "--attack") {
       attack_spec_str = next();
@@ -202,7 +218,7 @@ int main(int argc, char** argv) {
         (void)sim::AttackSpec::Parse(attack_spec_str);
       } catch (const std::invalid_argument& error) {
         std::fprintf(stderr, "bad --attack spec: %s\n", error.what());
-        return 2;
+        return Usage();
       }
     } else if (arg == "--impairments") {
       impairment_spec_str = next();
@@ -214,7 +230,7 @@ int main(int argc, char** argv) {
         (void)parsed;
       } catch (const std::invalid_argument& error) {
         std::fprintf(stderr, "bad --impairments spec: %s\n", error.what());
-        return 2;
+        return Usage();
       }
     } else if (arg == "--channel-trace") {
       channel_trace_path = next();
@@ -230,9 +246,8 @@ int main(int argc, char** argv) {
       obs::SetLogSink(obs::StderrLogSink());
       obs::SetLogThreshold(obs::LogLevel::kDebug);
     } else {
-      std::fprintf(stderr, "unknown flag: %s (see header comment)\n",
-                   arg.c_str());
-      return 2;
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return Usage();
     }
   }
 
@@ -257,10 +272,10 @@ int main(int argc, char** argv) {
     // reports the DEFENSE's outcome, not the victim's.
     config.attack = sim::AttackSpec::Parse(attack_spec_str);
     config.phone.distance_bounding.enable = true;
-    if (threads_set || !trace_path.empty() || !metrics_path.empty() ||
+    if (!trace_path.empty() || !metrics_path.empty() ||
         !fault_trace_path.empty() || !channel_trace_path.empty()) {
       std::fprintf(stderr,
-                   "--threads/--trace/--metrics/--fault-trace/--channel-trace "
+                   "--trace/--metrics/--fault-trace/--channel-trace "
                    "are ignored in attack mode\n");
     }
     int breaches = 0;
@@ -308,62 +323,6 @@ int main(int argc, char** argv) {
                 attempts, config.attack.spec.c_str());
     return breaches == 0 ? 0 : 1;
   }
-  if (threads_set) {
-    // Parallel mode: every attempt is an independent session, seeded
-    // from (--seed, attempt index); output buffers print in order.
-    // Explicit --threads 1 runs the identical plan on one thread, so
-    // the telemetry gate can diff it byte-for-byte against --threads N.
-    if (!trace_path.empty() || !metrics_path.empty() ||
-        !fault_trace_path.empty() || !channel_trace_path.empty()) {
-      std::fprintf(stderr,
-                   "--trace/--metrics/--fault-trace/--channel-trace need "
-                   "sequential mode; ignoring (drop --threads to keep them)\n");
-      trace_path.clear();
-      metrics_path.clear();
-      fault_trace_path.clear();
-      channel_trace_path.clear();
-    }
-    sim::ParallelExecutor executor(threads);
-    struct AttemptResult {
-      bool unlocked = false;
-      std::string text;
-      std::string records;
-    };
-    const auto results = executor.Map(
-        static_cast<std::size_t>(attempts), config.seed,
-        [&](sim::TaskContext& ctx) {
-          ScenarioConfig attempt_config = config;
-          attempt_config.seed =
-              sim::ParallelExecutor::TaskSeed(config.seed, ctx.index);
-          UnlockSession session(attempt_config);
-          AttemptResult result;
-          session.SetRecordSink([&result](const obs::SessionRecord& record) {
-            result.records += record.ToJsonl();
-            result.records += '\n';
-          });
-          const UnlockReport report = session.AttemptWithRetries(retries);
-          result.unlocked = report.unlocked;
-          result.text =
-              FormatReport(static_cast<int>(ctx.index), report);
-          return result;
-        });
-    for (const AttemptResult& result : results) {
-      if (result.unlocked) ++unlocked;
-      std::fputs(result.text.c_str(), stdout);
-      session_log += result.records;
-    }
-    if (!session_log_path.empty()) {
-      std::ofstream os(session_log_path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", session_log_path.c_str());
-        return 2;
-      }
-      os << session_log;
-    }
-    std::printf("unlocked %d/%d\n", unlocked, attempts);
-    return unlocked > 0 ? 0 : 1;
-  }
-
   UnlockSession session(config);
   session.SetRecordSink([&session_log](const obs::SessionRecord& record) {
     session_log += record.ToJsonl();
