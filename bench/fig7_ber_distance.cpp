@@ -6,9 +6,9 @@
 // watch's 7 kHz low-pass rules it out for phone-watch), so the receiver
 // here uses a full-band phone microphone.
 //
-// The (distance x mode) grid runs on bench::SweepRunner; CI diffs the
-// stdout of --threads 1 vs --threads N runs to pin the determinism
-// contract (tools/ci.sh).
+// The (distance x mode) grid runs on bench::SweepRunner; the
+// thread_determinism test diffs the stdout of --threads 1 vs --threads 8
+// runs to pin the determinism contract.
 #include <cstdio>
 #include <vector>
 

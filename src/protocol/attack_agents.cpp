@@ -60,7 +60,7 @@ void FinishReport(AttackReport& out, const UnlockReport& rep,
 }
 
 /// Passive listener at range. The tap runs inside the attacked session
-/// (PhoneController renders the third-mic capture); recovery then runs
+/// (its attempt renders the third-mic capture); recovery then runs
 /// the real demodulator over the capture. Worst case by construction:
 /// the attacker is granted the negotiated mode and sub-channel plan
 /// (they travel over the encrypted control link in deployment), so the
@@ -87,7 +87,7 @@ class EavesdropAgent : public AttackAgent {
     if (rep.eavesdropped_recording.has_value() && rep.mode.has_value()) {
       dev.StoreCapture(*rep.eavesdropped_recording);
       const modem::AcousticModem rx =
-          modem::AcousticModem(scenario.phone.frame, scenario.phone.demod)
+          modem::AcousticModem(scenario.phone.frame)
               .WithPlan(rep.plan);
       const auto demod = rx.Demodulate(dev.LastCapture(), *rep.mode, kTokenBits);
       if (demod.has_value()) {
@@ -331,7 +331,7 @@ class OvershadowAgent : public AttackAgent {
         guess.push_back(static_cast<std::uint8_t>(dev.rng().UniformInt(0, 1)));
       }
       const modem::AcousticModem tx =
-          modem::AcousticModem(scenario.phone.frame, scenario.phone.demod)
+          modem::AcousticModem(scenario.phone.frame)
               .WithPlan(recon_rep.plan);
       const modem::TxFrame forged = tx.Modulate(*recon_rep.mode, guess);
       const double victim_volume =

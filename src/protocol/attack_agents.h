@@ -1,7 +1,7 @@
 // Channel-level attack agents: attacker devices as scheduled
 // participants in the acoustic scene and wireless link. Each agent
-// compiles one sim::AttackSpec into the AttackInjection hooks of
-// PhoneController and drives a full UnlockSession against it, so every
+// compiles one sim::AttackSpec into the AttackInjection hooks of an
+// unlock attempt and drives a full UnlockSession against it, so every
 // attack flows through the real modem/protocol chain rather than a
 // shortcut model. Agents are deterministic: all attacker randomness
 // comes from a seed-salted sim::Rng, so a (scenario, spec) pair replays

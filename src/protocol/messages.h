@@ -15,11 +15,6 @@
 
 namespace wearlock::protocol {
 
-/// Phone -> watch: start of an unlock attempt (sent on power click).
-struct StartRequest {
-  std::uint64_t session_id = 0;
-};
-
 /// Watch -> phone after Phase 1: everything the phone needs to run the
 /// filters and adapt the modem. When offloading, `recording` carries raw
 /// audio; when processing locally the watch would send digests instead
@@ -29,7 +24,6 @@ struct Phase1Report {
   std::uint64_t session_id = 0;
   audio::Samples recording;         ///< watch mic, RTS window
   sensors::AccelTrace sensor_trace; ///< watch accelerometer
-  bool bluetooth_ok = true;
 };
 
 /// Phone -> watch: chosen acoustic configuration for Phase 2 (the secure

@@ -40,8 +40,9 @@ struct OffloadPlanner {
                 sim::WirelessLink& link) const;
 
   /// Same accounting with the transfer time supplied by the caller -
-  /// the resilient path samples the transfer through the fault injector
-  /// (retries included) and only needs the energy/compute arithmetic.
+  /// the attempt machine samples the upload itself (through the fault
+  /// injector, retries included, when one is armed) and only needs the
+  /// energy/compute arithmetic.
   StepCost CostWithTransfer(sim::Millis host_ms, sim::Millis transfer_ms,
                             sim::Radio radio) const;
 };

@@ -1,10 +1,6 @@
 #include "protocol/phone_controller.h"
 
 #include <algorithm>
-#include <memory>
-#include <utility>
-
-#include "protocol/attempt_machine.h"
 
 namespace wearlock::protocol {
 
@@ -40,25 +36,6 @@ sim::Millis AcousticMacConfig::BackoffMs(int attempt) const {
   sim::Millis backoff = backoff_base_ms;
   for (int i = 0; i < attempt && backoff < backoff_max_ms; ++i) backoff *= 2.0;
   return std::min(backoff, backoff_max_ms);
-}
-
-PhoneController::PhoneController(PhoneConfig config, OtpService* otp,
-                                 Keyguard* keyguard)
-    : config_(config), otp_(otp), keyguard_(keyguard) {
-  config_.frame.plan.Validate();
-}
-
-std::unique_ptr<AttemptMachine> PhoneController::StartAttempt(
-    sim::EventQueue& queue, audio::TwoMicScene& scene, WatchController& watch,
-    sim::WirelessLink& link, const sensors::MotionPair& motion,
-    const OffloadPlanner& offload, sim::VirtualClock& clock,
-    const AttackInjection& attack, sim::FaultInjector* faults,
-    AttemptHooks hooks) {
-  auto machine = std::make_unique<AttemptMachine>(
-      config_, otp_, keyguard_, next_session_id_++, scene, watch, link, motion,
-      offload, clock, attack, faults, queue, std::move(hooks));
-  machine->Start();
-  return machine;
 }
 
 }  // namespace wearlock::protocol

@@ -1,32 +1,21 @@
-// Phone-side WearLock controller: executes the full Fig. 2 protocol for
-// one power-button press - link check, Phase 1 (RTS probe, ambient and
-// motion filters, NLOS detection, sub-channel and mode adaptation),
-// Phase 2 (OTP transmission, demodulation wherever the offload planner
-// says, timing-window replay defense, token validation, Keyguard action).
+// Phone-side protocol types: the PhoneConfig of an unlock attempt, the
+// UnlockOutcome and UnlockReport it produces, and the AttackInjection
+// hooks the attack agents drive. The attempt itself - the full Fig. 2
+// protocol for one power-button press - is protocol/attempt_machine.h.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "audio/scene.h"
 #include "modem/drift.h"
 #include "modem/modem.h"
 #include "protocol/ambient.h"
 #include "protocol/distance_bounding.h"
-#include "protocol/keyguard.h"
-#include "protocol/messages.h"
-#include "protocol/offload.h"
-#include "protocol/otp_service.h"
-#include "protocol/watch_controller.h"
 #include "sensors/filter.h"
 #include "sim/clock.h"
-#include "sim/faults.h"
-#include "sim/wireless.h"
-
-namespace wearlock::sim {
-class EventQueue;
-}  // namespace wearlock::sim
 
 namespace wearlock::protocol {
 
@@ -160,7 +149,6 @@ struct DistanceBoundingPolicy {
 
 struct PhoneConfig {
   modem::FrameSpec frame{};
-  modem::DemodConfig demod{};
   modem::AdaptiveConfig adaptive{};
   /// Probe volume rule: receiver anywhere within secure_range_m clears
   /// this SNR over ambient (paper §III-7 "How adaptive modulation works").
@@ -193,8 +181,6 @@ struct PhoneConfig {
   /// The case study relaxes required BER to 0.25 for detected-NLOS cases.
   double nlos_relaxed_ber = 0.25;
   AmbientSimilarityConfig ambient{};
-  bool enable_subchannel_selection = true;
-  bool enable_ambient_filter = true;
   bool enable_sensor_filter = true;
   /// Measurement-campaign mode (the paper's Table I procedure): transmit
   /// even when no mode meets MaxBER or the secure-range gate fails, using
@@ -297,39 +283,6 @@ struct AttackInjection {
   /// distance-bounding chirps when no full splice is wired (e.g. the
   /// replayed session's handling delay).
   sim::Millis ranging_extra_delay_ms = 0.0;
-};
-
-class AttemptMachine;
-struct AttemptHooks;
-
-class PhoneController {
- public:
-  PhoneController(PhoneConfig config, OtpService* otp, Keyguard* keyguard);
-
-  /// One power-button press: assigns the session id, builds the
-  /// attempt's state machine and schedules its first slice on `queue`.
-  /// The machine runs the whole protocol against the given scene/watch/
-  /// link and advances `clock` by every modeled latency. When `faults`
-  /// is non-null, every control message and capture routes through it
-  /// and the resilience policy (timeouts, ARQ, degrade ladder) earns its
-  /// keep; when null, the path is the fault-free protocol. The caller
-  /// owns the machine and must keep it (and every reference argument)
-  /// alive until hooks.on_done runs; the queue multiplexes any number
-  /// of such machines (protocol/attempt_machine.h).
-  std::unique_ptr<AttemptMachine> StartAttempt(
-      sim::EventQueue& queue, audio::TwoMicScene& scene,
-      WatchController& watch, sim::WirelessLink& link,
-      const sensors::MotionPair& motion, const OffloadPlanner& offload,
-      sim::VirtualClock& clock, const AttackInjection& attack,
-      sim::FaultInjector* faults, AttemptHooks hooks);
-
-  const PhoneConfig& config() const { return config_; }
-
- private:
-  PhoneConfig config_;
-  OtpService* otp_;
-  Keyguard* keyguard_;
-  std::uint64_t next_session_id_ = 1;
 };
 
 }  // namespace wearlock::protocol

@@ -53,8 +53,7 @@ UnlockSession::UnlockSession(ScenarioConfig config)
       link_(LinkFor(config.radio), rng_.Fork(), config.wireless_connected),
       keyguard_(),
       otp_(config.otp_key),
-      watch_controller_(config.phone.frame, config.watch_profile),
-      phone_controller_(config.phone, &otp_, &keyguard_),
+      watch_controller_(config.phone.frame),
       offload_{.site = config.processing,
                .watch = config.watch_profile,
                .phone = config.phone_profile},
@@ -154,9 +153,11 @@ void UnlockSession::BeginAttempt() {
   hooks.tracer = &tracer_;
   hooks.metrics = &metrics_;
   hooks.on_done = [this] { HandleAttemptDone(); };
-  round.machine = phone_controller_.StartAttempt(
-      *round.queue, scene_, watch_controller_, link_, motion, offload_, clock_,
-      round.attack, faults(), std::move(hooks));
+  round.machine = std::make_unique<AttemptMachine>(
+      config_.phone, &otp_, &keyguard_, next_session_id_++, scene_,
+      watch_controller_, link_, motion, offload_, clock_, round.attack,
+      faults(), *round.queue, std::move(hooks));
+  round.machine->Start();
 }
 
 void UnlockSession::HandleAttemptDone() {
@@ -190,7 +191,7 @@ void UnlockSession::HandleAttemptDone() {
   obs::ScopedTracer install_tracer(&tracer_);
   obs::ScopedMetricsRegistry install_metrics(&metrics_);
   const sim::Millis backoff =
-      phone_controller_.config().resilience.BackoffMs(round.retries_used);
+      config_.phone.resilience.BackoffMs(round.retries_used);
   WL_COUNT("protocol.retry.count");
   WL_HIST("protocol.retry.backoff_ms", backoff);
   const sim::EventQueue::EventId backoff_event =

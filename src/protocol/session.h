@@ -13,9 +13,14 @@
 #include "obs/metrics.h"
 #include "obs/record.h"
 #include "obs/trace.h"
+#include "protocol/keyguard.h"
+#include "protocol/offload.h"
+#include "protocol/otp_service.h"
 #include "protocol/phone_controller.h"
+#include "protocol/watch_controller.h"
 #include "sensors/motion_sim.h"
 #include "sim/adversary.h"
+#include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/wireless.h"
 
@@ -127,8 +132,6 @@ class UnlockSession {
   sim::WirelessLink& link() { return link_; }
   Keyguard& keyguard() { return keyguard_; }
   OtpService& otp() { return otp_; }
-  PhoneController& phone() { return phone_controller_; }
-  WatchController& watch() { return watch_controller_; }
   sim::VirtualClock& clock() { return clock_; }
   const ScenarioConfig& config() const { return config_; }
 
@@ -150,8 +153,9 @@ class UnlockSession {
   /// owns the current attempt's machine).
   struct AsyncRound;
 
-  /// Start the round's next attempt: sample fresh motion and schedule
-  /// a machine's first slice on the round's queue.
+  /// Start the round's next attempt: sample fresh motion, build the
+  /// attempt's machine (assigning the next session id) and schedule its
+  /// first slice on the round's queue.
   void BeginAttempt();
   /// Attempt finished: retry (transient outcome, budget left, keyguard
   /// willing) or finish the round. Runs inside the machine's final
@@ -168,7 +172,6 @@ class UnlockSession {
   Keyguard keyguard_;
   OtpService otp_;
   WatchController watch_controller_;
-  PhoneController phone_controller_;
   OffloadPlanner offload_;
   sensors::MotionSimulator motion_sim_;
   sim::VirtualClock clock_;
@@ -177,6 +180,8 @@ class UnlockSession {
   obs::MetricsRegistry metrics_;
   RecordSink record_sink_;
   std::unique_ptr<AsyncRound> async_round_;
+  /// Id of the next attempt's machine; ranging noise is salted with it.
+  std::uint64_t next_session_id_ = 1;
   // Counter baselines advanced at each record emission, so cumulative
   // session counters flatten into per-record ("this call only") diffs.
   std::uint64_t chase_base_ = 0;

@@ -1,12 +1,12 @@
 #include "protocol/watch_controller.h"
 
 #include "obs/instrument.h"
+#include "sim/device.h"
 
 namespace wearlock::protocol {
 
-WatchController::WatchController(modem::FrameSpec frame_spec,
-                                 sim::DeviceProfile profile)
-    : modem_(frame_spec), profile_(std::move(profile)) {}
+WatchController::WatchController(modem::FrameSpec frame_spec)
+    : modem_(frame_spec) {}
 
 Phase1Report WatchController::MakePhase1Report(
     std::uint64_t session_id, audio::Samples recording,
@@ -17,7 +17,6 @@ Phase1Report WatchController::MakePhase1Report(
   report.session_id = session_id;
   report.recording = std::move(recording);
   report.sensor_trace = std::move(sensor_trace);
-  report.bluetooth_ok = true;
   return report;
 }
 

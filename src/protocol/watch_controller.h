@@ -6,18 +6,15 @@
 
 #include <cstdint>
 
-#include "protocol/messages.h"
 #include "modem/modem.h"
-#include "protocol/offload.h"
-#include "sensors/motion_sim.h"
-#include "sim/device.h"
+#include "protocol/messages.h"
+#include "sim/clock.h"
 
 namespace wearlock::protocol {
 
 class WatchController {
  public:
-  WatchController(modem::FrameSpec frame_spec,
-                  sim::DeviceProfile profile = sim::DeviceProfile::Moto360());
+  explicit WatchController(modem::FrameSpec frame_spec);
 
   /// Phase 1 response: wraps the recording captured by the scene plus the
   /// current accelerometer window.
@@ -43,12 +40,8 @@ class WatchController {
   /// control channel).
   void ApplyPhase2Config(const Phase2Config& config);
 
-  const sim::DeviceProfile& profile() const { return profile_; }
-  const modem::AcousticModem& modem() const { return modem_; }
-
  private:
   modem::AcousticModem modem_;
-  sim::DeviceProfile profile_;
 };
 
 }  // namespace wearlock::protocol

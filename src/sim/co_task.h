@@ -1,10 +1,10 @@
 // Minimal C++20 coroutine task for the event-driven protocol machine.
 //
-// CoTask<T> is the compiler-generated state machine that replaced the
-// blocking PhoneController call chain: every `co_await` boundary is a
-// suspension point where the frame parks until an EventQueue event
-// resumes it, so one thread multiplexes thousands of in-flight attempts
-// (docs/architecture.md). Semantics:
+// CoTask<T> is the compiler-generated state machine behind each unlock
+// attempt's stage coroutines (protocol/attempt_machine.h): every
+// `co_await` boundary is a suspension point where the frame parks until
+// an EventQueue event resumes it, so one thread multiplexes thousands of
+// in-flight attempts (docs/architecture.md). Semantics:
 //
 //   * lazy start - the body does not run until the task is awaited (or
 //     Resume() is called on a root task), so building a pipeline of

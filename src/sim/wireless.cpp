@@ -68,14 +68,6 @@ std::optional<Millis> WirelessLink::TrySendFileDelay(std::size_t bytes) {
   return delay;
 }
 
-std::optional<Millis> WirelessLink::TrySendRoundTrip() {
-  const auto out = TrySendMessageDelay();
-  if (!out) return std::nullopt;
-  const auto back = TrySendMessageDelay();
-  if (!back) return std::nullopt;
-  return *out + *back;
-}
-
 Millis WirelessLink::SampleMessageDelay() {
   const auto delay = TrySendMessageDelay();
   if (!delay) throw std::logic_error("WirelessLink: link is down");
@@ -86,12 +78,6 @@ Millis WirelessLink::SampleFileDelay(std::size_t bytes) {
   const auto delay = TrySendFileDelay(bytes);
   if (!delay) throw std::logic_error("WirelessLink: link is down");
   return *delay;
-}
-
-Millis WirelessLink::SampleRoundTrip() {
-  const auto rtt = TrySendRoundTrip();
-  if (!rtt) throw std::logic_error("WirelessLink: link is down");
-  return *rtt;
 }
 
 }  // namespace wearlock::sim

@@ -55,7 +55,6 @@ class WirelessLink {
   /// sequence draws exactly the same stream as an always-up link.
   [[nodiscard]] std::optional<Millis> TrySendMessageDelay();
   [[nodiscard]] std::optional<Millis> TrySendFileDelay(std::size_t bytes);
-  [[nodiscard]] std::optional<Millis> TrySendRoundTrip();
 
   /// Sampled one-way latency (ms) for a short control message.
   /// Throwing shim over TrySendMessageDelay for legacy callers that
@@ -67,12 +66,6 @@ class WirelessLink {
   /// recorded audio clip being offloaded).
   /// @throws std::logic_error if the link is down.
   Millis SampleFileDelay(std::size_t bytes);
-
-  /// Round-trip time of message + reply.
-  /// @throws std::logic_error if the link is down.
-  Millis SampleRoundTrip();
-
-  const LinkModel& model() const { return model_; }
 
  private:
   double Jitter();

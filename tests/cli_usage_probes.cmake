@@ -16,9 +16,15 @@ expect_usage_error(${UNLOCK_CLI} --attack bogus)
 expect_usage_error(${UNLOCK_CLI} --impairments bogus)
 expect_usage_error(${FLEET} --sessions 3 --impairments "|sro=900"
                    --out ${WORK_DIR}/never.json)
+expect_usage_error(${FLEET} --sessions 3 --faults "drop=2"
+                   --out ${WORK_DIR}/never.json)
+expect_usage_error(${FLEET} --sessions 3 --attacks "|relay@abc"
+                   --out ${WORK_DIR}/never.json)
 # Malformed or out-of-range scalar values.
 expect_usage_error(${UNLOCK_CLI} --distance 0.4m)
 expect_usage_error(${UNLOCK_CLI} --distance 0.05)
+expect_usage_error(${FLEET} --sessions 3 --distances 0.05
+                   --out ${WORK_DIR}/never.json)
 expect_usage_error(${UNLOCK_CLI} --attempts two)
 expect_usage_error(${UNLOCK_CLI} --attempts 0)
 expect_usage_error(${UNLOCK_CLI} --config 7)

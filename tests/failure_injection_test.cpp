@@ -1,5 +1,7 @@
 // Failure injection: the system must degrade safely, never unlock
 // wrongly, when hardware or protocol pieces misbehave.
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "protocol/session.h"
@@ -30,6 +32,14 @@ TEST(FailureInjection, ClippedSpeakerStillRefusesDistantAttacker) {
     if (!session.keyguard().CanAttemptWearlock()) break;
     EXPECT_FALSE(session.Attempt().unlocked);
   }
+}
+
+TEST(FailureInjection, InvalidSubchannelPlanFailsAtSessionBuild) {
+  // A bin reused across sets is caught when the session builds its
+  // modems, not at the first attempt.
+  ScenarioConfig config = Base(9010);
+  config.phone.frame.plan.data.push_back(config.phone.frame.plan.pilots[0]);
+  EXPECT_THROW(UnlockSession session(config), std::invalid_argument);
 }
 
 TEST(FailureInjection, SaturatedMicrophone) {

@@ -121,9 +121,12 @@ TEST(FaultMatrixTest, EveryCellTerminatesWithDefinedOutcome) {
 
     // Terminates inside the budget. The deadline gates the *start* of
     // protocol steps, so the last started step (one stage budget, plus
-    // audio/compute slack) may run past it - but never unboundedly.
+    // audio slack) may run past it - but never unboundedly. It governs
+    // modeled protocol time, which excludes the host-measured compute
+    // the clock also carries (that scales with machine load).
     const ResilienceConfig& res = config.phone.resilience;
-    EXPECT_LT(session.clock().now(),
+    EXPECT_LT(session.clock().now() - (report.timings.phase1_compute_ms +
+                                       report.timings.phase2_compute_ms),
               res.total_deadline_ms + res.stage_budget_ms + 15000.0);
 
     // No false unlock: unlocking under faults still requires the token
@@ -342,6 +345,55 @@ TEST(ResilienceOutcomeTest, LostCapturesRetransmitProbeThenFailSafe) {
     if (event.kind == sim::FaultKind::kRecordingDrop) ++recording_drops;
   }
   EXPECT_EQ(recording_drops, expected);
+}
+
+// --- Degrade ladder: a lost upload falls back to watch-local ----------
+
+// Config1 offloads over WiFi. At drop=0.5 these seeds lose an upload
+// past its retry budget once the ladder has moved processing to the
+// watch, so the attempt goes on locally - the CLI repro is
+// `wearlock_unlock_cli --config 1 --env quiet --distance 0.3
+// --faults drop=0.5 --seed S`. Returns the trace as "step: detail" lines.
+std::string RunDegraded(std::uint64_t seed, obs::SessionRecord* record) {
+  ScenarioConfig config = ScenarioConfig::Config1();
+  config.scene.environment = audio::Environment::kQuietRoom;
+  config.scene.distance_m = 0.3;
+  config.faults = sim::FaultPlan::Parse("drop=0.5");
+  config.seed = seed;
+  UnlockSession session(config);
+  session.SetRecordSink([record](const obs::SessionRecord& r) { *record = r; });
+  const UnlockReport report = session.Attempt();
+  EXPECT_EQ(report.outcome, UnlockOutcome::kUnlocked);
+  std::string trace;
+  for (const auto& e : report.trace) trace += e.step + ": " + e.detail + "\n";
+  return trace;
+}
+
+TEST(DegradeLadderTest, LostProbeUploadKeepsTheAnalysisOnTheWatch) {
+  obs::SessionRecord record;
+  const std::string trace = RunDegraded(117, &record);
+  EXPECT_NE(trace.find("phase1-upload: upload failed (retries-exhausted); "
+                       "degraded to watch-local analysis"),
+            std::string::npos)
+      << trace;
+  EXPECT_TRUE(record.unlocked);
+  EXPECT_EQ(record.degrades, 1);
+}
+
+TEST(DegradeLadderTest, LostTokenUploadDecodesTheNextRoundOnTheWatch) {
+  obs::SessionRecord record;
+  const std::string trace = RunDegraded(145, &record);
+  // The degraded round's copy is lost; the retransmitted round is
+  // demodulated on the watch and accepted.
+  const std::size_t lost = trace.find(
+      "phase2-upload: upload failed (retries-exhausted); degraded to "
+      "watch-local demod");
+  ASSERT_NE(lost, std::string::npos) << trace;
+  const std::size_t resent = trace.find("phase2-retransmit:", lost);
+  ASSERT_NE(resent, std::string::npos) << trace;
+  EXPECT_NE(trace.find(": accepted", resent), std::string::npos) << trace;
+  EXPECT_TRUE(record.unlocked);
+  EXPECT_EQ(record.degrades, 1);
 }
 
 // --- ResilienceConfig / FaultPlan / SoftCombiner units ---------------

@@ -2,8 +2,8 @@
 // rollup is a pure function of its spec - never of the thread count,
 // the shard size, or the order shard sinks merge. Fixed host timing is
 // armed so modeled compute times cannot absorb scheduler noise, which
-// makes the gate a byte-diff (the same discipline as the telemetry
-// gate in tools/ci.sh).
+// makes the gate a byte-diff (the same discipline as the
+// telemetry_golden_replay test).
 //
 // Regenerate the golden after an intentional protocol/model change with
 //   WEARLOCK_REGEN_FLEET_GOLDEN=1 ./tests/fleet_determinism_test

@@ -130,7 +130,8 @@ std::string CellFingerprint(int cell) {
 
 /// Zero out "at_ms" (virtual time includes host-measured compute, so
 /// timestamps jitter while the event sequence must not) - the same
-/// normalization tools/ci.sh applies to the CLI's --attack-trace.
+/// normalization tests/cli_golden_replay.cmake applies to the CLI's
+/// --attack-trace.
 std::string NormalizeTraceTimestamps(const std::string& jsonl) {
   std::string out;
   std::size_t pos = 0;
@@ -273,8 +274,9 @@ TEST(SecurityMatrixTest, GoldenAttackTraces) {
 }
 
 /// Exactly the scenario `wearlock_unlock_cli --attack <relay spec>`
-/// builds (Config1, 0.3 m, quiet room, defense armed), so tools/ci.sh
-/// can diff the CLI's --attack-trace output against the same golden.
+/// builds (Config1, 0.3 m, quiet room, defense armed), so the
+/// cli_golden_replay test can diff the CLI's --attack-trace output
+/// against the same golden.
 constexpr char kCliRelaySpec[] = "relay@3.0:delay=3:gain=40";
 constexpr std::uint64_t kCliRelaySeed = 4242;
 

@@ -121,16 +121,5 @@ TEST(Wireless, DownLinkThrows) {
   EXPECT_NO_THROW(link.SampleMessageDelay());
 }
 
-TEST(Wireless, RoundTripIsTwoMessages) {
-  Rng rng(12);
-  WirelessLink link(LinkModel::Wifi(), rng.Fork());
-  double rtt_acc = 0.0, msg_acc = 0.0;
-  for (int i = 0; i < 200; ++i) {
-    rtt_acc += link.SampleRoundTrip();
-    msg_acc += link.SampleMessageDelay();
-  }
-  EXPECT_NEAR(rtt_acc / 200.0, 2.0 * msg_acc / 200.0, 0.2 * msg_acc / 200.0);
-}
-
 }  // namespace
 }  // namespace wearlock::sim

@@ -1,0 +1,30 @@
+# Sweep tables are a pure function of the seed, never of the thread
+# count (docs/parallelism.md): each bench's stdout (timing goes to
+# stderr) must be byte-identical at --threads 1 and 8. channel_sweep
+# quotes stage quantiles, so it runs with fixed host timing.
+#
+#   cmake -DFIG7=<fig7_ber_distance> -DATTACK_DISTANCE=<attack_distance>
+#         -DCHANNEL_SWEEP=<channel_sweep> -DWORK_DIR=<dir>
+#         -P thread_determinism.cmake
+function(expect_thread_invariant name)
+  foreach(threads 1 8)
+    execute_process(COMMAND ${ARGN} --threads ${threads}
+                    OUTPUT_FILE ${WORK_DIR}/${name}-t${threads}.out
+                    RESULT_VARIABLE rc ERROR_QUIET)
+    if(NOT rc EQUAL 0)
+      message(SEND_ERROR "${name} --threads ${threads} exited ${rc}")
+      return()
+    endif()
+  endforeach()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                          ${WORK_DIR}/${name}-t1.out ${WORK_DIR}/${name}-t8.out
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(SEND_ERROR "${name} stdout differs between --threads 1 and 8")
+  endif()
+endfunction()
+
+expect_thread_invariant(fig7 ${FIG7} --quick)
+expect_thread_invariant(attack_distance ${ATTACK_DISTANCE} --quick)
+expect_thread_invariant(channel_sweep ${CMAKE_COMMAND} -E env
+                        WEARLOCK_FIXED_HOST_MS=1.25 ${CHANNEL_SWEEP} --quick)

@@ -1,44 +1,20 @@
 #!/usr/bin/env bash
-# Local CI: the checks a PR must pass.
+# Local CI: the checks a PR must pass. Tier-1 (ctest) carries the
+# correctness contract - goldens, CLI golden replays, --threads 1-vs-8
+# stdout diffs, fleet and telemetry rollups; this script adds the rest:
 #   1. wearlock-lint over src/ tests/ bench/ tools/ with the committed
 #      baseline and slot manifest - the repo's self-hosted flow-aware
 #      static analysis. Emits build/lint.sarif, reports wall time
 #      (budget: 10s), and pins --threads 1 vs 8 byte-identity
-#   2. plain build (warnings-as-errors) + full ctest, which includes
-#      the lint_test suite, the wearlock_lint_src tree gate, the header
-#      self-containment TUs, the bench_smoke quick-runs, and the
-#      cli_usage_probes exit-2 checks on malformed CLI values
+#   2. plain build (warnings-as-errors) + full ctest
 #   3. bench report: fig5 --json at 1 and 8 threads collected into
 #      BENCH_dsp_core.json; the serial run is also the zero-allocation
 #      steady-state gate (docs/perf.md)
-#   4. parallel-determinism gate: fig7 stdout must be byte-identical
-#      between --threads 1 and --threads 8 (docs/parallelism.md)
-#   5. fault-injection gate: the `fault` ctest label (fault matrix,
-#      golden faulted trace, chase-combining rescue) plus a CLI replay
-#      of the golden fully-faulted unlock (docs/robustness.md)
-#   6. security gate: the `security` ctest label (attack x config
-#      conformance matrix, golden attack traces, distance-bounding
-#      properties), a CLI --attack replay of the golden relay trace,
-#      and an attacker-success-vs-distance sweep that must be
-#      byte-identical across thread counts (docs/security.md)
-#   7. telemetry gate: the `telemetry` ctest label (sketch determinism,
-#      record/rollup round trips, and the wearlock_fleet replay of the
-#      committed golden telemetry rollup at --threads 1 and 8)
-#      (docs/observability.md)
-#   8. fleet gate: the `fleet` ctest label (state-machine vs blocking
-#      equivalence, campaign determinism, golden fleet rollup), then a
-#      seeded mini-campaign through the wearlock_fleet CLI whose rollup
-#      must byte-match between --threads 1 and 8 and against the
-#      committed golden (docs/architecture.md), plus the fleet
-#      throughput report (BENCH_fleet.json)
-#   9. channel gate: the `channel` ctest label (impairment matrix,
-#      hardening properties, golden impaired trace), a CLI
-#      --impairments replay of the golden impaired unlock, a
-#      channel_sweep stdout byte-diff across thread counts, a
-#      >=10k-session contention campaign whose rollup must byte-match
+#   4. bench report: fleet throughput (BENCH_fleet.json)
+#   5. contention campaign: a >=10k-session rollup that must byte-match
 #      across --threads 1/2/8 and shard sizes, and BENCH_channel.json
 #      (min-of-3 per thread count) (docs/channels.md)
-#  10. one build+test leg per sanitizer: ASan, UBSan, TSan (the TSan
+#   6. one build+test leg per sanitizer: ASan, UBSan, TSan (the TSan
 #      leg gets real cross-thread traffic from concurrency_stress_test,
 #      executor_test, fft_plan_test, fault_matrix_test,
 #      security_matrix_test, channel_matrix_test - the shared-scene
@@ -111,75 +87,6 @@ build/bench/fig5_ber_ebn0 --quick --threads 8 \
 } >BENCH_dsp_core.json
 echo "wrote BENCH_dsp_core.json"
 
-banner "parallel determinism: fig7 --threads 1 vs --threads 8"
-# The executor's contract (docs/parallelism.md): sweep tables are a pure
-# function of the seed, never of the thread count. Tables go to stdout,
-# timing diagnostics to stderr, so the diff below pins bit-identity.
-build/bench/fig7_ber_distance --quick --threads 1 >build/fig7-t1.out
-build/bench/fig7_ber_distance --quick --threads 8 >build/fig7-t8.out
-diff -u build/fig7-t1.out build/fig7-t8.out
-echo "fig7 output byte-identical across thread counts"
-
-banner "fault-injection gate: ctest -L fault + CLI golden replay"
-# The robustness matrix (docs/robustness.md): every faulted cell must
-# terminate with a defined outcome, never falsely unlock, and replay
-# bit-identically - serially and at WEARLOCK_THREADS=8.
-ctest --test-dir build -L fault --output-on-failure
-# The committed golden trace must be reproducible from the command line
-# with one seed (the CI-failure repro path the CLI exists for).
-build/tools/wearlock_unlock_cli \
-    --faults drop=0.35,dup=0.3,spike=0.5x10,trunc=0.7 --seed 10 \
-    --fault-trace build/fault-trace.jsonl >/dev/null
-diff <(sed 's/"at_ms":[0-9.eE+-]*/"at_ms":0/' build/fault-trace.jsonl) \
-     tests/golden/faulted_unlock_trace.jsonl
-echo "CLI fault replay matches the committed golden trace"
-
-banner "security gate: ctest -L security + CLI attack replay"
-# The adversarial conformance matrix (docs/security.md): every attack x
-# config cell must terminate with its pinned outcome, never hand the
-# attacker an unlock, and replay bit-identically across thread counts.
-ctest --test-dir build -L security --output-on-failure
-# The committed golden relay trace must be reproducible from the command
-# line with one seed (the repro path for a red matrix cell), and the
-# defense must hold (exit 0).
-build/tools/wearlock_unlock_cli \
-    --attack relay@3.0:delay=3:gain=40 --seed 4242 \
-    --attack-trace build/attack-trace.jsonl >/dev/null
-diff <(sed 's/"at_ms":[0-9.eE+-]*/"at_ms":0/' build/attack-trace.jsonl) \
-     tests/golden/relay_attack_trace.jsonl
-echo "CLI attack replay matches the committed golden trace"
-# The attacker-success decay figure is a pure function of the seed.
-build/bench/attack_distance --quick --threads 1 >build/attack-t1.out
-build/bench/attack_distance --quick --threads 8 >build/attack-t8.out
-diff build/attack-t1.out build/attack-t8.out
-echo "attack_distance output byte-identical across thread counts"
-
-banner "telemetry gate: ctest -L telemetry"
-# The fleet-telemetry determinism contract (docs/observability.md): the
-# label includes telemetry_golden_replay, a seeded wearlock_fleet
-# campaign whose rollup must equal the committed golden byte for byte at
-# --threads 1 and 8.
-ctest --test-dir build -L telemetry --output-on-failure
-
-banner "fleet gate: ctest -L fleet + campaign rollup byte-diff"
-# The event-driven multiplexer's contract (docs/architecture.md): a
-# campaign rollup is a pure function of the spec - never of the thread
-# count or shard layout - and the blocking Attempt path stays byte-
-# equivalent to the multiplexed one. Fixed host timing is armed so
-# modeled compute cannot absorb scheduler noise.
-ctest --test-dir build -L fleet --output-on-failure
-run_fleet() {  # $1 = thread count, $2 = output rollup json
-  WEARLOCK_FIXED_HOST_MS=1.25 build/tools/wearlock_fleet \
-      --sessions 96 --seed 20260808 --threads "$1" --shard-size 32 \
-      --faults '|drop=0.3' --attacks '|replay@0.5' --out "$2"
-}
-run_fleet 1 build/fleet-t1.json
-run_fleet 8 build/fleet-t8.json
-diff build/fleet-t1.json build/fleet-t8.json
-echo "campaign rollups byte-identical across thread counts"
-diff build/fleet-t1.json tests/golden/fleet_rollup.json
-echo "campaign rollup matches the committed golden"
-
 banner "bench report: fleet throughput JSON (BENCH_fleet.json)"
 # Min-of-3 campaign rounds per thread count; the bench itself verifies
 # every round rolls up byte-identically before reporting sessions/sec.
@@ -196,28 +103,7 @@ build/bench/fleet_throughput --threads 8 \
 } >BENCH_fleet.json
 echo "wrote BENCH_fleet.json"
 
-banner "channel gate: ctest -L channel + CLI impaired replay"
-# The crowded-world contract (docs/channels.md): every impaired cell
-# terminates with a defined outcome, hardening earns its keep on the
-# pinned differential seeds, past-envelope channels fail closed, and
-# the whole matrix replays bit-identically across thread counts.
-ctest --test-dir build -L channel --output-on-failure
-# The committed golden impaired trace must be reproducible from the
-# command line with one seed (the repro path for a red matrix cell).
-build/tools/wearlock_unlock_cli \
-    --impairments sro=60,reverb=250,pairs=2,burst=0.6x10 --seed 7 \
-    --channel-trace build/channel-trace.jsonl >/dev/null
-diff <(sed 's/"at_ms":[0-9.eE+-]*/"at_ms":0/' build/channel-trace.jsonl) \
-     tests/golden/impaired_unlock_trace.jsonl
-echo "CLI impaired replay matches the committed golden trace"
-# The hardened-vs-naive sweep is a pure function of the seed. Fixed
-# host timing is armed because the table quotes stage quantiles.
-WEARLOCK_FIXED_HOST_MS=1.25 build/bench/channel_sweep --quick \
-    --threads 1 >build/channel-t1.out
-WEARLOCK_FIXED_HOST_MS=1.25 build/bench/channel_sweep --quick \
-    --threads 8 >build/channel-t8.out
-diff build/channel-t1.out build/channel-t8.out
-echo "channel_sweep output byte-identical across thread counts"
+banner "contention campaign: rollup byte-identity across threads + shards"
 # Contention campaign: >= 10k sessions cycling clean / drifted /
 # 2-pair-contended cells. The rollup is a pure function of the spec -
 # never of the thread count or shard layout.

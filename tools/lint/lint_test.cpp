@@ -661,6 +661,36 @@ TEST(ModeledTimeTest, SinkFunctionCallWithTaintedArgIsFlagged) {
   EXPECT_EQ(diags[0].line, 5);
 }
 
+TEST(ModeledTimeTest, MemberSinkFunctionCallWithTaintedArgIsFlagged) {
+  // The attempt machine's spelling: a member coroutine that writes the
+  // member accumulator, defined out of class and called from a stage.
+  const auto diags = RunAllOn(
+      "src/protocol/x.cpp",
+      "sim::CoTask<> Machine::Charge(sim::Millis ms) {\n"
+      "  proto_ms_ += ms;\n"
+      "  co_await Wait(ms);\n"
+      "}\n"
+      "sim::CoTask<> Machine::Stage() {\n"
+      "  const sim::Millis drift_host_ms = sim::TimeHostMs([&] { Work(); });\n"
+      "  co_await Charge(drift_host_ms);\n"
+      "  co_await Wait(drift_host_ms);\n"
+      "}\n");
+  ASSERT_EQ(diags.size(), 1u);  // Wait is not a sink
+  EXPECT_EQ(diags[0].rule, "modeled-time");
+  EXPECT_EQ(diags[0].line, 7);
+}
+
+TEST(ModeledTimeTest, MemberAccumulatorIsEnforced) {
+  const auto diags = RunAllOn(
+      "src/protocol/x.cpp",
+      "void Machine::Stage() {\n"
+      "  const double host_ms = sim::TimeHostMs([&] { Work(); });\n"
+      "  proto_ms_ += host_ms;\n"
+      "}\n");
+  ASSERT_TRUE(HasRule(diags, "modeled-time"));
+  EXPECT_EQ(diags[0].line, 3);
+}
+
 TEST(ModeledTimeTest, SessionRecordFieldWriteIsFlagged) {
   const auto diags = RunAllOn(
       "src/protocol/x.cpp",
@@ -803,7 +833,7 @@ TEST(DiscardedOutcomeTest, ConsumedOrExplicitlyDiscardedPasses) {
       "src/protocol/x.cpp",
       "void F(sim::WirelessLink& link) {\n"
       "  auto d = link.TrySendMessageDelay();\n"
-      "  if (link.TrySendRoundTrip()) { Use(); }\n"
+      "  if (link.TrySendMessageDelay()) { Use(); }\n"
       "  (void)link.TrySendFileDelay(64);\n"
       "  return link.TrySendMessageDelay();\n"
       "}\n");

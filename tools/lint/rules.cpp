@@ -823,9 +823,9 @@ void CheckModeledTime(const SourceFile& file, std::vector<Diagnostic>* out) {
   const std::vector<Token> toks = LexTokens(code);
   const std::vector<Statement> stmts = SplitStatements(toks);
 
-  // Accumulator sinks: every `proto_ms`, plus variables declared on a
-  // line annotated "// lint: modeled-time".
-  std::set<std::string> accumulators = {"proto_ms"};
+  // Accumulator sinks: every `proto_ms` (or member `proto_ms_`), plus
+  // variables declared on a line annotated "// lint: modeled-time".
+  std::set<std::string> accumulators = {"proto_ms", "proto_ms_"};
   for (int line = 1; line <= file.line_count(); ++line) {
     const std::string& comment = file.CommentOn(line);
     const std::size_t tag = comment.find("modeled-time");
@@ -835,14 +835,27 @@ void CheckModeledTime(const SourceFile& file, std::vector<Diagnostic>* out) {
     const std::string name = DeclaredNameOn(file, line, &decl_line);
     if (!name.empty()) accumulators.insert(name);
   }
+  auto writes_accumulator = [&](std::size_t k) {
+    return toks[k].kind == Token::Kind::kIdent && k + 1 < toks.size() &&
+           accumulators.count(std::string(toks[k].text)) != 0 &&
+           (toks[k + 1].text == "+=" || toks[k + 1].text == "=" ||
+            toks[k + 1].text == "-=");
+  };
 
-  // Sink functions: lambdas bound to a name whose body writes an
-  // accumulator (`auto charge = [&](Millis ms) { proto_ms += ms; };`).
-  // Passing a tainted value to one launders host time into modeled
-  // time. Statement splitting cuts at the lambda's top-level '{', so
-  // this scan matches `name = [` on the raw token stream and walks the
-  // brace-matched body instead.
+  // Sink functions: every function whose body writes an accumulator
+  // (`CoTask<> M::Charge(Millis ms) { proto_ms_ += ms; ... }`), and
+  // every lambda bound to a name that does
+  // (`auto charge = [&](Millis ms) { proto_ms += ms; };`). Passing a
+  // tainted value to one launders host time into modeled time. A
+  // lambda body belongs to its enclosing function in the scope walk,
+  // so lambdas are matched as `name = [` on the raw token stream and
+  // their brace-matched body is scanned instead.
   std::set<std::string> sink_fns;
+  ScopeWalker(toks).Walk([&](std::size_t i, const ScopeContext& ctx) {
+    if (!ctx.function.empty() && writes_accumulator(i)) {
+      sink_fns.insert(ctx.function);
+    }
+  });
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
     if (toks[i].kind != Token::Kind::kIdent || toks[i + 1].text != "=" ||
         toks[i + 2].text != "[") {
@@ -860,12 +873,8 @@ void CheckModeledTime(const SourceFile& file, std::vector<Diagnostic>* out) {
     while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") ++j;
     if (j >= toks.size() || toks[j].text != "{") continue;
     const std::size_t close = MatchForward(toks, j);
-    if (close == toks.size()) continue;
-    for (std::size_t k = j + 1; k + 1 < close; ++k) {
-      if (toks[k].kind == Token::Kind::kIdent &&
-          accumulators.count(std::string(toks[k].text)) != 0 &&
-          (toks[k + 1].text == "+=" || toks[k + 1].text == "=" ||
-           toks[k + 1].text == "-=")) {
+    for (std::size_t k = j + 1; k < close && k < toks.size(); ++k) {
+      if (writes_accumulator(k)) {
         sink_fns.insert(std::string(toks[i].text));
         break;
       }
@@ -1073,7 +1082,6 @@ struct OutcomeApi {
 constexpr OutcomeApi kOutcomeApis[] = {
     {"", "TrySendMessageDelay"},
     {"", "TrySendFileDelay"},
-    {"", "TrySendRoundTrip"},
     {"FaultPlan", "Parse"},
     {"ImpairmentPlan", "Parse"},
     // Channel-hardening outcome carriers: a dropped carrier-sense

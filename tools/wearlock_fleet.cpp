@@ -13,13 +13,14 @@
 //
 // Every session's scenario and seed derive from the global session
 // index before sharding, so the rollup bytes are identical at any
-// --threads and --shard-size - the property tools/ci.sh pins with a
-// byte-diff against tests/golden/fleet_rollup.json. --faults/--attacks/
+// --threads and --shard-size - the property fleet_determinism_test pins
+// against tests/golden/fleet_rollup.json. --faults/--attacks/
 // --impairments take '|'-separated spec lists (specs contain commas);
 // an empty element means "none", and cells cross-product over every
-// element. --impairments elements are validated up front (exit 2 on a
-// malformed or out-of-range spec); --pairs N adds N contending WearLock
-// pairs to every impaired cell (docs/channels.md).
+// element. Every element is validated up front, as is every distance
+// (none inside the propagation model's reference distance): a malformed
+// or out-of-range value exits 2 with a usage message. --pairs N adds N
+// contending WearLock pairs to every impaired cell (docs/channels.md).
 //
 // --out writes the rollup document ("-" or unset = stdout). --summary
 // prints per-cohort unlock/false-accept Wilson CIs and campaign
@@ -27,6 +28,7 @@
 // stderr so stdout stays byte-stable for CI diffs.
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -37,8 +39,11 @@
 #include <vector>
 
 #include "audio/impairments.h"
+#include "audio/propagation.h"
 #include "protocol/fleet.h"
+#include "sim/adversary.h"
 #include "sim/executor.h"
+#include "sim/faults.h"
 
 namespace {
 using namespace wearlock;
@@ -138,8 +143,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--distances") {
       spec.distances_m.clear();
       for (const std::string& item : Split(next(), ',')) {
+        // Inside the reference distance the propagation model is
+        // undefined.
         double d = 0.0;
-        if (!ParseDouble(item, &d) || d <= 0.0) return Usage();
+        if (!ParseDouble(item, &d) || !std::isfinite(d) ||
+            d < audio::PropagationSpec{}.reference_distance_m) {
+          return Usage();
+        }
         spec.distances_m.push_back(d);
       }
     } else if (arg == "--faults") {
@@ -148,20 +158,6 @@ int main(int argc, char** argv) {
       spec.attack_specs = Split(next(), '|');
     } else if (arg == "--impairments") {
       spec.impairment_specs = Split(next(), '|');
-      // Validate eagerly: a malformed spec should be a usage error at
-      // the shell, not an exception mid-campaign on a worker thread.
-      for (const std::string& item : spec.impairment_specs) {
-        if (item.empty()) continue;
-        try {
-          const audio::ImpairmentPlan parsed =
-              audio::ImpairmentPlan::Parse(item);
-          (void)parsed;
-        } catch (const std::invalid_argument& e) {
-          std::fprintf(stderr, "bad --impairments element \"%s\": %s\n",
-                       item.c_str(), e.what());
-          return Usage();
-        }
-      }
     } else if (arg == "--pairs") {
       if (!ParseU64(next(), &u) || u > 64) return Usage();
       spec.contention_pairs = static_cast<int>(u);
@@ -177,6 +173,29 @@ int main(int argc, char** argv) {
       spec.environments.empty() || spec.distances_m.empty() ||
       spec.fault_specs.empty() || spec.attack_specs.empty() ||
       spec.impairment_specs.empty()) {
+    return Usage();
+  }
+  // Validate every spec element eagerly: a malformed spec should be a
+  // usage error at the shell, not an exception mid-campaign on a worker
+  // thread. Each parser throws std::invalid_argument on a bad element.
+  auto valid = [](const char* flag, const std::vector<std::string>& specs,
+                  auto parse) {
+    for (const std::string& item : specs) {
+      if (item.empty()) continue;
+      try {
+        (void)parse(item);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "bad %s element \"%s\": %s\n", flag,
+                     item.c_str(), e.what());
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!valid("--faults", spec.fault_specs, sim::FaultPlan::Parse) ||
+      !valid("--attacks", spec.attack_specs, sim::AttackSpec::Parse) ||
+      !valid("--impairments", spec.impairment_specs,
+             audio::ImpairmentPlan::Parse)) {
     return Usage();
   }
 

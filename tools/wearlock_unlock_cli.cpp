@@ -39,8 +39,9 @@
 // attack scenario (seeded --seed + attempt index); the exit code flips:
 // 0 means the defense held every attempt (no false unlock), 1 means the
 // attacker won one. --attack-trace writes the adversary's event log as
-// JSONL (the committed-golden format in tests/golden/; tools/ci.sh
-// replays it). See docs/security.md for the threat model.
+// JSONL (the committed-golden format in tests/golden/; the
+// cli_golden_replay test replays it). See docs/security.md for the
+// threat model.
 //
 // --impairments arms deterministic channel impairments on the scene
 // (audio::ImpairmentPlan grammar, e.g. "sro=50,reverb=300,pairs=2") and
