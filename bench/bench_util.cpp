@@ -40,10 +40,8 @@ void PrintTable(const std::vector<std::string>& header,
 }
 
 dsp::Summary SeriesSummary(const obs::MetricsRegistry& registry,
-                           const std::string& name,
-                           const std::vector<double>& fallback) {
-  const std::vector<double> values = registry.SeriesValues(name);
-  return dsp::Summarize(values.empty() ? fallback : values);
+                           const std::string& name) {
+  return dsp::Summarize(registry.SeriesValues(name));
 }
 
 std::string Fmt(double value, int precision) {

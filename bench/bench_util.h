@@ -25,12 +25,10 @@ namespace wearlock::bench {
 void PrintTable(const std::vector<std::string>& header,
                 const std::vector<std::vector<std::string>>& rows);
 
-/// Summarize the exact samples a Series metric collected, falling back
-/// to `fallback` when the series is empty (metric never observed, or the
-/// tree was built with WEARLOCK_OBS=OFF). @throws if both are empty.
+/// Summarize the exact samples a Series metric collected.
+/// @throws if the series is empty (metric never observed).
 dsp::Summary SeriesSummary(const obs::MetricsRegistry& registry,
-                           const std::string& name,
-                           const std::vector<double>& fallback = {});
+                           const std::string& name);
 
 /// Format a double with the given precision.
 std::string Fmt(double value, int precision = 3);

@@ -11,7 +11,6 @@
 
 #include "audio/medium.h"
 #include "bench_util.h"
-#include "dsp/stats.h"
 #include "modem/detector.h"
 #include "obs/metrics.h"
 #include "sim/device.h"
@@ -23,17 +22,14 @@ using namespace wearlock;
 
 /// Run `kernel` `reps` times under a private metrics registry and return
 /// the median of the host-ms series the modem's own instrumentation
-/// recorded. Falls back to direct stopwatch timing when the tree was
-/// built with WEARLOCK_OBS=OFF (no series samples).
+/// recorded.
 template <typename Kernel>
 sim::Millis MeasureKernel(const std::string& series, int reps,
                           Kernel&& kernel) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry install(&registry);
   for (int i = 0; i < reps; ++i) kernel();
-  const std::vector<double> values = registry.SeriesValues(series);
-  if (values.empty()) return sim::TimeHostMedianMs(kernel, reps);
-  return dsp::Summarize(values).median;
+  return bench::SeriesSummary(registry, series).median;
 }
 
 }  // namespace

@@ -10,17 +10,6 @@
 #include "modem/sync.h"
 #include "obs/instrument.h"
 
-#if WEARLOCK_OBS_ENABLED
-namespace {
-
-// Pilot SNR observations span roughly -10..50 dB.
-std::vector<double> SnrBoundsDb() {
-  return wearlock::obs::Histogram::LinearBounds(-10.0, 2.5, 24);
-}
-
-}  // namespace
-#endif
-
 namespace wearlock::modem {
 
 Demodulator::Demodulator(FrameSpec spec, DemodConfig config)
@@ -126,8 +115,7 @@ std::optional<DemodResult> Demodulator::Demodulate(
   if (result.bits.size() < n_bits) return std::nullopt;
   result.bits.resize(n_bits);
   WL_SPAN_ATTR(span, "pilot_snr_db", result.mean_pilot_snr_db);
-  WL_HIST_BOUNDS("modem.demod.pilot_snr_db", SnrBoundsDb(),
-                 result.mean_pilot_snr_db);
+  WL_HIST("modem.demod.pilot_snr_db", result.mean_pilot_snr_db);
   return result;
 }
 
@@ -158,17 +146,13 @@ std::optional<std::vector<double>> Demodulator::DemodulateSoft(
   }
   if (llrs.size() < n_bits) return std::nullopt;
   llrs.resize(n_bits);
-#if WEARLOCK_OBS_ENABLED
   // LLR confidence profile: mean |LLR| says how separable the
   // constellation was after equalization.
   double abs_acc = 0.0;
   for (const double llr : llrs) abs_acc += std::fabs(llr);
   const double mean_abs = abs_acc / static_cast<double>(llrs.size());
   WL_SPAN_ATTR(span, "mean_abs_llr", mean_abs);
-  WL_HIST_BOUNDS("modem.demod_soft.mean_abs_llr",
-                 ::wearlock::obs::Histogram::ExponentialBounds(0.01, 2.0, 16),
-                 mean_abs);
-#endif
+  WL_HIST("modem.demod_soft.mean_abs_llr", mean_abs);
   return llrs;
 }
 
@@ -243,8 +227,7 @@ std::optional<ProbeAnalysis> Demodulator::AnalyzeProbe(
   probe.channel = ChannelEstimate::Average(estimates);
   WL_SPAN_ATTR(span, "pilot_snr_db", probe.pilot_snr_db);
   WL_SPAN_ATTR(span, "nlos", probe.nlos ? 1.0 : 0.0);
-  WL_HIST_BOUNDS("modem.probe.pilot_snr_db", SnrBoundsDb(),
-                 probe.pilot_snr_db);
+  WL_HIST("modem.probe.pilot_snr_db", probe.pilot_snr_db);
   return probe;
 }
 

@@ -59,8 +59,8 @@ class Demodulator {
   /// Demodulate a payload of n_bits (the length is agreed over the
   /// control channel). Returns nullopt when no preamble is found or the
   /// recording is too short for the expected frame. The recording is a
-  /// view: callers (the streaming receiver) pass slices without copying,
-  /// and the per-symbol chain runs on this thread's dsp::Workspace.
+  /// view, so callers can pass a slice of a capture without copying; the
+  /// per-symbol chain runs on this thread's dsp::Workspace.
   std::optional<DemodResult> Demodulate(std::span<const double> recording,
                                         Modulation m, std::size_t n_bits) const;
 

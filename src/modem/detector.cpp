@@ -81,9 +81,7 @@ std::optional<Detection> PreambleDetector::Detect(
   d.score = peak.score;
   d.search_begin = begin;
   WL_SPAN_ATTR(span, "score", d.score);
-  WL_HIST_BOUNDS("modem.sync.score",
-                 ::wearlock::obs::Histogram::LinearBounds(0.05, 0.05, 19),
-                 d.score);
+  WL_HIST("modem.sync.score", d.score);
   return d;
 }
 

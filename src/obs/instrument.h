@@ -1,8 +1,7 @@
 // Instrumentation macros - the only obs API that hot library code
-// should touch. With WEARLOCK_OBS_ENABLED=0 (CMake -DWEARLOCK_OBS=OFF)
-// every macro compiles to nothing, so disabled overhead is zero; with
-// it on, spans are a null-check when no tracer is installed and metric
-// observations are lock-free atomics.
+// should touch. Spans are a null-check when no tracer is installed;
+// counters and gauges are lock-free atomics, and WL_HIST records into
+// the named quantile Sketch (a log-bucketed histogram, obs/sketch.h).
 //
 //   WL_SPAN("modem.demod");            // RAII span, anonymous
 //   WL_SPAN_V(span, "phase2.demod");   // named variable, for attrs
@@ -16,12 +15,6 @@
 //   WL_TIMED_SERIES("modem.demod.host_ms");  // RAII host-time sample
 #pragma once
 
-#ifndef WEARLOCK_OBS_ENABLED
-#define WEARLOCK_OBS_ENABLED 1
-#endif
-
-#if WEARLOCK_OBS_ENABLED
-
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -30,7 +23,7 @@
 namespace wearlock::obs {
 
 /// Host wall-clock stopwatch (steady_clock). Host time is
-/// nondeterministic, so it feeds metrics (series/histograms), never
+/// nondeterministic, so it feeds metrics (series/sketches), never
 /// span timestamps - those stay on the virtual clock. This is the one
 /// sanctioned wall-clock reader besides sim::TimeHostMs, hence the
 /// determinism-rule suppressions.
@@ -82,49 +75,9 @@ class ScopedSeriesTimer {
 #define WL_GAUGE_SET(name, v) \
   ::wearlock::obs::CurrentMetrics()->GetGauge(name).Set(v)
 #define WL_HIST(name, v) \
-  ::wearlock::obs::CurrentMetrics()->GetHistogram(name).Observe(v)
-#define WL_HIST_BOUNDS(name, bounds, v) \
-  ::wearlock::obs::CurrentMetrics()->GetHistogram(name, bounds).Observe(v)
+  ::wearlock::obs::CurrentMetrics()->GetSketch(name).Observe(v)
 #define WL_SERIES(name, v) \
   ::wearlock::obs::CurrentMetrics()->GetSeries(name).Observe(v)
 #define WL_TIMED_SERIES(name)                  \
   ::wearlock::obs::ScopedSeriesTimer WL_OBS_CONCAT(wl_timer_, __LINE__)( \
       name)
-
-#else  // WEARLOCK_OBS_ENABLED
-
-#define WL_SPAN(name) \
-  do {                \
-  } while (false)
-#define WL_SPAN_V(var, name) \
-  do {                       \
-  } while (false)
-#define WL_SPAN_ATTR(var, key, value) \
-  do {                                \
-  } while (false)
-#define WL_SPAN_END(var) \
-  do {                   \
-  } while (false)
-#define WL_COUNT(name) \
-  do {                 \
-  } while (false)
-#define WL_COUNT_N(name, n) \
-  do {                      \
-  } while (false)
-#define WL_GAUGE_SET(name, v) \
-  do {                        \
-  } while (false)
-#define WL_HIST(name, v) \
-  do {                   \
-  } while (false)
-#define WL_HIST_BOUNDS(name, bounds, v) \
-  do {                                  \
-  } while (false)
-#define WL_SERIES(name, v) \
-  do {                     \
-  } while (false)
-#define WL_TIMED_SERIES(name) \
-  do {                        \
-  } while (false)
-
-#endif  // WEARLOCK_OBS_ENABLED

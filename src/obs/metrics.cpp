@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/json.h"
 
@@ -9,18 +8,6 @@ namespace wearlock::obs {
 namespace {
 
 thread_local MetricsRegistry* g_current_metrics = nullptr;
-
-/// Atomic-double accumulate via CAS (std::atomic<double>::fetch_add is
-/// C++20 but keeping the storage uint64 gives one code path for init,
-/// load and add).
-void AtomicAddDouble(std::atomic<std::uint64_t>& bits, double delta) {
-  std::uint64_t expected = bits.load(std::memory_order_relaxed);
-  while (!bits.compare_exchange_weak(
-      expected, std::bit_cast<std::uint64_t>(
-                    std::bit_cast<double>(expected) + delta),
-      std::memory_order_relaxed)) {
-  }
-}
 
 template <typename T, typename... Args>
 T& GetOrCreate(std::map<std::string, std::unique_ptr<T>>& store,
@@ -34,92 +21,6 @@ T& GetOrCreate(std::map<std::string, std::unique_ptr<T>>& store,
 }
 
 }  // namespace
-
-void Gauge::Add(double delta) { AtomicAddDouble(bits_, delta); }
-
-void Gauge::Merge(const Gauge& other) {
-  Set(std::max(value(), other.value()));
-}
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("Histogram: need at least one bound");
-  }
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
-      std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
-    throw std::invalid_argument("Histogram: bounds must strictly ascend");
-  }
-  buckets_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
-}
-
-void Histogram::Observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(sum_bits_, v);
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n > 0 ? sum() / static_cast<double>(n) : 0.0;
-}
-
-std::vector<std::uint64_t> Histogram::BucketCounts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::vector<double> Histogram::ExponentialBounds(double start, double factor,
-                                                 std::size_t n) {
-  if (start <= 0.0 || factor <= 1.0 || n == 0) {
-    throw std::invalid_argument("ExponentialBounds: start>0, factor>1, n>0");
-  }
-  std::vector<double> bounds(n);
-  double v = start;
-  for (std::size_t i = 0; i < n; ++i, v *= factor) bounds[i] = v;
-  return bounds;
-}
-
-std::vector<double> Histogram::LinearBounds(double start, double step,
-                                            std::size_t n) {
-  if (step <= 0.0 || n == 0) {
-    throw std::invalid_argument("LinearBounds: step>0, n>0");
-  }
-  std::vector<double> bounds(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bounds[i] = start + static_cast<double>(i) * step;
-  }
-  return bounds;
-}
-
-std::vector<double> Histogram::DefaultLatencyBounds() {
-  return ExponentialBounds(0.1, 1.75, 20);
-}
-
-void Histogram::Merge(const Histogram& other) {
-  if (other.bounds_ != bounds_) {
-    throw std::invalid_argument("Histogram::Merge: bounds differ");
-  }
-  MergeData(other.BucketCounts(), other.count(), other.sum());
-}
-
-void Histogram::MergeData(const std::vector<std::uint64_t>& buckets,
-                          std::uint64_t count, double sum) {
-  if (buckets.size() != bounds_.size() + 1) {
-    throw std::invalid_argument("Histogram::Merge: bucket layout mismatch");
-  }
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
-  }
-  count_.fetch_add(count, std::memory_order_relaxed);
-  AtomicAddDouble(sum_bits_, sum);
-}
 
 void Series::Observe(double v) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -142,21 +43,6 @@ std::uint64_t Series::dropped() const {
   return count_ - values_.size();
 }
 
-void Series::Clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  values_.clear();
-  count_ = 0;
-}
-
-void Series::Merge(const std::vector<double>& values, std::uint64_t count) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  count_ += count;
-  for (const double v : values) {
-    if (values_.size() >= cap_) break;
-    values_.push_back(v);
-  }
-}
-
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
   return GetOrCreate(counters_, name);
@@ -167,19 +53,6 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   return GetOrCreate(gauges_, name);
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> bounds) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    if (bounds.empty()) bounds = Histogram::DefaultLatencyBounds();
-    it = histograms_
-             .emplace(name, std::make_unique<Histogram>(std::move(bounds)))
-             .first;
-  }
-  return *it->second;
-}
-
 Series& MetricsRegistry::GetSeries(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
   return GetOrCreate(series_, name);
@@ -188,12 +61,7 @@ Series& MetricsRegistry::GetSeries(const std::string& name) {
 Sketch& MetricsRegistry::GetSketch(const std::string& name,
                                    double relative_accuracy) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto it = sketches_.find(name);
-  if (it == sketches_.end()) {
-    it = sketches_.emplace(name, std::make_unique<Sketch>(relative_accuracy))
-             .first;
-  }
-  return *it->second;
+  return GetOrCreate(sketches_, name, relative_accuracy);
 }
 
 std::uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
@@ -218,18 +86,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, gauge] : gauges_) {
     snap.gauges.emplace(name, gauge->value());
   }
-  for (const auto& [name, hist] : histograms_) {
-    MetricsSnapshot::HistogramData data;
-    data.bounds = hist->bounds();
-    data.buckets = hist->BucketCounts();
-    // The count is derived from the one-pass bucket read, not the
-    // separate count_ atomic: an Observe racing the snapshot bumps
-    // bucket and count in two steps, and reading both would let
-    // count != sum(buckets) escape into serialized output.
-    for (const std::uint64_t b : data.buckets) data.count += b;
-    data.sum.Add(hist->sum());
-    snap.histograms.emplace(name, std::move(data));
-  }
   for (const auto& [name, sketch] : sketches_) {
     snap.sketches.emplace(name, *sketch);  // copy ctor locks the source
   }
@@ -242,86 +98,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::Merge(const MetricsSnapshot& snapshot) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, value] : snapshot.counters) {
-    GetOrCreate(counters_, name).Add(value);
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      // Fresh gauge: take the snapshot value as-is; max against the
-      // default-constructed 0.0 would clip negative readings.
-      GetOrCreate(gauges_, name).Set(value);
-    } else {
-      it->second->Set(std::max(it->second->value(), value));
-    }
-  }
-  for (const auto& [name, data] : snapshot.histograms) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_.emplace(name, std::make_unique<Histogram>(data.bounds))
-               .first;
-    } else if (it->second->bounds() != data.bounds) {
-      throw std::invalid_argument(
-          "MetricsRegistry::Merge: histogram bounds differ for " + name);
-    }
-    it->second->MergeData(data.buckets, data.count, data.sum.Value());
-  }
-  for (const auto& [name, sketch] : snapshot.sketches) {
-    auto it = sketches_.find(name);
-    if (it == sketches_.end()) {
-      it = sketches_
-               .emplace(name,
-                        std::make_unique<Sketch>(sketch.relative_accuracy()))
-               .first;
-    }
-    it->second->Merge(sketch);
-  }
-  for (const auto& [name, data] : snapshot.series) {
-    GetOrCreate(series_, name).Merge(data.values, data.count);
-  }
-}
-
-void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) {
-    const auto [it, inserted] = gauges.emplace(name, value);
-    if (!inserted) it->second = std::max(it->second, value);
-  }
-  for (const auto& [name, data] : other.histograms) {
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-      histograms.emplace(name, data);
-      continue;
-    }
-    HistogramData& mine = it->second;
-    if (mine.bounds != data.bounds) {
-      throw std::invalid_argument(
-          "MetricsSnapshot::Merge: histogram bounds differ for " + name);
-    }
-    for (std::size_t i = 0; i < mine.buckets.size(); ++i) {
-      mine.buckets[i] += data.buckets[i];
-    }
-    mine.count += data.count;
-    mine.sum.Merge(data.sum);
-  }
-  for (const auto& [name, sketch] : other.sketches) {
-    auto it = sketches.find(name);
-    if (it == sketches.end()) {
-      sketches.emplace(name, sketch);
-    } else {
-      it->second.Merge(sketch);
-    }
-  }
-  for (const auto& [name, data] : other.series) {
-    SeriesData& mine = series[name];
-    mine.count += data.count;
-    mine.values.insert(mine.values.end(), data.values.begin(),
-                       data.values.end());
-  }
-}
-
 void MetricsSnapshot::WriteJson(std::ostream& os) const {
   auto key = [](const std::string& name) {
     // Built piecewise: a `"x" + str + "y"` concatenation chain trips
@@ -332,8 +108,8 @@ void MetricsSnapshot::WriteJson(std::ostream& os) const {
     return k;
   };
   // IEEE-754 total order: a canonical sort that distinguishes -0.0
-  // from 0.0 and places NaNs deterministically, so merged series
-  // bytes never depend on concatenation order.
+  // from 0.0 and places NaNs deterministically, so series bytes never
+  // depend on the order racing threads observed in.
   auto total_order_key = [](double v) {
     const auto bits = std::bit_cast<std::uint64_t>(v);
     return (bits & (1ULL << 63)) ? ~bits : bits | (1ULL << 63);
@@ -350,23 +126,6 @@ void MetricsSnapshot::WriteJson(std::ostream& os) const {
   first = true;
   for (const auto& [name, value] : gauges) {
     os << (first ? "" : ",") << key(name) << JsonNumber(value);
-    first = false;
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, data] : histograms) {
-    os << (first ? "" : ",") << key(name) << "{\"count\":"
-       << JsonNumber(static_cast<double>(data.count))
-       << ",\"sum\":" << JsonNumber(data.sum.Value()) << ",\"bounds\":[";
-    for (std::size_t i = 0; i < data.bounds.size(); ++i) {
-      os << (i ? "," : "") << JsonNumber(data.bounds[i]);
-    }
-    os << "],\"buckets\":[";
-    for (std::size_t i = 0; i < data.buckets.size(); ++i) {
-      os << (i ? "," : "")
-         << JsonNumber(static_cast<double>(data.buckets[i]));
-    }
-    os << "]}";
     first = false;
   }
   os << "},\"sketches\":{";
@@ -396,19 +155,9 @@ void MetricsSnapshot::WriteJson(std::ostream& os) const {
 }
 
 void MetricsRegistry::WriteJson(std::ostream& os) const {
-  // Serialize from a detached snapshot: a single consistent read of
-  // every metric (histogram count == sum of buckets even while other
-  // threads observe), plus canonical series ordering.
+  // Serialize from a detached snapshot: one consistent read of every
+  // metric, plus canonical series ordering.
   Snapshot().WriteJson(os);
-}
-
-void MetricsRegistry::Clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  sketches_.clear();
-  series_.clear();
 }
 
 MetricsRegistry& MetricsRegistry::Default() {

@@ -1,12 +1,12 @@
-// MetricsRegistry: counters, gauges, fixed-bucket histograms and raw
-// sample series for the WearLock pipeline (the substrate behind the
-// paper's Figs. 4-12 style per-stage measurements).
+// MetricsRegistry: counters, gauges, quantile sketches and raw sample
+// series for the WearLock pipeline (the substrate behind the paper's
+// Figs. 4-12 style per-stage measurements).
 //
 // Design: registration (name -> metric) is mutex-guarded and slow-path;
-// observation is lock-free on std::atomic (Counter/Gauge/Histogram) so
-// hot DSP loops can record without serializing. Series keeps exact raw
-// samples (bounded) for bench-grade statistics and is mutex-guarded -
-// it is meant for per-call timings, not per-sample loops.
+// counter and gauge updates are lock-free on std::atomic. A Sketch
+// (obs/sketch.h) is the one distribution type; Series keeps exact raw
+// samples (bounded) for bench-grade statistics. Both are mutex-guarded -
+// they are meant for per-call observations, not per-sample loops.
 //
 // Metric names are dotted lowercase paths, "<layer>.<stage>.<what>[_unit]"
 // e.g. "modem.demod.host_ms", "protocol.attempt.unlocked",
@@ -36,87 +36,27 @@ class Counter {
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
-  /// Fleet fold: counts add. Exact and order-insensitive.
-  void Merge(const Counter& other) { Add(other.value()); }
-
  private:
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written double value with lock-free set/add (CAS loop for add;
-/// the value is stored bit-packed in a 64-bit atomic).
+/// Last-written double value with a lock-free set (the value is stored
+/// bit-packed in a 64-bit atomic).
 class Gauge {
  public:
   void Set(double v) {
     bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
-  void Add(double delta);
   double value() const {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
-
-  /// Fleet fold: "last written" has no cross-shard order, so merged
-  /// gauges keep the maximum - exact and order-insensitive, and the
-  /// useful reading for the high-water gauges the pipeline exports
-  /// (workspace bytes, streaming capacity, thread counts).
-  void Merge(const Gauge& other);
 
  private:
   std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
 };
 
-/// Fixed-bucket histogram. Buckets are upper-bound inclusive: a value v
-/// lands in the first bucket with v <= bounds[i]; values above the last
-/// bound land in the implicit overflow bucket. Observation is lock-free.
-class Histogram {
- public:
-  /// @param bounds strictly ascending bucket upper bounds.
-  /// @throws std::invalid_argument on empty or non-ascending bounds.
-  explicit Histogram(std::vector<double> bounds);
-
-  void Observe(double v);
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const {
-    return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
-  }
-  double mean() const;
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts; size is bounds().size() + 1 (last = overflow).
-  std::vector<std::uint64_t> BucketCounts() const;
-
-  /// `n` bounds starting at `start`, each `factor` times the previous.
-  static std::vector<double> ExponentialBounds(double start, double factor,
-                                               std::size_t n);
-  /// `n` bounds start, start+step, ...
-  static std::vector<double> LinearBounds(double start, double step,
-                                          std::size_t n);
-  /// Default latency bounds: 0.1 ms .. ~6.9 s, x1.75 steps.
-  static std::vector<double> DefaultLatencyBounds();
-
-  /// Fleet fold: bucket-wise count addition plus sum accumulation.
-  /// Bucket/count merging is exact; the sum is a double accumulate
-  /// (see MetricsSnapshot for the exact cross-shard path).
-  /// @throws std::invalid_argument when bounds differ (buckets would
-  /// not align).
-  void Merge(const Histogram& other);
-
- private:
-  friend class MetricsRegistry;  // snapshot-merge fast path
-
-  /// Raw fold used by MetricsRegistry::Merge: adds per-bucket counts
-  /// (`buckets` must have bounds()+1 entries), `count` and `sum`.
-  void MergeData(const std::vector<std::uint64_t>& buckets,
-                 std::uint64_t count, double sum);
-
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 slots
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_bits_{std::bit_cast<std::uint64_t>(0.0)};
-};
-
 /// Exact raw samples in observation order, for bench-grade statistics
-/// (medians, percentiles) where histogram approximation is not enough.
+/// (medians, percentiles) where sketch approximation is not enough.
 /// Bounded: observations past the cap are counted but not stored.
 class Series {
  public:
@@ -126,12 +66,6 @@ class Series {
   std::vector<double> Values() const;
   std::uint64_t count() const;    ///< total observations, including dropped
   std::uint64_t dropped() const;  ///< observations past the cap
-  void Clear();
-
-  /// Fleet fold: append another shard's stored values (capped like
-  /// Observe) while accounting its full observation count, so merged
-  /// series keep an honest dropped() even when values fall off.
-  void Merge(const std::vector<double>& values, std::uint64_t count);
 
  private:
   mutable std::mutex mu_;
@@ -140,27 +74,11 @@ class Series {
   std::uint64_t count_ = 0;
 };
 
-/// A detached, mergeable copy of a registry's state - the unit the
-/// fleet pipeline ships between shards. Merge() is designed to be
-/// order-insensitive: counters/buckets are integer adds, gauges fold
-/// by max, per-source histogram sums accumulate through an ExactSum,
-/// sketches merge exactly, and series concatenate as multisets
-/// (WriteJson emits them in a canonical sorted order). So any merge
-/// tree over the same set of per-shard snapshots - 1 shard or 8,
-/// forward or reverse order - serializes byte-identically, provided
-/// each shard's own contents are deterministic (per-task registries
-/// under sim::ParallelExecutor are; see docs/parallelism.md).
+/// A detached copy of a registry's state: the one read-out of every
+/// metric. Each sketch and series is copied under its own lock, so a
+/// snapshot taken while other threads observe is internally consistent
+/// per metric.
 struct MetricsSnapshot {
-  struct HistogramData {
-    std::vector<double> bounds;
-    /// bounds+1 entries; the authoritative count is their sum, read
-    /// in one pass so a snapshot taken mid-hammer stays internally
-    /// consistent (count == sum of buckets, always).
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    /// Exact fold over the (per-source rounded) double sums.
-    ExactSum sum;
-  };
   struct SeriesData {
     std::uint64_t count = 0;  ///< total observations incl. dropped
     std::vector<double> values;
@@ -168,17 +86,11 @@ struct MetricsSnapshot {
 
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramData> histograms;
   std::map<std::string, Sketch> sketches;
   std::map<std::string, SeriesData> series;
 
-  /// Fold another snapshot in (see class comment for the semantics).
-  /// @throws std::invalid_argument on histogram-bounds mismatch.
-  void Merge(const MetricsSnapshot& other);
-
-  /// Same JSON shape as MetricsRegistry::WriteJson plus a "sketches"
-  /// section; series values are emitted sorted (canonical multiset
-  /// order) so merge order never leaks into the bytes.
+  /// {"counters":{...},"gauges":{...},"sketches":{...},"series":{...}};
+  /// series values are emitted sorted (canonical multiset order).
   void WriteJson(std::ostream& os) const;
 };
 
@@ -194,13 +106,9 @@ class MetricsRegistry {
 
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
-  /// First caller's bounds win; later calls with different bounds get
-  /// the existing histogram.
-  Histogram& GetHistogram(const std::string& name,
-                          std::vector<double> bounds = {});
   Series& GetSeries(const std::string& name);
-  /// Mergeable quantile sketch (first caller's relative accuracy
-  /// wins, like histogram bounds).
+  /// Quantile sketch (first caller's relative accuracy wins; later
+  /// calls get the existing sketch).
   Sketch& GetSketch(const std::string& name,
                     double relative_accuracy = Sketch::kDefaultAccuracy);
 
@@ -213,26 +121,11 @@ class MetricsRegistry {
   std::uint64_t CounterValue(const std::string& name) const;
 
   /// Detached copy of every metric, safe to take while other threads
-  /// observe (each histogram's bucket array is read in one pass and
-  /// its count derived from it, so the invariant
-  /// count == sum(buckets) holds even mid-Observe).
+  /// observe.
   MetricsSnapshot Snapshot() const;
 
-  /// Fold a snapshot into this registry's live metrics - the shard
-  /// merge hook sim::ParallelExecutor::MapWithMetrics builds on.
-  /// Counters add, gauges fold by max, histogram buckets add (bounds
-  /// must match; absent metrics are created), sketches merge,
-  /// series append.
-  void Merge(const MetricsSnapshot& snapshot);
-
-  /// Snapshot every metric as one JSON object:
-  /// {"counters":{...},"gauges":{...},"histograms":{...},
-  ///  "sketches":{...},"series":{...}}
+  /// Snapshot every metric as one JSON object (MetricsSnapshot's shape).
   void WriteJson(std::ostream& os) const;
-
-  /// Drop every registered metric. References handed out before a Clear
-  /// are invalidated - benches only, between isolated measurement runs.
-  void Clear();
 
   /// Process-wide default registry (used when no registry is installed
   /// via ScopedMetricsRegistry).
@@ -242,7 +135,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Sketch>> sketches_;
   std::map<std::string, std::unique_ptr<Series>> series_;
 };

@@ -29,12 +29,6 @@ std::string Fmt(double v, int prec = 2) {
   return oss.str();
 }
 
-#if WEARLOCK_OBS_ENABLED
-// Token BER lives in [0, 1]; bound finely near the accept thresholds.
-std::vector<double> BerBounds() {
-  return wearlock::obs::Histogram::LinearBounds(0.025, 0.025, 20);
-}
-
 // Attribute per-bit token errors to the sub-channels that carried them:
 // within each OFDM symbol, consecutive groups of log2(M) bits map to
 // the plan's data bins in ascending-frequency order (the demodulator's
@@ -56,7 +50,6 @@ void RecordSubchannelBer(const modem::SubchannelPlan& plan,
     if ((received[i] & 1) != (expected[i] & 1)) WL_COUNT(prefix + ".errors");
   }
 }
-#endif
 
 }  // namespace
 
@@ -320,9 +313,7 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
                               " dB" + (probe_->nlos ? ", NLOS detected" : ""));
   report_.nlos = probe_->nlos;
   report_.pilot_snr_db = probe_->pilot_snr_db;
-  WL_HIST_BOUNDS("protocol.pilot_snr_db",
-                 ::wearlock::obs::Histogram::LinearBounds(-10.0, 2.5, 24),
-                 report_.pilot_snr_db);
+  WL_HIST("protocol.pilot_snr_db", report_.pilot_snr_db);
   co_return std::nullopt;
 }
 
@@ -639,11 +630,9 @@ sim::CoTask<UnlockOutcome> AttemptMachine::RunPhase2() {
       report_.token_ber = validation.ber;
       WL_SPAN_ATTR(validate_span, "token_ber", validation.ber);
       WL_SPAN_ATTR(validate_span, "accepted", validation.accepted ? 1.0 : 0.0);
-#if WEARLOCK_OBS_ENABLED
-      WL_HIST_BOUNDS("protocol.token_ber", BerBounds(), validation.ber);
+      WL_HIST("protocol.token_ber", validation.ber);
       RecordSubchannelBer(report_.plan, *report_.mode, bits,
                           validation.expected_bits);
-#endif
       Trace("token-validate",
             "BER " + Fmt(validation.ber, 3) + " vs bound " +
                 Fmt(report_.required_ber) +

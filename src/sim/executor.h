@@ -40,7 +40,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "sim/rng.h"
 
 namespace wearlock::sim {
@@ -110,34 +109,6 @@ class ParallelExecutor {
     std::vector<R> results;
     results.reserve(n_tasks);
     for (auto& slot : slots) results.push_back(std::move(*slot));
-    return results;
-  }
-
-  /// Map with per-shard telemetry: each task runs with a private
-  /// MetricsRegistry installed as the ambient sink (WL_* macros and
-  /// CurrentMetrics() route to it), and the per-task snapshots fold
-  /// into *merged in index order after the batch drains. Because
-  /// MetricsSnapshot::Merge is order-insensitive, the merged
-  /// registry's serialized bytes depend only on the task set - never
-  /// on thread count or fold order (the fleet-telemetry determinism
-  /// contract; see docs/observability.md). Tasks that route metrics
-  /// into their own registries (e.g. an UnlockSession, which installs
-  /// its session registry during Attempt) fold them back with
-  /// obs::CurrentMetrics()->Merge(session.metrics().Snapshot())
-  /// before returning.
-  template <typename Fn>
-  auto MapWithMetrics(std::size_t n_tasks, std::uint64_t base_seed,
-                      obs::MetricsRegistry* merged, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, TaskContext&>> {
-    std::vector<obs::MetricsSnapshot> shards(n_tasks);
-    auto results = Map(n_tasks, base_seed, [&](TaskContext& ctx) {
-      obs::MetricsRegistry local;
-      obs::ScopedMetricsRegistry install(&local);
-      auto result = fn(ctx);
-      shards[ctx.index] = local.Snapshot();
-      return result;
-    });
-    for (const obs::MetricsSnapshot& shard : shards) merged->Merge(shard);
     return results;
   }
 

@@ -2,7 +2,9 @@
 # (exit 2) - never run a default scenario, run zero attempts, or abort.
 #
 #   cmake -DUNLOCK_CLI=<wearlock_unlock_cli> -DFLEET=<wearlock_fleet>
-#         -DWORK_DIR=<dir> -P cli_usage_probes.cmake
+#         -DMODEM_CLI=<wearlock_modem_cli> -DTELEMETRY=<wearlock_telemetry>
+#         -DROLLUP=<a rollup JSON> -DWORK_DIR=<dir>
+#         -P cli_usage_probes.cmake
 function(expect_usage_error)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(NOT rc EQUAL 2)
@@ -30,3 +32,25 @@ expect_usage_error(${UNLOCK_CLI} --attempts 0)
 expect_usage_error(${UNLOCK_CLI} --config 7)
 expect_usage_error(${UNLOCK_CLI} --env kitchen)
 expect_usage_error(${UNLOCK_CLI} --activity jogging)
+# Unknown modem names and malformed numbers. The recv probe reads a real
+# Hamming-coded frame, so only the misspelt code name can fail it; the
+# send probe must exit before it writes its WAV.
+execute_process(COMMAND ${MODEM_CLI} send hi ${WORK_DIR}/probe-hamming.wav
+                        qpsk hamming
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(SEND_ERROR "modem CLI could not write the probe frame: '${rc}'")
+endif()
+file(REMOVE ${WORK_DIR}/never.wav)
+expect_usage_error(${MODEM_CLI} send hi ${WORK_DIR}/never.wav qpks)
+if(EXISTS ${WORK_DIR}/never.wav)
+  message(SEND_ERROR "modem CLI wrote a WAV before rejecting its arguments")
+endif()
+expect_usage_error(${MODEM_CLI} send hi ${WORK_DIR}/never.wav qpsk hamimng)
+expect_usage_error(${MODEM_CLI} recv ${WORK_DIR}/probe-hamming.wav qpsk
+                   hamimng)
+expect_usage_error(${MODEM_CLI} --threads abc --regen-golden)
+expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold -5)
+expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold abc)
+expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold inf)
+expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold)

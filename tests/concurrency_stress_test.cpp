@@ -6,8 +6,8 @@
 //     session telemetry is thread-confined by design, and same-seed
 //     sessions must stay bit-identical even when racing;
 //   * the process-wide MetricsRegistry::Default() hammered from every
-//     thread (lock-free observation paths + mutex-guarded registration
-//     + concurrent JSON snapshots);
+//     thread (lock-free counters and gauges, locked sketches and series,
+//     mutex-guarded registration, concurrent JSON snapshots);
 //   * obs::Log sink swaps racing live emission (the race this PR fixed).
 #include <atomic>
 #include <sstream>
@@ -103,8 +103,8 @@ TEST(ConcurrencyStressTest, DefaultRegistryHammeredFromAllThreads) {
     workers.emplace_back([&registry, &tag, t] {
       for (int i = 0; i < kIters; ++i) {
         registry.GetCounter(tag + ".count").Add();
-        registry.GetGauge(tag + ".gauge").Add(1.0);
-        registry.GetHistogram(tag + ".hist").Observe(i % 100);
+        registry.GetGauge(tag + ".gauge").Set(static_cast<double>(t));
+        registry.GetSketch(tag + ".sketch").Observe(i % 100);
         registry.GetSeries(tag + ".series").Observe(t * kIters + i);
         if (i % 1000 == 0) {
           // Concurrent snapshots must see internally consistent state.
@@ -119,59 +119,54 @@ TEST(ConcurrencyStressTest, DefaultRegistryHammeredFromAllThreads) {
 
   EXPECT_EQ(registry.GetCounter(tag + ".count").value(),
             static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_DOUBLE_EQ(registry.GetGauge(tag + ".gauge").value(),
-                   static_cast<double>(kThreads) * kIters);
-  EXPECT_EQ(registry.GetHistogram(tag + ".hist").count(),
+  // The gauge holds one of the values the threads wrote, never a torn mix.
+  const double gauge = registry.GetGauge(tag + ".gauge").value();
+  EXPECT_EQ(gauge, static_cast<double>(static_cast<int>(gauge)));
+  EXPECT_GE(gauge, 0.0);
+  EXPECT_LT(gauge, static_cast<double>(kThreads));
+  EXPECT_EQ(registry.GetSketch(tag + ".sketch").count(),
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
-TEST(ConcurrencyStressTest, SnapshotsDuringHistogramHammerStayConsistent) {
-  // The torn-snapshot interleaving the telemetry PR fixed: a Snapshot()
-  // taken mid-Observe must never report count != sum(buckets) (the old
-  // serialization read `count_` and the buckets in separate passes).
-  // Sketch observation rides along so snapshotting covers every
-  // registry section under contention.
+TEST(ConcurrencyStressTest, SnapshotsDuringSketchHammerNeverGoBackwards) {
+  // Snapshot() copies each sketch under the sketch's own lock, so every
+  // snapshot taken mid-hammer holds a prefix of the observations: a
+  // later snapshot never reports fewer. The writers start only after
+  // the first snapshot, so snapshots always overlap the hammer.
   constexpr int kThreads = 4;
   constexpr int kIters = 20000;
+  const std::string name = "stress.snap.sketch";
   obs::MetricsRegistry registry;
-  obs::Histogram& hist = registry.GetHistogram("stress.snap.hist");
-  obs::Sketch& sketch = registry.GetSketch("stress.snap.sketch");
+  obs::Sketch& sketch = registry.GetSketch(name);
+  std::atomic<bool> started{false};
   std::atomic<bool> stop{false};
 
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&hist, &sketch, t] {
-      for (int i = 0; i < kIters; ++i) {
-        hist.Observe((t * 37 + i) % 200);
-        sketch.Observe(1.0 + (i % 100));
-      }
-    });
-  }
-
   std::uint64_t snapshots_taken = 0;
-  std::thread snapshotter([&registry, &stop, &snapshots_taken] {
+  std::thread snapshotter([&] {
+    std::uint64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const obs::MetricsSnapshot snap = registry.Snapshot();
-      const auto it = snap.histograms.find("stress.snap.hist");
-      if (it != snap.histograms.end()) {
-        std::uint64_t bucket_sum = 0;
-        for (const std::uint64_t b : it->second.buckets) bucket_sum += b;
-        ASSERT_EQ(it->second.count, bucket_sum)
-            << "torn histogram snapshot: count diverged from buckets";
-      }
+      const std::uint64_t count = registry.Snapshot().sketches.at(name).count();
+      EXPECT_GE(count, last) << "sketch count went backwards";
+      last = count;
       ++snapshots_taken;
+      started.store(true, std::memory_order_release);
     }
   });
 
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&sketch, &started] {
+      while (!started.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kIters; ++i) sketch.Observe(1.0 + (i % 100));
+    });
+  }
   for (std::thread& t : writers) t.join();
   stop = true;
   snapshotter.join();
   EXPECT_GT(snapshots_taken, 0u);
-
-  const obs::MetricsSnapshot final_snap = registry.Snapshot();
-  const auto& data = final_snap.histograms.at("stress.snap.hist");
-  EXPECT_EQ(data.count, static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(final_snap.sketches.at("stress.snap.sketch").count(),
+  EXPECT_EQ(registry.Snapshot().sketches.at(name).count(),
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
 

@@ -13,7 +13,6 @@
 #include "dsp/spectrogram.h"
 #include "modem/datagram.h"
 #include "modem/modem.h"
-#include "modem/streaming.h"
 #include "sim/rng.h"
 
 namespace wearlock {
@@ -98,21 +97,6 @@ TEST(ModemFuzz, DatagramNeverReportsCrcOkOnNoise) {
   }
   // CRC-16 on random data passes with p ~ 2^-16; zero expected here.
   EXPECT_EQ(crc_ok, 0);
-}
-
-TEST(ModemFuzz, StreamingSurvivesAdversarialChunks) {
-  sim::Rng rng(704);
-  modem::StreamingReceiver rx{modem::FrameSpec{}};
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t n = rng.UniformInt(0, 3000);
-    rx.Push(rng.GaussianVector(n, rng.Uniform(1e-6, 0.3)));
-    if (rx.state() == modem::StreamState::kDone ||
-        rx.state() == modem::StreamState::kFailed) {
-      rx.Reset();
-    }
-    // The memory bound must hold through all state churn.
-    EXPECT_LE(rx.buffered_samples(), 16384u + 3000u + 50000u);
-  }
 }
 
 // ------------------------------------------------------------ spectrogram

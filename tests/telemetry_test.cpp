@@ -1,7 +1,6 @@
 // Fleet-telemetry pipeline units: the JSON parser, SessionRecord JSONL
-// round trips, Wilson intervals, cohort keying, TelemetrySink
-// merge-order invariance, and the registry Snapshot/Merge +
-// MapWithMetrics shard invariance the campaign gate depends on
+// round trips, Wilson intervals, cohort keying, and the TelemetrySink
+// merge-order invariance the campaign gate depends on
 // (docs/observability.md, "Fleet telemetry").
 #include <sstream>
 #include <string>
@@ -9,25 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
 #include "obs/record.h"
 #include "obs/rollup.h"
-#include "sim/executor.h"
 
 namespace wearlock::obs {
 namespace {
-
-std::string SnapshotJson(const MetricsSnapshot& snap) {
-  std::ostringstream os;
-  snap.WriteJson(os);
-  return os.str();
-}
-
-std::string RegistryJson(const MetricsRegistry& registry) {
-  std::ostringstream os;
-  registry.WriteJson(os);
-  return os.str();
-}
 
 std::string SinkJson(const TelemetrySink& sink) {
   std::ostringstream os;
@@ -259,69 +244,6 @@ TEST(TelemetrySinkTest, MalformedJsonlReportsTheLine) {
       MakeRecord(1, true, true, 100).ToJsonl() + "\n{broken\n";
   EXPECT_EQ(sink.IngestJsonl(text, &error), 1u);
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-}
-
-// ---------------------------------------------------------------------
-// Registry snapshots and the executor shard hook
-
-void PopulateRegistry(MetricsRegistry* registry, int salt) {
-  registry->GetCounter("t.count").Add(static_cast<std::uint64_t>(10 + salt));
-  registry->GetGauge("t.gauge").Set(5.0 + salt);
-  auto& hist = registry->GetHistogram("t.hist", {1.0, 10.0, 100.0});
-  for (int i = 0; i < 20; ++i) hist.Observe(i * (salt + 1));
-  auto& sketch = registry->GetSketch("t.sketch");
-  for (int i = 0; i < 20; ++i) sketch.Observe(1.0 + i * (salt + 1));
-  for (int i = 0; i < 5; ++i) registry->GetSeries("t.series").Observe(i + salt);
-}
-
-TEST(MetricsSnapshotTest, MergeCommutes) {
-  MetricsRegistry ra, rb;
-  PopulateRegistry(&ra, 0);
-  PopulateRegistry(&rb, 3);
-  rb.GetCounter("t.only_b").Add(7);  // asymmetric metric sets too
-
-  MetricsSnapshot ab = ra.Snapshot();
-  ab.Merge(rb.Snapshot());
-  MetricsSnapshot ba = rb.Snapshot();
-  ba.Merge(ra.Snapshot());
-  EXPECT_EQ(SnapshotJson(ab), SnapshotJson(ba));
-  EXPECT_EQ(ab.counters.at("t.count"), 23u);
-  EXPECT_EQ(ab.counters.at("t.only_b"), 7u);
-  EXPECT_DOUBLE_EQ(ab.gauges.at("t.gauge"), 8.0);  // gauges fold by max
-}
-
-TEST(MetricsSnapshotTest, RegistryMergeFoldsSnapshotsIn) {
-  MetricsRegistry shard;
-  PopulateRegistry(&shard, 1);
-  MetricsRegistry target;
-  target.Merge(shard.Snapshot());
-  target.Merge(shard.Snapshot());
-  EXPECT_EQ(target.CounterValue("t.count"), 22u);
-  EXPECT_EQ(RegistryJson(target).empty(), false);
-}
-
-TEST(MapWithMetricsTest, MergedRegistryIsThreadCountInvariant) {
-  constexpr std::size_t kTasks = 16;
-  auto run = [&](std::size_t threads) {
-    sim::ParallelExecutor executor(threads);
-    MetricsRegistry merged;
-    executor.MapWithMetrics(kTasks, 99, &merged, [](sim::TaskContext& ctx) {
-      auto* metrics = CurrentMetrics();
-      metrics->GetCounter("task.count").Add();
-      metrics->GetSketch("task.sketch").Observe(
-          static_cast<double>(ctx.index) * 1.5 + 1.0);
-      metrics->GetSeries("task.series").Observe(
-          static_cast<double>(ctx.index));
-      return 0;
-    });
-    EXPECT_EQ(merged.CounterValue("task.count"), kTasks);
-    std::ostringstream os;
-    merged.Snapshot().WriteJson(os);
-    return os.str();
-  };
-  const std::string one = run(1);
-  EXPECT_EQ(run(2), one);
-  EXPECT_EQ(run(8), one);
 }
 
 }  // namespace

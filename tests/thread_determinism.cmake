@@ -1,10 +1,13 @@
 # Sweep tables are a pure function of the seed, never of the thread
 # count (docs/parallelism.md): each bench's stdout (timing goes to
 # stderr) must be byte-identical at --threads 1 and 8. channel_sweep
-# quotes stage quantiles, so it runs with fixed host timing.
+# quotes stage quantiles, so it runs with fixed host timing. The same
+# holds for wearlock-lint's report over the tree: scheduling must never
+# leak into diagnostics.
 #
 #   cmake -DFIG7=<fig7_ber_distance> -DATTACK_DISTANCE=<attack_distance>
-#         -DCHANNEL_SWEEP=<channel_sweep> -DWORK_DIR=<dir>
+#         -DCHANNEL_SWEEP=<channel_sweep> -DLINT=<wearlock-lint>
+#         -DSOURCE_DIR=<repo root> -DWORK_DIR=<dir>
 #         -P thread_determinism.cmake
 function(expect_thread_invariant name)
   foreach(threads 1 8)
@@ -28,3 +31,8 @@ expect_thread_invariant(fig7 ${FIG7} --quick)
 expect_thread_invariant(attack_distance ${ATTACK_DISTANCE} --quick)
 expect_thread_invariant(channel_sweep ${CMAKE_COMMAND} -E env
                         WEARLOCK_FIXED_HOST_MS=1.25 ${CHANNEL_SWEEP} --quick)
+expect_thread_invariant(lint ${LINT}
+                        --baseline ${SOURCE_DIR}/tools/lint/baseline.txt
+                        --slot-manifest ${SOURCE_DIR}/tools/lint/slot_owners.txt
+                        ${SOURCE_DIR}/src ${SOURCE_DIR}/tests
+                        ${SOURCE_DIR}/bench ${SOURCE_DIR}/tools)

@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
 # Local CI: the checks a PR must pass. Tier-1 (ctest) carries the
 # correctness contract - goldens, CLI golden replays, --threads 1-vs-8
-# stdout diffs, fleet and telemetry rollups; this script adds the rest:
-#   1. wearlock-lint over src/ tests/ bench/ tools/ with the committed
-#      baseline and slot manifest - the repo's self-hosted flow-aware
-#      static analysis. Emits build/lint.sarif, reports wall time
-#      (budget: 10s), and pins --threads 1 vs 8 byte-identity
-#   2. plain build (warnings-as-errors) + full ctest
-#   3. bench report: fig5 --json at 1 and 8 threads collected into
+# stdout diffs, fleet and telemetry rollups, and the wearlock-lint gate
+# (build/lint.sarif, its 10s budget as the test TIMEOUT, and its
+# --threads 1 vs 8 byte-identity); this script adds the rest:
+#   1. plain build (warnings-as-errors) + full ctest
+#   2. bench report: fig5 --json at 1 and 8 threads collected into
 #      BENCH_dsp_core.json; the serial run is also the zero-allocation
 #      steady-state gate (docs/perf.md)
-#   4. bench report: fleet throughput (BENCH_fleet.json)
-#   5. contention campaign: a >=10k-session rollup that must byte-match
+#   3. bench report: fleet throughput (BENCH_fleet.json)
+#   4. contention campaign: a >=10k-session rollup that must byte-match
 #      across --threads 1/2/8 and shard sizes, and BENCH_channel.json
 #      (min-of-3 per thread count) (docs/channels.md)
-#   6. one build+test leg per sanitizer: ASan, UBSan, TSan (the TSan
+#   5. one build+test leg per sanitizer: ASan, UBSan, TSan (the TSan
 #      leg gets real cross-thread traffic from concurrency_stress_test,
 #      executor_test, fft_plan_test, fault_matrix_test,
 #      security_matrix_test, channel_matrix_test - the shared-scene
@@ -35,35 +33,8 @@ SANITIZERS=(address undefined thread)
 
 banner() { printf '\n==== %s ====\n' "$1"; }
 
-banner "gate: wearlock-lint src/ tests/ bench/ tools/"
-cmake -B build -S . -DWEARLOCK_WERROR=ON >/dev/null
-cmake --build build -j "$JOBS" --target wearlock-lint >/dev/null
-LINT_ARGS=(--baseline tools/lint/baseline.txt
-           --slot-manifest tools/lint/slot_owners.txt
-           src tests bench tools)
-# Timed full-tree run, SARIF artifact for upload. The 10s budget keeps
-# the gate cheap enough to run on every push (docs/static-analysis.md).
-lint_start=$(date +%s.%N)
-build/tools/lint/wearlock-lint --threads "$JOBS" --sarif build/lint.sarif \
-    "${LINT_ARGS[@]}"
-lint_end=$(date +%s.%N)
-lint_ms=$(awk -v a="$lint_start" -v b="$lint_end" \
-    'BEGIN { printf "%.0f", (b - a) * 1000 }')
-echo "lint wall time: ${lint_ms} ms (budget 10000 ms); wrote build/lint.sarif"
-if (( lint_ms >= 10000 )); then
-  echo "lint gate exceeded its 10s budget" >&2
-  exit 1
-fi
-# Scheduling must never leak into diagnostics: serial and parallel runs
-# must emit byte-identical reports.
-build/tools/lint/wearlock-lint --threads 1 "${LINT_ARGS[@]}" \
-    >build/lint-t1.out || true
-build/tools/lint/wearlock-lint --threads 8 "${LINT_ARGS[@]}" \
-    >build/lint-t8.out || true
-diff build/lint-t1.out build/lint-t8.out
-echo "lint output byte-identical across thread counts"
-
 banner "plain build + full test suite"
+cmake -B build -S . -DWEARLOCK_WERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
 

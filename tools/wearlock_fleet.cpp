@@ -27,7 +27,6 @@
 // throughput (sessions/sec, wall-clock) to stderr; timing lives on
 // stderr so stdout stays byte-stable for CI diffs.
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -40,6 +39,7 @@
 
 #include "audio/impairments.h"
 #include "audio/propagation.h"
+#include "obs/instrument.h"
 #include "protocol/fleet.h"
 #include "sim/adversary.h"
 #include "sim/executor.h"
@@ -199,14 +199,10 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  // Wall clock for the stderr throughput line only; stays available
-  // with telemetry compiled out (-DWEARLOCK_OBS=OFF), unlike
-  // obs::HostTimer.
-  const auto t0 = std::chrono::steady_clock::now();  // NOLINT(determinism)
+  // Wall clock for the stderr throughput line only.
+  const obs::HostTimer timer;
   const CampaignResult result = protocol::RunCampaign(spec, threads);
-  const auto t1 = std::chrono::steady_clock::now();  // NOLINT(determinism)
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  const double wall_ms = timer.ElapsedMs();
 
   std::ostringstream rollup;
   result.sink.WriteJson(rollup);

@@ -14,13 +14,15 @@
 // SessionRecord for the transaction (config "modem-<command>",
 // host-clock total_ms), so modem experiments land in the same
 // wearlock_telemetry pipeline as unlock campaigns.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "audio/wav.h"
@@ -36,19 +38,23 @@ namespace {
 
 using namespace wearlock;
 
-modem::Modulation ParseModulation(const char* s) {
-  if (std::strcmp(s, "qask") == 0) return modem::Modulation::kQask;
-  if (std::strcmp(s, "8psk") == 0) return modem::Modulation::k8Psk;
-  if (std::strcmp(s, "bpsk") == 0) return modem::Modulation::kBpsk;
-  if (std::strcmp(s, "bask") == 0) return modem::Modulation::kBask;
-  if (std::strcmp(s, "16qam") == 0) return modem::Modulation::k16Qam;
-  return modem::Modulation::kQpsk;
+/// The modulation a [mod] argument names; nullopt for an unknown name.
+std::optional<modem::Modulation> ParseModulation(const std::string& s) {
+  if (s == "qpsk") return modem::Modulation::kQpsk;
+  if (s == "qask") return modem::Modulation::kQask;
+  if (s == "8psk") return modem::Modulation::k8Psk;
+  if (s == "bpsk") return modem::Modulation::kBpsk;
+  if (s == "bask") return modem::Modulation::kBask;
+  if (s == "16qam") return modem::Modulation::k16Qam;
+  return std::nullopt;
 }
 
-modem::CodeScheme ParseCode(const char* s) {
-  if (std::strcmp(s, "hamming") == 0) return modem::CodeScheme::kHamming74;
-  if (std::strcmp(s, "rep3") == 0) return modem::CodeScheme::kRepetition3;
-  return modem::CodeScheme::kNone;
+/// The code a [code] argument names; nullopt for an unknown name.
+std::optional<modem::CodeScheme> ParseCode(const std::string& s) {
+  if (s == "none") return modem::CodeScheme::kNone;
+  if (s == "hamming") return modem::CodeScheme::kHamming74;
+  if (s == "rep3") return modem::CodeScheme::kRepetition3;
+  return std::nullopt;
 }
 
 int Usage() {
@@ -107,8 +113,11 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--session-log") == 0 && i + 1 < argc) {
       session_log_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      const char* v = i + 1 < argc ? argv[++i] : "";
+      const char* end = v + std::strlen(v);
+      const auto result = std::from_chars(v, end, threads);
+      if (result.ec != std::errc() || result.ptr != end) return Usage();
     } else if (std::strcmp(argv[i], "--regen-golden") == 0) {
       regen_golden = true;
     } else {
@@ -119,6 +128,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) argv[i] = pos[i - 1];
 
   if (regen_golden) return RegenGolden(threads);
+  if (argc < 3) return Usage();
+  const std::string command = argv[1];
+
+  // send/recv take optional [mod] [code] after their paths; an unknown
+  // name is a usage error, caught before any file is touched.
+  modem::DatagramConfig config;
+  const int mod_index = command == "send" ? 4 : 3;
+  const bool has_mod = (command == "send" || command == "recv") &&
+                       argc > mod_index;
+  if (has_mod) {
+    const auto modulation = ParseModulation(argv[mod_index]);
+    if (!modulation) return Usage();
+    config.modulation = *modulation;
+    if (argc > mod_index + 1) {
+      const auto code = ParseCode(argv[mod_index + 1]);
+      if (!code) return Usage();
+      config.code = *code;
+    }
+  }
 
   // Host-clock tracer: this tool has no virtual time.
   const auto t0 = std::chrono::steady_clock::now();
@@ -144,16 +172,11 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (argc < 3) return Usage();
-  const std::string command = argv[1];
   modem::AcousticModem acoustic_modem;
 
   auto run = [&]() -> int {
   try {
     if (command == "send" && argc >= 4) {
-      modem::DatagramConfig config;
-      if (argc >= 5) config.modulation = ParseModulation(argv[4]);
-      if (argc >= 6) config.code = ParseCode(argv[5]);
       const std::string text = argv[2];
       const std::vector<std::uint8_t> payload(text.begin(), text.end());
       const auto tx = modem::SendDatagram(acoustic_modem, config, payload);
@@ -166,9 +189,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "recv") {
-      modem::DatagramConfig config;
-      if (argc >= 4) config.modulation = ParseModulation(argv[3]);
-      if (argc >= 5) config.code = ParseCode(argv[4]);
       const audio::WavData wav = audio::ReadWav(argv[2]);
       const auto result =
           modem::ReceiveDatagram(acoustic_modem, config, wav.samples);
@@ -217,10 +237,7 @@ int main(int argc, char** argv) {
     record.total_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    if ((command == "send" && argc >= 5) || (command == "recv" && argc >= 4)) {
-      record.mode = ToString(
-          ParseModulation(argv[command == "send" ? 4 : 3]));
-    }
+    if (has_mod) record.mode = ToString(config.modulation);
     std::ofstream os(session_log_path, std::ios::app);
     if (!os) {
       std::fprintf(stderr, "cannot open %s\n", session_log_path.c_str());

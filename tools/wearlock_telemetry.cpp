@@ -22,6 +22,8 @@
 // by more than --threshold (absolute rate), or its p99 total latency
 // grows by more than the same threshold as a fraction. Exit 0 = no
 // regression, 1 = regression found, 2 = usage or I/O error.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,6 +31,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/rollup.h"
@@ -125,7 +128,14 @@ int main(int argc, char** argv) {
       diff_b = next();
       if (diff_a.empty() || diff_b.empty()) return Usage();
     } else if (arg == "--threshold") {
-      threshold = std::atof(next());
+      const std::string v = next();
+      const auto result =
+          std::from_chars(v.data(), v.data() + v.size(), threshold);
+      if (result.ec != std::errc() || result.ptr != v.data() + v.size() ||
+          !std::isfinite(threshold) || threshold < 0.0) {
+        std::fprintf(stderr, "--threshold wants a finite number >= 0\n");
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Usage();
