@@ -43,19 +43,16 @@ Pair Measure(modem::CodeScheme code, double noise_spl, int rounds,
     const auto tx = modem.Modulate(modem::Modulation::kQpsk, coded);
     const auto rx = channel.Transmit(tx.samples, 0.5);
 
-    const auto hard = modem.Demodulate(rx.recording, modem::Modulation::kQpsk,
-                                       coded.size());
-    const auto soft = modem.DemodulateSoft(rx.recording,
-                                           modem::Modulation::kQpsk,
-                                           coded.size());
+    const auto demod = modem.Demodulate(rx.recording, modem::Modulation::kQpsk,
+                                        coded.size(), /*with_llrs=*/true);
     total += payload.size();
-    if (!hard || !soft) {
+    if (!demod) {
       hard_err += payload.size() / 2;
       soft_err += payload.size() / 2;
       continue;
     }
-    const auto hard_payload = modem::Decode(code, hard->bits);
-    const auto soft_payload = modem::DecodeSoft(code, *soft);
+    const auto hard_payload = modem::Decode(code, demod->bits);
+    const auto soft_payload = modem::DecodeSoft(code, demod->llrs);
     for (std::size_t i = 0; i < payload.size(); ++i) {
       if (i >= hard_payload.size() || (hard_payload[i] & 1) != payload[i]) {
         ++hard_err;

@@ -21,7 +21,6 @@
 
 #include "bench_util.h"
 #include "protocol/fleet.h"
-#include "sim/device.h"
 
 namespace {
 using namespace wearlock;
@@ -33,12 +32,6 @@ int main(int argc, char** argv) {
   bench::Banner(
       "Fleet multiplexer throughput: event-driven unlock campaigns "
       "(config x env x distance grid, 10% impostors, drop=0.3 fault axis)");
-
-  // Pin modeled per-call compute time (sessions still do the real DSP
-  // work, and the sweep runner measures real wall time): the rollup's
-  // latency sketches become a pure function of the seed, so rounds can
-  // be byte-compared and the stdout table is stable across --threads.
-  sim::SetFixedHostTimingMs(1.25);
 
   protocol::CampaignSpec spec;
   spec.seed = options.base_seed;

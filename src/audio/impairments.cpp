@@ -12,6 +12,7 @@
 #include "dsp/spl.h"
 #include "obs/instrument.h"
 #include "obs/json.h"
+#include "sim/spec_number.h"
 
 namespace wearlock::audio {
 namespace {
@@ -35,21 +36,8 @@ constexpr std::size_t kNeighborCandidateBins[] = {16, 17, 18, 20, 21, 22,
                                                   24, 25, 26, 28, 29, 30};
 constexpr std::size_t kNeighborFftSize = 256;
 
-double ParseNumber(const std::string& entry, const std::string& text) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("ImpairmentPlan: bad number in '" + entry +
-                                "'");
-  }
-  if (used != text.size()) {
-    throw std::invalid_argument("ImpairmentPlan: trailing junk in '" + entry +
-                                "'");
-  }
-  return v;
-}
+using sim::ParseSpecNumber;
+constexpr char kGrammar[] = "ImpairmentPlan";
 
 std::string Fmt(const char* format, double a, double b = 0.0) {
   char buf[96];
@@ -82,19 +70,19 @@ ImpairmentPlan ImpairmentPlan::Parse(const std::string& spec) {
     const std::string key = entry.substr(0, eq);
     const std::string value = entry.substr(eq + 1);
     if (key == "sro") {
-      plan.sro_ppm = ParseNumber(entry, value);
+      plan.sro_ppm = ParseSpecNumber(kGrammar, entry, value);
       if (plan.sro_ppm < 0.0 || plan.sro_ppm > 500.0) {
         throw std::invalid_argument(
             "ImpairmentPlan: sro ppm out of [0,500] in '" + entry + "'");
       }
     } else if (key == "doppler") {
-      plan.doppler_mps = ParseNumber(entry, value);
+      plan.doppler_mps = ParseSpecNumber(kGrammar, entry, value);
       if (std::abs(plan.doppler_mps) > 5.0) {
         throw std::invalid_argument(
             "ImpairmentPlan: |doppler| > 5 m/s in '" + entry + "'");
       }
     } else if (key == "reverb") {
-      plan.reverb_rt60_ms = ParseNumber(entry, value);
+      plan.reverb_rt60_ms = ParseSpecNumber(kGrammar, entry, value);
       if (plan.reverb_rt60_ms < 0.0 || plan.reverb_rt60_ms > 2000.0) {
         throw std::invalid_argument(
             "ImpairmentPlan: reverb RT60 out of [0,2000] ms in '" + entry +
@@ -105,21 +93,21 @@ ImpairmentPlan ImpairmentPlan::Parse(const std::string& spec) {
       const std::size_t x = value.find('x');
       if (x != std::string::npos) {
         p = value.substr(0, x);
-        plan.burst_mult = ParseNumber(entry, value.substr(x + 1));
+        plan.burst_mult = ParseSpecNumber(kGrammar, entry, value.substr(x + 1));
         if (plan.burst_mult < 1.0) {
           throw std::invalid_argument(
               "ImpairmentPlan: burst multiplier must be >= 1 in '" + entry +
               "'");
         }
       }
-      plan.burst_p = ParseNumber(entry, p);
+      plan.burst_p = ParseSpecNumber(kGrammar, entry, p);
       if (plan.burst_p < 0.0 || plan.burst_p > 1.0) {
         throw std::invalid_argument(
             "ImpairmentPlan: burst probability out of [0,1] in '" + entry +
             "'");
       }
     } else if (key == "pairs") {
-      const double n = ParseNumber(entry, value);
+      const double n = ParseSpecNumber(kGrammar, entry, value);
       if (n < 0.0 || n > 64.0 || n != std::floor(n)) {
         throw std::invalid_argument(
             "ImpairmentPlan: pairs must be an integer in [0,64] in '" + entry +

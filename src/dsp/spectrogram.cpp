@@ -23,9 +23,7 @@ Spectrogram ComputeSpectrogram(const std::vector<double>& x,
   Spectrogram out;
   out.bin_hz = options.sample_rate_hz / static_cast<double>(options.fft_size);
   out.frame_s = static_cast<double>(options.hop) / options.sample_rate_hz;
-  const auto window = MakeWindow(
-      options.hann_window ? WindowType::kHann : WindowType::kRectangular,
-      options.fft_size);
+  const auto window = MakeWindow(WindowType::kHann, options.fft_size);
 
   const auto plan = PlanCache::Shared().Get(options.fft_size);
   Workspace& ws = Workspace::PerThread();

@@ -15,7 +15,6 @@ struct SpectrogramOptions {
   std::size_t fft_size = 256;
   std::size_t hop = 128;
   double sample_rate_hz = 44100.0;
-  bool hann_window = true;
 };
 
 struct Spectrogram {
@@ -27,8 +26,8 @@ struct Spectrogram {
   double floor_db = -120.0;
 };
 
-/// STFT power in dB. @throws std::invalid_argument for empty input or a
-/// non-power-of-two FFT size.
+/// Hann-windowed STFT power in dB. @throws std::invalid_argument for
+/// empty input or a non-power-of-two FFT size.
 Spectrogram ComputeSpectrogram(const std::vector<double>& x,
                                const SpectrogramOptions& options = {});
 

@@ -16,24 +16,6 @@ const std::vector<Modulation>& WearlockModes() {
   return kModes;
 }
 
-double RequiredEbN0Db(Modulation m, double max_ber) {
-  if (max_ber <= 0.0 || max_ber >= 0.5) {
-    throw std::invalid_argument("RequiredEbN0Db: max_ber must be in (0, 0.5)");
-  }
-  // TheoreticalBer decreases monotonically with Eb/N0; bisect.
-  double lo = -20.0, hi = 80.0;
-  if (TheoreticalBer(m, lo) < max_ber) return lo;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (TheoreticalBer(m, mid) > max_ber) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
 namespace {
 
 struct CurvePoint {
@@ -111,9 +93,7 @@ double MeasuredRequiredEbN0Db(Modulation m, double max_ber) {
 std::optional<Modulation> SelectMode(double measured_ebn0_db,
                                      const AdaptiveConfig& config) {
   for (Modulation m : config.modes) {
-    const double required = config.use_measured_table
-                                ? MeasuredRequiredEbN0Db(m, config.max_ber)
-                                : RequiredEbN0Db(m, config.max_ber);
+    const double required = MeasuredRequiredEbN0Db(m, config.max_ber);
     if (measured_ebn0_db >= required + config.margin_db) {
       return m;
     }
@@ -126,9 +106,7 @@ std::optional<Modulation> SelectModeFromSnr(const FrameSpec& spec,
                                             const AdaptiveConfig& config) {
   for (Modulation m : config.modes) {
     const double ebn0 = EbN0Db(spec, m, snr_db);
-    const double required = config.use_measured_table
-                                ? MeasuredRequiredEbN0Db(m, config.max_ber)
-                                : RequiredEbN0Db(m, config.max_ber);
+    const double required = MeasuredRequiredEbN0Db(m, config.max_ber);
     if (ebn0 >= required + config.margin_db) return m;
   }
   return std::nullopt;

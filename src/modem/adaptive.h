@@ -19,11 +19,6 @@ namespace wearlock::modem {
 /// on real audio hardware; BASK/BPSK are kept for benchmarks only).
 const std::vector<Modulation>& WearlockModes();
 
-/// Minimum Eb/N0 (dB) at which `m` theoretically meets `max_ber`.
-/// Numerically inverts TheoreticalBer (monotone in Eb/N0).
-/// @throws std::invalid_argument if max_ber is outside (0, 0.5).
-double RequiredEbN0Db(Modulation m, double max_ber);
-
 /// Minimum Eb/N0 (dB) at which `m` meets `max_ber` on the *measured*
 /// channel - the direct analogue of reading thresholds off Fig. 5.
 /// Calibrated from bench/fig5_ber_ebn0 on the simulated hardware (which,
@@ -45,9 +40,6 @@ struct AdaptiveConfig {
   /// Candidate modes, preferred first. Defaults to {8PSK, QPSK, QASK}.
   std::vector<Modulation> modes{Modulation::k8Psk, Modulation::kQpsk,
                                 Modulation::kQask};
-  /// Use the Fig. 5-calibrated table (default); false falls back to the
-  /// textbook AWGN requirement (useful for ablation).
-  bool use_measured_table = true;
 };
 
 /// Pick the highest-order mode whose required Eb/N0 (plus margin) fits

@@ -69,7 +69,8 @@ const dsp::ComplexVec* Demodulator::SymbolSpectrumInto(
 }
 
 std::optional<DemodResult> Demodulator::Demodulate(
-    std::span<const double> recording, Modulation m, std::size_t n_bits) const {
+    std::span<const double> recording, Modulation m, std::size_t n_bits,
+    bool with_llrs) const {
   WL_SPAN_V(span, "modem.demod");
   WL_TIMED_SERIES("modem.demod.host_ms");
   WL_COUNT("modem.demod.calls");
@@ -89,6 +90,7 @@ std::optional<DemodResult> Demodulator::Demodulate(
   result.preamble_score = detection->score;
   result.preamble_start = detection->preamble_start;
   result.bits.reserve(n_ofdm * bits_per_ofdm);
+  if (with_llrs) result.llrs.reserve(n_ofdm * bits_per_ofdm);
   double snr_acc = 0.0;
   const long offset = FrameOffset(recording, symbols_start, n_ofdm);
   // The fine-sync offset is common to the frame (see FrameOffset).
@@ -109,6 +111,7 @@ std::optional<DemodResult> Demodulator::Demodulate(
     const std::span<const dsp::Complex> equalized =
         EqualizeInto(channel, *spectrum, data_bins_, ws);
     DemapSymbolsInto(m, equalized, result.bits);
+    if (with_llrs) DemapSymbolsSoftInto(m, equalized, result.llrs);
   }
   result.mean_pilot_snr_db =
       n_ofdm > 0 ? snr_acc / static_cast<double>(n_ofdm) : 0.0;
@@ -116,44 +119,17 @@ std::optional<DemodResult> Demodulator::Demodulate(
   result.bits.resize(n_bits);
   WL_SPAN_ATTR(span, "pilot_snr_db", result.mean_pilot_snr_db);
   WL_HIST("modem.demod.pilot_snr_db", result.mean_pilot_snr_db);
-  return result;
-}
-
-std::optional<std::vector<double>> Demodulator::DemodulateSoft(
-    std::span<const double> recording, Modulation m, std::size_t n_bits) const {
-  WL_SPAN_V(span, "modem.demod_soft");
-  WL_TIMED_SERIES("modem.demod_soft.host_ms");
-  WL_COUNT("modem.demod_soft.calls");
-  const auto detection = detector_.Detect(recording);
-  if (!detection) return std::nullopt;
-  const std::size_t bits_per_ofdm = spec_.plan.data.size() * BitsPerSymbol(m);
-  const std::size_t n_ofdm = (n_bits + bits_per_ofdm - 1) / bits_per_ofdm;
-  const std::size_t symbols_start =
-      detection->preamble_start + spec_.header_samples();
-
-  std::vector<double> llrs;
-  llrs.reserve(n_ofdm * bits_per_ofdm);
-  const long offset = FrameOffset(recording, symbols_start, n_ofdm);
-  dsp::Workspace& ws = dsp::Workspace::PerThread();
-  for (std::size_t s = 0; s < n_ofdm; ++s) {
-    const dsp::ComplexVec* spectrum =
-        SymbolSpectrumInto(recording, symbols_start, s, offset, ws);
-    if (spectrum == nullptr) return std::nullopt;
-    const ChannelView channel = EstimateChannelInto(geometry_, *spectrum, ws);
-    const std::span<const dsp::Complex> equalized =
-        EqualizeInto(channel, *spectrum, data_bins_, ws);
-    DemapSymbolsSoftInto(m, equalized, llrs);
+  if (with_llrs) {
+    result.llrs.resize(n_bits);
+    // LLR confidence profile: mean |LLR| says how separable the
+    // constellation was after equalization.
+    double abs_acc = 0.0;
+    for (const double llr : result.llrs) abs_acc += std::fabs(llr);
+    const double mean_abs = abs_acc / static_cast<double>(n_bits);
+    WL_SPAN_ATTR(span, "mean_abs_llr", mean_abs);
+    WL_HIST("modem.demod.mean_abs_llr", mean_abs);
   }
-  if (llrs.size() < n_bits) return std::nullopt;
-  llrs.resize(n_bits);
-  // LLR confidence profile: mean |LLR| says how separable the
-  // constellation was after equalization.
-  double abs_acc = 0.0;
-  for (const double llr : llrs) abs_acc += std::fabs(llr);
-  const double mean_abs = abs_acc / static_cast<double>(llrs.size());
-  WL_SPAN_ATTR(span, "mean_abs_llr", mean_abs);
-  WL_HIST("modem.demod_soft.mean_abs_llr", mean_abs);
-  return llrs;
+  return result;
 }
 
 std::optional<ProbeAnalysis> Demodulator::AnalyzeProbe(

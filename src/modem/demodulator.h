@@ -34,6 +34,9 @@ struct DemodConfig {
 
 struct DemodResult {
   std::vector<std::uint8_t> bits;   ///< exactly the requested n_bits
+  /// Per-bit LLRs (positive = bit 0 likelier) for soft-decision
+  /// decoding, n_bits of them; empty unless asked for.
+  std::vector<double> llrs;
   double preamble_score = 0.0;
   std::size_t preamble_start = 0;
   std::vector<long> fine_offsets;   ///< per-symbol fine-sync correction
@@ -60,16 +63,12 @@ class Demodulator {
   /// control channel). Returns nullopt when no preamble is found or the
   /// recording is too short for the expected frame. The recording is a
   /// view, so callers can pass a slice of a capture without copying; the
-  /// per-symbol chain runs on this thread's dsp::Workspace.
+  /// per-symbol chain runs on this thread's dsp::Workspace. With
+  /// `with_llrs` the same pass also soft-demaps the equalized symbols
+  /// into DemodResult::llrs.
   std::optional<DemodResult> Demodulate(std::span<const double> recording,
-                                        Modulation m, std::size_t n_bits) const;
-
-  /// Soft-output variant: per-bit LLRs (positive = bit 0 likelier) for
-  /// soft-decision channel decoding. Same synchronization/equalization
-  /// chain as Demodulate.
-  std::optional<std::vector<double>> DemodulateSoft(
-      std::span<const double> recording, Modulation m,
-      std::size_t n_bits) const;
+                                        Modulation m, std::size_t n_bits,
+                                        bool with_llrs = false) const;
 
   /// Analyze an RTS probe recording (preamble + guard + block pilot).
   std::optional<ProbeAnalysis> AnalyzeProbe(

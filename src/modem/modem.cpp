@@ -43,13 +43,9 @@ TxFrame AcousticModem::MakeProbeFrame() const {
 }
 
 std::optional<DemodResult> AcousticModem::Demodulate(
-    std::span<const double> recording, Modulation m, std::size_t n_bits) const {
-  return demodulator_.Demodulate(recording, m, n_bits);
-}
-
-std::optional<std::vector<double>> AcousticModem::DemodulateSoft(
-    std::span<const double> recording, Modulation m, std::size_t n_bits) const {
-  return demodulator_.DemodulateSoft(recording, m, n_bits);
+    std::span<const double> recording, Modulation m, std::size_t n_bits,
+    bool with_llrs) const {
+  return demodulator_.Demodulate(recording, m, n_bits, with_llrs);
 }
 
 std::optional<ProbeAnalysis> AcousticModem::AnalyzeProbe(

@@ -31,14 +31,11 @@ class AcousticModem {
   /// TX: RTS channel-probing frame.
   TxFrame MakeProbeFrame() const;
 
-  /// RX: recover n_bits from a recording (a non-owning view).
+  /// RX: recover n_bits from a recording (a non-owning view), plus
+  /// their soft LLRs in the same pass when `with_llrs`.
   std::optional<DemodResult> Demodulate(std::span<const double> recording,
-                                        Modulation m, std::size_t n_bits) const;
-
-  /// RX: soft per-bit LLRs for soft-decision decoding.
-  std::optional<std::vector<double>> DemodulateSoft(
-      std::span<const double> recording, Modulation m,
-      std::size_t n_bits) const;
+                                        Modulation m, std::size_t n_bits,
+                                        bool with_llrs = false) const;
 
   /// RX: analyze an RTS probe.
   std::optional<ProbeAnalysis> AnalyzeProbe(

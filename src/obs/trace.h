@@ -2,9 +2,8 @@
 //
 // Spans are timestamped from a caller-supplied clock - in the simulator
 // that is sim::VirtualClock, so timelines live on modeled time, not
-// wall time. Same-seed sessions replay the same span structure (names,
-// order, nesting); durations can still jitter where the simulation
-// advances virtual time by host-measured compute. Exporters:
+// wall time. Same-seed sessions replay the same spans: names, order,
+// nesting and timestamps. Exporters:
 //   * JSONL: one span object per line (easy to grep/join)
 //   * Chrome trace_event JSON: open in chrome://tracing or
 //     https://ui.perfetto.dev (B/E duration events, one track)

@@ -259,9 +259,7 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
 
     // Probe processing runs at the offload site.
     WL_SPAN_V(probe_span, "phase1.probe_analysis");
-    probe_.reset();
-    const sim::Millis probe_host_ms = sim::TimeHostMs(
-        [&] { probe_ = modem_->AnalyzeProbe(phase1_.recording); });
+    probe_ = modem_->AnalyzeProbe(phase1_.recording);
     sim::Millis transfer_ms = 0.0;  // modeled upload delay (seed-derived)
     if (effective_.site == ProcessingSite::kOffloadToPhone) {
       bool uploaded = true;  // lost after a degrade: analysis stays local
@@ -272,9 +270,9 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
         co_return fail;
       }
     }
-    [[maybe_unused]] const StepCost cost = co_await ChargeCost(
-        probe_host_ms, transfer_ms, report_.timings.phase1_compute_ms,
-        report_.timings.phase1_comm_ms);
+    [[maybe_unused]] const StepCost cost =
+        co_await ChargeCost(transfer_ms, report_.timings.phase1_compute_ms,
+                            report_.timings.phase1_comm_ms);
     // Recording the probe costs the watch energy too.
     report_.watch_energy_mj += sim::DeviceProfile::EnergyMj(
         AudioMs(phase1_.recording.size()), offload_.watch.record_power_mw);
@@ -324,18 +322,17 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
 // equalizer included - re-estimated on the de-warped audio.
 sim::CoTask<> AttemptMachine::TrackDrift() {
   const ChannelHardeningConfig& hard = config_.channel;
-  modem::DriftEstimate drift;
+  const modem::DriftEstimate drift =
+      modem::EstimateDrift(phase1_.recording, config_.frame,
+                           scene_.config().lead_in_samples, hard.drift);
   std::optional<modem::ProbeAnalysis> reprobe;
-  const sim::Millis drift_host_ms = sim::TimeHostMs([&] {
-    drift = modem::EstimateDrift(phase1_.recording, config_.frame,
-                                 scene_.config().lead_in_samples, hard.drift);
-    if (drift.valid && std::abs(drift.rate_ppm) >= hard.min_compensate_ppm) {
-      reprobe = modem_->AnalyzeProbe(
-          modem::CompensateRate(phase1_.recording, drift.rate_ppm));
-    }
-  });
-  report_.timings.phase1_compute_ms += drift_host_ms;
-  co_await Wait(drift_host_ms);
+  if (drift.valid && std::abs(drift.rate_ppm) >= hard.min_compensate_ppm) {
+    reprobe = modem_->AnalyzeProbe(
+        modem::CompensateRate(phase1_.recording, drift.rate_ppm));
+  }
+  // One DSP step, charged without the device scale (unlike ChargeCost).
+  report_.timings.phase1_compute_ms += kDspStepHostMs;
+  co_await Wait(kDspStepHostMs);
   if (drift.valid) {
     chan_->RecordEvent("drift-estimate",
                        "shift " + std::to_string(drift.shift_samples) +
@@ -736,21 +733,19 @@ AttemptMachine::Step AttemptMachine::Phase2Round(
   // warp rate holds for this capture (one walker, one clock pair), so
   // the receiver resamples before demodulating.
   if (hardened_ && compensate_ppm_ != 0.0) {
-    const sim::Millis comp_host_ms = sim::TimeHostMs([&] {
-      recording = modem::CompensateRate(recording, compensate_ppm_);
-    });
-    report_.timings.phase2_compute_ms += comp_host_ms;
-    co_await Wait(comp_host_ms);
+    recording = modem::CompensateRate(recording, compensate_ppm_);
+    // One DSP step, charged without the device scale (unlike ChargeCost).
+    report_.timings.phase2_compute_ms += kDspStepHostMs;
+    co_await Wait(kDspStepHostMs);
   }
 
   // Demodulation at the offload site (post-degrade-ladder site).
   WL_SPAN_V(demod_span, "phase2.demod");
   const bool watch_local = effective_.site == ProcessingSite::kWatchLocal;
   WL_SPAN_ATTR(demod_span, "watch_local", watch_local ? 1.0 : 0.0);
-  sim::Millis host_ms = 0.0;
-  const Phase2Report phase2 = watch_.MakePhase2Report(
-      session_id_, std::move(recording), phase2_config_, watch_local,
-      &host_ms, want_soft);
+  const Phase2Report phase2 =
+      watch_.MakePhase2Report(session_id_, std::move(recording),
+                              phase2_config_, watch_local, want_soft);
   sim::Millis transfer_ms = 0.0;
   if (watch_local) {
     *bits = phase2.demodulated_bits;
@@ -765,22 +760,18 @@ AttemptMachine::Step AttemptMachine::Phase2Round(
             report_.timings.phase2_comm_ms, &transfer_ms, &uploaded)) {
       co_return fail;
     }
-    std::optional<modem::DemodResult> demod;
-    std::optional<std::vector<double>> soft;
-    host_ms = sim::TimeHostMs([&] {
-      if (!uploaded) return;
-      demod = modem_->Demodulate(phase2.recording, phase2_config_.modulation,
-                                 phase2_config_.payload_bits);
-      if (want_soft) {
-        soft = modem_->DemodulateSoft(phase2.recording,
-                                      phase2_config_.modulation,
-                                      phase2_config_.payload_bits);
+    if (uploaded) {
+      std::optional<modem::DemodResult> demod = modem_->Demodulate(
+          phase2.recording, phase2_config_.modulation,
+          phase2_config_.payload_bits, want_soft);
+      if (demod) {
+        *bits = std::move(demod->bits);
+        *llrs = std::move(demod->llrs);
       }
-    });
-    if (demod) *bits = demod->bits;
-    if (soft) *llrs = *soft;
+    }
   }
-  co_await ChargeCost(host_ms, transfer_ms, report_.timings.phase2_compute_ms,
+  // A lost upload still charges the step it would have run.
+  co_await ChargeCost(transfer_ms, report_.timings.phase2_compute_ms,
                       report_.timings.phase2_comm_ms);
   // Watch-local result bits travel back as a small message.
   if (watch_local) {
@@ -960,16 +951,15 @@ AttemptMachine::Step AttemptMachine::Upload(
   co_return std::nullopt;
 }
 
-// One processing step at the (post-degrade) site: compute, transfer and
-// energy into the report, then the modeled wait. Only the seed-derived
-// transfer counts against the budgets; the compute time is host-
-// measured (CostWithTransfer passes transfer_ms through unchanged).
-sim::CoTask<StepCost> AttemptMachine::ChargeCost(sim::Millis host_ms,
-                                                 sim::Millis transfer_ms,
+// One DSP step at the (post-degrade) site: compute (kDspStepHostMs
+// scaled by that device), transfer and energy into the report, then the
+// modeled wait. Only the transfer counts against the budgets
+// (CostWithTransfer passes transfer_ms through unchanged).
+sim::CoTask<StepCost> AttemptMachine::ChargeCost(sim::Millis transfer_ms,
                                                  sim::Millis& compute_ms,
                                                  sim::Millis& comm_ms) {
   const StepCost cost =
-      effective_.CostWithTransfer(host_ms, transfer_ms, link_.radio());
+      effective_.CostWithTransfer(kDspStepHostMs, transfer_ms, link_.radio());
   compute_ms += cost.compute_ms;
   comm_ms += cost.transfer_ms;
   report_.watch_energy_mj += cost.watch_energy_mj;

@@ -139,8 +139,7 @@ class AttemptMachine {
   Step Upload(const std::string& stage, const std::string& step,
               const std::string& local_work, std::size_t bytes,
               sim::Millis& comm_ms, sim::Millis* transfer_ms, bool* uploaded);
-  sim::CoTask<StepCost> ChargeCost(sim::Millis host_ms,
-                                   sim::Millis transfer_ms,
+  sim::CoTask<StepCost> ChargeCost(sim::Millis transfer_ms,
                                    sim::Millis& compute_ms,
                                    sim::Millis& comm_ms);
   sim::CoTask<bool> MacAcquire(const char* stage, sim::Millis& audio_ms);
@@ -173,13 +172,9 @@ class AttemptMachine {
   /// scene has channel impairments armed; clean scenes keep their draws.
   audio::ChannelImpairments* const chan_;
   const bool hardened_;
-  /// Deterministic protocol-time accumulator: audio, communication and
-  /// waits - everything modeled from the seed - but NOT host-measured
-  /// compute, whose virtual charge varies with machine load. Budget and
-  /// deadline decisions run on this accumulator, so a seed's fault
-  /// handling replays bit-identically at any thread count (the
-  /// 1-vs-8-thread gate in tests/fault_matrix_test.cpp); the virtual
-  /// clock still carries compute for the latency reports.
+  /// Protocol-time accumulator: audio, communication and waits, but NOT
+  /// DSP compute. Budget and deadline decisions run on this accumulator;
+  /// the virtual clock also carries compute for the latency reports.
   sim::Millis proto_ms_ = 0.0;
   /// Degrade ladder: after degrade_after_link_faults link faults, the
   /// rest of the attempt processes watch-local instead of offloading.

@@ -62,11 +62,7 @@ SessionPlan PlanSession(const CampaignSpec& spec, std::size_t index) {
     plan.attack = sim::AttackSpec::Parse(attack_spec);
     plan.scenario.attack = plan.attack;
   }
-  std::string impairment_spec = spec.impairment_specs[impair_i];
-  if (spec.contention_pairs > 0) {
-    if (!impairment_spec.empty()) impairment_spec += ',';
-    impairment_spec += "pairs=" + std::to_string(spec.contention_pairs);
-  }
+  const std::string& impairment_spec = spec.impairment_specs[impair_i];
   if (!impairment_spec.empty()) {
     plan.scenario.impairments = audio::ImpairmentPlan::Parse(impairment_spec);
   }

@@ -54,10 +54,6 @@ struct CampaignSpec {
   /// clean channel. Non-empty cells arm the scene's impairment pack and
   /// the phone's channel hardening exercises against it.
   std::vector<std::string> impairment_specs = {""};
-  /// Co-located WearLock pairs contending for the band in every
-  /// impaired cell (adds "pairs=N" to each non-empty impairment spec;
-  /// with an empty spec list entry it becomes the whole spec). 0 = off.
-  int contention_pairs = 0;
   /// Every Nth session runs cross-body (impostor population for the
   /// false-accept CI); 0 disables impostors.
   std::size_t impostor_every = 10;

@@ -28,6 +28,12 @@ struct StepCost {
   sim::Millis total_ms() const { return compute_ms + transfer_ms; }
 };
 
+/// Host-equivalent cost of one DSP step (probe analysis, drift tracking,
+/// rate compensation, one demodulation), before the device scale. A
+/// constant, not a measurement: modeled time must depend on the seed
+/// only, never on how loaded the host is.
+inline constexpr sim::Millis kDspStepHostMs = 1.25;
+
 struct OffloadPlanner {
   ProcessingSite site = ProcessingSite::kOffloadToPhone;
   sim::DeviceProfile watch = sim::DeviceProfile::Moto360();

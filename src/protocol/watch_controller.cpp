@@ -1,7 +1,6 @@
 #include "protocol/watch_controller.h"
 
 #include "obs/instrument.h"
-#include "sim/device.h"
 
 namespace wearlock::protocol {
 
@@ -28,7 +27,6 @@ Phase2Report WatchController::MakePhase2Report(std::uint64_t session_id,
                                                audio::Samples recording,
                                                const Phase2Config& config,
                                                bool demodulate_locally,
-                                               sim::Millis* host_compute_ms,
                                                bool want_soft_llrs) const {
   WL_SPAN_V(span, "watch.phase2_report");
   WL_SPAN_ATTR(span, "local_demod", demodulate_locally ? 1.0 : 0.0);
@@ -36,23 +34,16 @@ Phase2Report WatchController::MakePhase2Report(std::uint64_t session_id,
   report.session_id = session_id;
   if (!demodulate_locally) {
     report.recording = std::move(recording);
-    if (host_compute_ms != nullptr) *host_compute_ms = 0.0;
     return report;
   }
   // Config3: the watch runs the shared DSP itself.
   WL_COUNT("watch.local_demods");
-  std::optional<modem::DemodResult> result;
-  std::optional<std::vector<double>> llrs;
-  const sim::Millis host_ms = sim::TimeHostMs([&] {
-    result = modem_.Demodulate(recording, config.modulation, config.payload_bits);
-    if (want_soft_llrs) {
-      llrs = modem_.DemodulateSoft(recording, config.modulation,
-                                   config.payload_bits);
-    }
-  });
-  if (host_compute_ms != nullptr) *host_compute_ms = host_ms;
-  if (result) report.demodulated_bits = result->bits;
-  if (llrs) report.demodulated_llrs = std::move(*llrs);
+  std::optional<modem::DemodResult> result = modem_.Demodulate(
+      recording, config.modulation, config.payload_bits, want_soft_llrs);
+  if (result) {
+    report.demodulated_bits = std::move(result->bits);
+    report.demodulated_llrs = std::move(result->llrs);
+  }
   return report;
 }
 

@@ -8,7 +8,6 @@
 
 #include "modem/modem.h"
 #include "protocol/messages.h"
-#include "sim/clock.h"
 
 namespace wearlock::protocol {
 
@@ -24,16 +23,14 @@ class WatchController {
 
   /// Phase 2 response. When `demodulate_locally`, the watch runs the
   /// shared demodulator itself (Config3 in the paper) and the report
-  /// carries bits; `host_compute_ms` returns the host-measured kernel
-  /// time so the caller can charge it to this device's profile. With
-  /// `want_soft_llrs` the local demod also ships per-bit LLRs for the
-  /// phone's chase combiner (resilient mode only - plain sessions skip
-  /// the extra soft pass).
+  /// carries bits; the caller charges that step to this device's
+  /// profile. With `want_soft_llrs` the same pass also ships per-bit
+  /// LLRs for the phone's chase combiner (resilient mode only - plain
+  /// sessions skip the soft demapper).
   Phase2Report MakePhase2Report(std::uint64_t session_id,
                                 audio::Samples recording,
                                 const Phase2Config& config,
                                 bool demodulate_locally,
-                                sim::Millis* host_compute_ms,
                                 bool want_soft_llrs = false) const;
 
   /// Reconfigure the shared modem for Phase 2 (plan arrives over the

@@ -5,24 +5,12 @@
 
 #include "obs/instrument.h"
 #include "obs/json.h"
+#include "sim/spec_number.h"
 
 namespace wearlock::sim {
 namespace {
 
-double ParseNumber(const std::string& entry, const std::string& text) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("AttackSpec: bad number in '" + entry + "'");
-  }
-  if (used != text.size()) {
-    throw std::invalid_argument("AttackSpec: trailing junk in '" + entry +
-                                "'");
-  }
-  return v;
-}
+constexpr char kGrammar[] = "AttackSpec";
 
 AttackKind KindFromName(const std::string& spec, const std::string& name) {
   if (name == "eavesdrop") return AttackKind::kEavesdrop;
@@ -87,7 +75,7 @@ AttackSpec AttackSpec::Parse(const std::string& spec) {
   out.kind = KindFromName(spec, head.substr(0, at));
   ApplyKindDefaults(out);
   if (at != std::string::npos) {
-    out.distance_m = ParseNumber(head, head.substr(at + 1));
+    out.distance_m = ParseSpecNumber(kGrammar, head, head.substr(at + 1));
     if (out.distance_m <= 0.0) {
       throw std::invalid_argument("AttackSpec: distance must be > 0 in '" +
                                   spec + "'");
@@ -107,19 +95,19 @@ AttackSpec AttackSpec::Parse(const std::string& spec) {
     const std::string key = entry.substr(0, eq);
     const std::string value = entry.substr(eq + 1);
     if (key == "gain") {
-      out.gain_db = ParseNumber(entry, value);
+      out.gain_db = ParseSpecNumber(kGrammar, entry, value);
       if (out.gain_db < -40.0 || out.gain_db > 80.0) {
         throw std::invalid_argument(
             "AttackSpec: gain out of [-40,80] dB in '" + entry + "'");
       }
     } else if (key == "delay") {
-      out.handling_delay_ms = ParseNumber(entry, value);
+      out.handling_delay_ms = ParseSpecNumber(kGrammar, entry, value);
       if (out.handling_delay_ms < 0.0) {
         throw std::invalid_argument("AttackSpec: negative delay in '" + entry +
                                     "'");
       }
     } else if (key == "level") {
-      out.level = ParseNumber(entry, value);
+      out.level = ParseSpecNumber(kGrammar, entry, value);
       if (out.level <= 0.0) {
         throw std::invalid_argument("AttackSpec: level must be > 0 in '" +
                                     entry + "'");

@@ -1,38 +1,11 @@
 #include "sim/device.h"
 
 #include <algorithm>
-#include <atomic>
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
+#include <chrono>
 #include <stdexcept>
 #include <vector>
 
 namespace wearlock::sim {
-namespace {
-
-std::atomic<double>& FixedHostTiming() {
-  // Seeded once from the environment so CLIs and ctest gates can arm
-  // deterministic timing without plumbing a flag through every layer.
-  static std::atomic<double> fixed_ms{[] {
-    const char* env = std::getenv("WEARLOCK_FIXED_HOST_MS");
-    if (env == nullptr) return -1.0;
-    double parsed = -1.0;
-    std::from_chars(env, env + std::strlen(env), parsed);
-    return parsed;
-  }()};
-  return fixed_ms;
-}
-
-}  // namespace
-
-void SetFixedHostTimingMs(double ms) {
-  FixedHostTiming().store(ms, std::memory_order_relaxed);
-}
-
-double FixedHostTimingMs() {
-  return FixedHostTiming().load(std::memory_order_relaxed);
-}
 
 DeviceProfile DeviceProfile::Nexus6() {
   // 2014 flagship (Snapdragon 805). Java DSP on it runs roughly an order
@@ -74,13 +47,6 @@ DeviceProfile DeviceProfile::Moto360() {
 
 Millis TimeHostMs(const std::function<void()>& work) {
   if (!work) throw std::invalid_argument("TimeHostMs: null workload");
-  const double fixed_ms = FixedHostTimingMs();
-  if (fixed_ms >= 0.0) {
-    // Deterministic-campaign mode: run the workload for its results
-    // but charge the fixed modeled cost instead of a measurement.
-    work();
-    return fixed_ms;
-  }
   const auto start = std::chrono::steady_clock::now();  // NOLINT(determinism)
   work();
   const auto end = std::chrono::steady_clock::now();  // NOLINT(determinism)

@@ -2,13 +2,14 @@
 //
 // The paper evaluates three Android devices: Nexus 6 (fast phone), Galaxy
 // Nexus (slow phone), and the Moto 360 smartwatch. We reproduce their
-// *relative* behaviour (Figs. 6, 10, 12) by timing the real C++ DSP
-// kernels on the host and scaling by a per-device slowdown factor
-// (Java/Dalvik on old mobile silicon vs. native code on a modern x86).
+// *relative* behaviour (Figs. 6, 10, 12) by scaling a host-equivalent
+// cost by a per-device slowdown factor (Java/Dalvik on old mobile silicon
+// vs. native code on a modern x86). Unlock sessions charge a fixed cost
+// per DSP step (protocol::kDspStepHostMs), so modeled time depends on the
+// seed only; the fig6, fig10 and table2 benches time the real kernels.
 // Energy is modeled as power x active time.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <string>
 
@@ -18,7 +19,7 @@ namespace wearlock::sim {
 
 struct DeviceProfile {
   std::string name;
-  /// Multiplier applied to host-measured kernel time to model this
+  /// Multiplier applied to a host-equivalent kernel cost to model this
   /// device's execution time (includes Java-vs-native overhead).
   double compute_scale = 1.0;
   /// Average power draw while computing (mW).
@@ -47,23 +48,10 @@ struct DeviceProfile {
   }
 };
 
-/// Wall-clock timing of a callable on the host, in milliseconds.
-/// Runs the workload once and returns the elapsed time - unless fixed
-/// host timing is armed (below), in which case the workload still runs
-/// but the fixed value is returned instead of a measurement.
+/// Wall-clock timing of a callable on the host, in milliseconds: runs
+/// the workload once and returns the elapsed time. A measurement, so it
+/// must never feed modeled time (the modeled-time lint rule).
 Millis TimeHostMs(const std::function<void()>& work);
-
-/// Fixed host timing: campaigns that must be byte-identical across
-/// thread counts (the fleet-telemetry determinism gate) cannot let
-/// measured kernel wall time leak into modeled timelines - under load
-/// the same seed would report different compute_ms. Arming this makes
-/// every TimeHostMs call report `ms` (>= 0); a negative value restores
-/// real measurement. Also armed by the WEARLOCK_FIXED_HOST_MS
-/// environment variable, read once at first use. Set before spawning
-/// campaign workers; flipping it mid-Map is a determinism bug.
-void SetFixedHostTimingMs(double ms);
-/// The armed fixed value, or a negative sentinel when measuring.
-double FixedHostTimingMs();
 
 /// Median of `reps` timed runs (robust against scheduler noise).
 Millis TimeHostMedianMs(const std::function<void()>& work, int reps);

@@ -5,26 +5,15 @@
 
 #include "obs/instrument.h"
 #include "obs/json.h"
+#include "sim/spec_number.h"
 
 namespace wearlock::sim {
 namespace {
 
-double ParseNumber(const std::string& entry, const std::string& text) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad number in '" + entry + "'");
-  }
-  if (used != text.size()) {
-    throw std::invalid_argument("FaultPlan: trailing junk in '" + entry + "'");
-  }
-  return v;
-}
+constexpr char kGrammar[] = "FaultPlan";
 
 double ParseProbability(const std::string& entry, const std::string& text) {
-  const double p = ParseNumber(entry, text);
+  const double p = ParseSpecNumber(kGrammar, entry, text);
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument("FaultPlan: probability out of [0,1] in '" +
                                 entry + "'");
@@ -69,7 +58,8 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
       std::string stage = entry.substr(5);
       const std::size_t colon = stage.find(':');
       if (colon != std::string::npos) {
-        plan.flap_down_ms = ParseNumber(entry, stage.substr(colon + 1));
+        plan.flap_down_ms =
+            ParseSpecNumber(kGrammar, entry, stage.substr(colon + 1));
         if (plan.flap_down_ms < 0.0) {
           throw std::invalid_argument("FaultPlan: negative outage in '" +
                                       entry + "'");
@@ -99,7 +89,8 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
       const std::size_t x = value.find('x');
       if (x != std::string::npos) {
         plan.delay_spike_p = ParseProbability(entry, value.substr(0, x));
-        plan.delay_spike_mult = ParseNumber(entry, value.substr(x + 1));
+        plan.delay_spike_mult =
+            ParseSpecNumber(kGrammar, entry, value.substr(x + 1));
         if (plan.delay_spike_mult < 1.0) {
           throw std::invalid_argument(
               "FaultPlan: spike multiplier must be >= 1 in '" + entry + "'");
@@ -108,14 +99,14 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
         plan.delay_spike_p = ParseProbability(entry, value);
       }
     } else if (key == "trunc") {
-      plan.recording_truncate_keep = ParseNumber(entry, value);
+      plan.recording_truncate_keep = ParseSpecNumber(kGrammar, entry, value);
       if (plan.recording_truncate_keep <= 0.0 ||
           plan.recording_truncate_keep > 1.0) {
         throw std::invalid_argument(
             "FaultPlan: trunc keep-fraction out of (0,1] in '" + entry + "'");
       }
     } else if (key == "clip") {
-      plan.recording_clip_level = ParseNumber(entry, value);
+      plan.recording_clip_level = ParseSpecNumber(kGrammar, entry, value);
       if (plan.recording_clip_level <= 0.0) {
         throw std::invalid_argument("FaultPlan: clip level must be > 0 in '" +
                                     entry + "'");

@@ -8,8 +8,8 @@
 //     inside the total deadline - no hangs, no undefined states;
 //   * no false unlocks: an unlock under impairments still means the
 //     token BER cleared the bound the adaptation chose;
-//   * the same seed replays the same channel trace and outcome
-//     bit-identically, at 1, 2 and 8 threads;
+//   * the same seed replays the same channel trace, outcome and
+//     timeline bit-identically, at 1, 2 and 8 threads;
 //   * the hardening earns its keep: pinned cells where the naive
 //     receiver loses the unlock and the hardened one wins it, for each
 //     headline impairment (>= 50 ppm SRO, a 1.4 m/s walker, 2-pair
@@ -18,13 +18,8 @@
 //     kChannelUnusable outcome (no keyguard strike) or a timeout,
 //     never a false accept;
 //   * the channel trace serializes as well-formed JSONL and matches
-//     the committed golden (timestamps normalized, same rationale as
-//     fault_matrix_test.cpp).
-//
-// Regenerate the golden after an intentional channel-model change with
-//   WEARLOCK_REGEN_CHANNEL_GOLDEN=1 ./tests/channel_matrix_test
-#include <cstdlib>
-#include <fstream>
+//     the committed golden byte for byte, timestamps included
+//     (golden_file.h says how to regenerate it).
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "audio/impairments.h"
+#include "golden_file.h"
 #include "json_check.h"
 #include "protocol/session.h"
 #include "sim/executor.h"
@@ -81,9 +77,9 @@ ScenarioConfig CellScenario(int cell) {
 }
 
 /// Everything about an impaired attempt that must be deterministic
-/// under a fixed seed. Virtual-time stamps are excluded: they include
-/// host-measured compute, which jitters; the *decisions* - channel
-/// event sequence, outcome, signal statistics, step order - must not.
+/// under a fixed seed: the decisions (channel event sequence, outcome,
+/// signal statistics, step order) and the modeled timeline (step
+/// stamps, phase timings).
 std::string CellFingerprint(const ScenarioConfig& config) {
   UnlockSession session(config);
   const UnlockReport report = session.Attempt();
@@ -93,9 +89,10 @@ std::string CellFingerprint(const ScenarioConfig& config) {
   fp << ToString(report.outcome) << "|" << report.unlocked << "|"
      << report.token_ber << "|" << report.required_ber << "|"
      << report.pilot_snr_db << "|" << report.preamble_score << "|"
-     << report.ambient_similarity << "|steps:";
+     << report.ambient_similarity << "|" << report.timings.total_ms()
+     << "|steps:";
   for (const auto& step : report.trace) {
-    fp << step.step << "=" << step.detail << ";";
+    fp << step.step << "@" << step.at_ms << "=" << step.detail << ";";
   }
   fp << "|channel:";
   const audio::ChannelImpairments* chan = session.scene().impairments();
@@ -125,8 +122,7 @@ TEST(ChannelMatrixTest, EveryCellTerminatesWithDefinedOutcome) {
     // protocol steps, so the last started step (one stage budget plus
     // audio slack, including MAC backoffs) may run past it - but never
     // unboundedly. It governs modeled protocol time, which excludes the
-    // host-measured compute the clock also carries (that scales with
-    // machine load).
+    // modeled compute the clock also carries.
     const ResilienceConfig& res = config.phone.resilience;
     EXPECT_LT(session.clock().now() - (report.timings.phase1_compute_ms +
                                        report.timings.phase2_compute_ms),
@@ -310,25 +306,6 @@ ScenarioConfig GoldenScenario() {
   return c;
 }
 
-/// Zero out the "at_ms" values: virtual time includes host-measured
-/// compute, so timestamps jitter while the event sequence must not.
-std::string NormalizeTraceTimestamps(const std::string& jsonl) {
-  std::string out;
-  std::size_t pos = 0;
-  const std::string key = "\"at_ms\":";
-  while (pos < jsonl.size()) {
-    const std::size_t hit = jsonl.find(key, pos);
-    if (hit == std::string::npos) {
-      out += jsonl.substr(pos);
-      break;
-    }
-    out += jsonl.substr(pos, hit - pos) + key + "0";
-    pos = hit + key.size();
-    while (pos < jsonl.size() && jsonl[pos] != ',' && jsonl[pos] != '}') ++pos;
-  }
-  return out;
-}
-
 TEST(ChannelMatrixTest, GoldenImpairedUnlockTrace) {
   UnlockSession session(GoldenScenario());
   const UnlockReport report = session.Attempt();
@@ -339,7 +316,6 @@ TEST(ChannelMatrixTest, GoldenImpairedUnlockTrace) {
       audio::ChannelTraceJsonl(session.scene().impairments()->events());
   EXPECT_FALSE(raw.empty()) << "golden scenario must record channel events";
 
-  // Well-formed JSONL before any normalization.
   {
     std::istringstream lines(raw);
     std::string line;
@@ -348,24 +324,7 @@ TEST(ChannelMatrixTest, GoldenImpairedUnlockTrace) {
       EXPECT_TRUE(checker.Check(line)) << checker.error() << " in: " << line;
     }
   }
-
-  const std::string normalized = NormalizeTraceTimestamps(raw);
-  const std::string golden_path =
-      std::string(WEARLOCK_CHANNEL_GOLDEN_DIR) + "/impaired_unlock_trace.jsonl";
-  if (std::getenv("WEARLOCK_REGEN_CHANNEL_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << normalized;
-    GTEST_SKIP() << "regenerated " << golden_path;
-  }
-  std::ifstream in(golden_path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden_path
-                         << " (regen with WEARLOCK_REGEN_CHANNEL_GOLDEN=1)";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(normalized, golden.str())
-      << "channel trace drifted from the committed golden; if the change "
-         "is intentional, regen with WEARLOCK_REGEN_CHANNEL_GOLDEN=1";
+  testing::ExpectMatchesGolden(raw, "impaired_unlock_trace.jsonl");
 }
 
 // --- ImpairmentPlan grammar ------------------------------------------
@@ -404,6 +363,13 @@ TEST(ImpairmentPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(ImpairmentPlan::Parse("pairs=-1"), std::invalid_argument);
   EXPECT_THROW(ImpairmentPlan::Parse("sro=50,unknown=1"),
                std::invalid_argument);
+  // Non-finite values would slip past every range check.
+  EXPECT_THROW(ImpairmentPlan::Parse("sro=nan"), std::invalid_argument);
+  EXPECT_THROW(ImpairmentPlan::Parse("doppler=nan"), std::invalid_argument);
+  EXPECT_THROW(ImpairmentPlan::Parse("reverb=inf"), std::invalid_argument);
+  EXPECT_THROW(ImpairmentPlan::Parse("burst=nanx3"), std::invalid_argument);
+  EXPECT_THROW(ImpairmentPlan::Parse("burst=0.5xinf"), std::invalid_argument);
+  EXPECT_THROW(ImpairmentPlan::Parse("pairs=nan"), std::invalid_argument);
 }
 
 // --- Tg-vs-reverberation guard (scene build validation) --------------

@@ -1,8 +1,7 @@
 # CLI golden replays: each committed golden trace must be reproducible
 # from the command line with one seed (the repro path for a red matrix
 # cell). Every run must exit 0 - for the relay run, the defense held -
-# and match its golden once "at_ms" values are masked (virtual time
-# includes host-measured compute; the event sequence must not move).
+# and match its golden byte for byte, "at_ms" timestamps included.
 #
 #   cmake -DUNLOCK_CLI=<wearlock_unlock_cli> -DGOLDEN_DIR=<tests/golden>
 #         -DWORK_DIR=<dir> -P cli_golden_replay.cmake
@@ -14,15 +13,11 @@ function(replay name golden trace_flag)
     message(SEND_ERROR "${name} replay exited ${rc}")
     return()
   endif()
-  file(READ ${trace} content)
-  string(REGEX REPLACE "\"at_ms\":[0-9.eE+-]*" "\"at_ms\":0" content
-         "${content}")
-  file(WRITE ${trace}.masked "${content}")
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${trace}.masked
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${trace}
                           ${GOLDEN_DIR}/${golden}
                   RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(SEND_ERROR "${trace}.masked differs from ${GOLDEN_DIR}/${golden}")
+    message(SEND_ERROR "${trace} differs from ${GOLDEN_DIR}/${golden}")
   endif()
 endfunction()
 

@@ -22,6 +22,19 @@ expect_usage_error(${FLEET} --sessions 3 --faults "drop=2"
                    --out ${WORK_DIR}/never.json)
 expect_usage_error(${FLEET} --sessions 3 --attacks "|relay@abc"
                    --out ${WORK_DIR}/never.json)
+# Non-finite spec values, which would slip past every range check.
+expect_usage_error(${UNLOCK_CLI} --impairments sro=nan)
+expect_usage_error(${UNLOCK_CLI} --attack relay@nan)
+expect_usage_error(${UNLOCK_CLI} --faults clip=inf)
+expect_usage_error(${FLEET} --sessions 3 --impairments "|doppler=nan"
+                   --out ${WORK_DIR}/never.json)
+expect_usage_error(${FLEET} --sessions 3 --attacks "|relay:delay=inf"
+                   --out ${WORK_DIR}/never.json)
+expect_usage_error(${FLEET} --sessions 3 --faults "|drop=nan"
+                   --out ${WORK_DIR}/never.json)
+# Contending pairs are the pairs=N impairment; there is no --pairs flag.
+expect_usage_error(${FLEET} --sessions 3 --pairs 2
+                   --out ${WORK_DIR}/never.json)
 # Malformed or out-of-range scalar values.
 expect_usage_error(${UNLOCK_CLI} --distance 0.4m)
 expect_usage_error(${UNLOCK_CLI} --distance 0.05)

@@ -32,10 +32,8 @@ using protocol::UnlockSession;
 constexpr int kSessions = 6;
 
 /// One full unlock attempt on its own session; returns a fingerprint
-/// of everything that must be deterministic under a fixed seed. Phase
-/// timings are deliberately excluded: virtual time advances by
-/// host-measured compute (see obs/trace.h), so durations jitter while
-/// outcomes, signal statistics and span structure must not.
+/// of everything that must be deterministic under a fixed seed:
+/// outcome, signal statistics, modeled latency and span structure.
 std::string AttemptFingerprint(std::uint64_t seed) {
   ScenarioConfig config;
   config.seed = seed;
@@ -45,8 +43,8 @@ std::string AttemptFingerprint(std::uint64_t seed) {
   std::ostringstream fp;
   fp << static_cast<int>(report.outcome) << "|" << report.unlocked << "|"
      << report.token_ber << "|" << report.pilot_snr_db << "|"
-     << report.preamble_score << "|" << report.ambient_similarity
-     << "|spans:";
+     << report.preamble_score << "|" << report.ambient_similarity << "|"
+     << report.timings.total_ms() << "|spans:";
   for (const auto& span : session.tracer().spans()) fp << span.name << ",";
   return fp.str();
 }

@@ -137,10 +137,12 @@ TEST(Coding, SoftDemodulationEndToEnd) {
   const auto coded = modem::Encode(modem::CodeScheme::kHamming74, payload);
   const auto tx = modem.Modulate(modem::Modulation::kQpsk, coded);
   const auto rx = channel.Transmit(tx.samples, 0.4);
-  const auto llrs =
-      modem.DemodulateSoft(rx.recording, modem::Modulation::kQpsk, coded.size());
-  ASSERT_TRUE(llrs.has_value());
-  const auto decoded = modem::DecodeSoft(modem::CodeScheme::kHamming74, *llrs);
+  const auto demod = modem.Demodulate(rx.recording, modem::Modulation::kQpsk,
+                                     coded.size(), /*with_llrs=*/true);
+  ASSERT_TRUE(demod.has_value());
+  ASSERT_EQ(demod->llrs.size(), coded.size());
+  const auto decoded =
+      modem::DecodeSoft(modem::CodeScheme::kHamming74, demod->llrs);
   ASSERT_GE(decoded.size(), payload.size());
   for (std::size_t i = 0; i < payload.size(); ++i) {
     EXPECT_EQ(decoded[i], payload[i]) << i;

@@ -8,26 +8,20 @@
 //     inside the total deadline - no hangs, no undefined states;
 //   * no false unlocks: an unlock under faults still means the token
 //     BER cleared the required bound;
-//   * the same seed replays the same fault sequence and the same
-//     outcome bit-identically, on 1 thread and on 8;
+//   * the same seed replays the same fault sequence, outcome and
+//     timeline bit-identically, on 1 thread and on 8;
 //   * chase combining demonstrably rescues a marginal-SNR cell that
 //     single-shot Phase 2 loses;
 //   * the fault trace serializes as well-formed JSONL and matches the
-//     committed golden (timestamps normalized: virtual time includes
-//     host-measured compute, so at_ms jitters while the fault
-//     sequence itself must not - same rationale as
-//     concurrency_stress_test.cpp excluding phase timings).
-//
-// Regenerate the golden after an intentional fault-model change with
-//   WEARLOCK_REGEN_FAULT_GOLDEN=1 ./tests/fault_matrix_test
-#include <cstdlib>
-#include <fstream>
+//     committed golden byte for byte, timestamps included (golden_file.h
+//     says how to regenerate it).
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden_file.h"
 #include "json_check.h"
 #include "modem/coding.h"
 #include "protocol/session.h"
@@ -77,9 +71,9 @@ ScenarioConfig CellScenario(int cell) {
 }
 
 /// Everything about a faulted attempt that must be deterministic under
-/// a fixed seed. Virtual-time stamps (and durations) are excluded:
-/// they include host-measured compute, which jitters; the *decisions*
-/// - fault sequence, outcome, signal statistics, step order - must not.
+/// a fixed seed: the decisions (fault sequence, outcome, signal
+/// statistics, step order) and the modeled timeline (step stamps, phase
+/// timings), which is a function of the seed too.
 std::string CellFingerprint(const ScenarioConfig& config) {
   UnlockSession session(config);
   const UnlockReport report = session.Attempt();
@@ -89,9 +83,10 @@ std::string CellFingerprint(const ScenarioConfig& config) {
   fp << ToString(report.outcome) << "|" << report.unlocked << "|"
      << report.token_ber << "|" << report.required_ber << "|"
      << report.pilot_snr_db << "|" << report.preamble_score << "|"
-     << report.ambient_similarity << "|steps:";
+     << report.ambient_similarity << "|" << report.timings.total_ms()
+     << "|steps:";
   for (const auto& step : report.trace) {
-    fp << step.step << "=" << step.detail << ";";
+    fp << step.step << "@" << step.at_ms << "=" << step.detail << ";";
   }
   fp << "|spans:";
   for (const auto& span : session.tracer().spans()) fp << span.name << ",";
@@ -122,8 +117,8 @@ TEST(FaultMatrixTest, EveryCellTerminatesWithDefinedOutcome) {
     // Terminates inside the budget. The deadline gates the *start* of
     // protocol steps, so the last started step (one stage budget, plus
     // audio slack) may run past it - but never unboundedly. It governs
-    // modeled protocol time, which excludes the host-measured compute
-    // the clock also carries (that scales with machine load).
+    // modeled protocol time, which excludes the modeled compute the
+    // clock also carries.
     const ResilienceConfig& res = config.phone.resilience;
     EXPECT_LT(session.clock().now() - (report.timings.phase1_compute_ms +
                                        report.timings.phase2_compute_ms),
@@ -193,25 +188,6 @@ ScenarioConfig GoldenScenario() {
   return c;
 }
 
-/// Zero out the "at_ms" values: virtual time includes host-measured
-/// compute, so timestamps jitter while the event sequence must not.
-std::string NormalizeTraceTimestamps(const std::string& jsonl) {
-  std::string out;
-  std::size_t pos = 0;
-  const std::string key = "\"at_ms\":";
-  while (pos < jsonl.size()) {
-    const std::size_t hit = jsonl.find(key, pos);
-    if (hit == std::string::npos) {
-      out += jsonl.substr(pos);
-      break;
-    }
-    out += jsonl.substr(pos, hit - pos) + key + "0";
-    pos = hit + key.size();
-    while (pos < jsonl.size() && jsonl[pos] != ',' && jsonl[pos] != '}') ++pos;
-  }
-  return out;
-}
-
 TEST(FaultMatrixTest, GoldenFaultedUnlockTrace) {
   UnlockSession session(GoldenScenario());
   const UnlockReport report = session.Attempt();
@@ -221,7 +197,6 @@ TEST(FaultMatrixTest, GoldenFaultedUnlockTrace) {
   const std::string raw = sim::FaultTraceJsonl(session.faults()->events());
   EXPECT_FALSE(raw.empty()) << "golden scenario must actually inject faults";
 
-  // Well-formed JSONL before any normalization.
   {
     std::istringstream lines(raw);
     std::string line;
@@ -230,24 +205,7 @@ TEST(FaultMatrixTest, GoldenFaultedUnlockTrace) {
       EXPECT_TRUE(checker.Check(line)) << checker.error() << " in: " << line;
     }
   }
-
-  const std::string normalized = NormalizeTraceTimestamps(raw);
-  const std::string golden_path =
-      std::string(WEARLOCK_FAULT_GOLDEN_DIR) + "/faulted_unlock_trace.jsonl";
-  if (std::getenv("WEARLOCK_REGEN_FAULT_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << normalized;
-    GTEST_SKIP() << "regenerated " << golden_path;
-  }
-  std::ifstream in(golden_path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden_path
-                         << " (regen with WEARLOCK_REGEN_FAULT_GOLDEN=1)";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(normalized, golden.str())
-      << "fault trace drifted from the committed golden; if the change "
-         "is intentional, regen with WEARLOCK_REGEN_FAULT_GOLDEN=1";
+  testing::ExpectMatchesGolden(raw, "faulted_unlock_trace.jsonl");
 }
 
 // --- Chase combining rescues a marginal-SNR cell ---------------------
@@ -436,6 +394,11 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(sim::FaultPlan::Parse("flap@"), std::invalid_argument);
   EXPECT_THROW(sim::FaultPlan::Parse("clip=-1"), std::invalid_argument);
   EXPECT_THROW(sim::FaultPlan::Parse("drop=abc"), std::invalid_argument);
+  // Non-finite values would slip past every range check.
+  EXPECT_THROW(sim::FaultPlan::Parse("drop=nan"), std::invalid_argument);
+  EXPECT_THROW(sim::FaultPlan::Parse("clip=inf"), std::invalid_argument);
+  EXPECT_THROW(sim::FaultPlan::Parse("flap@rts:inf"), std::invalid_argument);
+  EXPECT_THROW(sim::FaultPlan::Parse("spike=0.5xnan"), std::invalid_argument);
 }
 
 TEST(SoftCombinerTest, SumsLlrsAndDecidesOnTheSum) {

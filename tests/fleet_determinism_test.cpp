@@ -1,23 +1,19 @@
 // Fleet campaign engine determinism (protocol/fleet.h): a campaign's
 // rollup is a pure function of its spec - never of the thread count,
-// the shard size, or the order shard sinks merge. Fixed host timing is
-// armed so modeled compute times cannot absorb scheduler noise, which
-// makes the gate a byte-diff (the same discipline as the
-// telemetry_golden_replay test).
-//
-// Regenerate the golden after an intentional protocol/model change with
-//   WEARLOCK_REGEN_FLEET_GOLDEN=1 ./tests/fleet_determinism_test
+// the shard size, or the order shard sinks merge. Modeled compute is a
+// function of the seed too, so the gate is a byte-diff (the same
+// discipline as the telemetry_golden_replay test). Each case runs as
+// its own ctest test, so `ctest -j` spreads them; golden_file.h says
+// how to regenerate the committed rollup.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_file.h"
 #include "protocol/fleet.h"
-#include "sim/device.h"
 
 namespace wearlock {
 namespace {
@@ -51,13 +47,7 @@ std::string RollupBytes(const CampaignResult& result) {
   return os.str();
 }
 
-class FleetDeterminismTest : public ::testing::Test {
- protected:
-  void SetUp() override { sim::SetFixedHostTimingMs(1.25); }
-  void TearDown() override { sim::SetFixedHostTimingMs(-1.0); }
-};
-
-TEST_F(FleetDeterminismTest, PlanSessionIsAPureFunctionOfTheIndex) {
+TEST(FleetDeterminismTest, PlanSessionIsAPureFunctionOfTheIndex) {
   const CampaignSpec spec = MiniSpec();
   ASSERT_EQ(spec.CellCount(), 48u);
 
@@ -91,7 +81,7 @@ TEST_F(FleetDeterminismTest, PlanSessionIsAPureFunctionOfTheIndex) {
   }
 }
 
-TEST_F(FleetDeterminismTest, RollupBytesIdenticalAcrossThreadCounts) {
+TEST(FleetDeterminismTest, RollupBytesIdenticalAcrossThreadCounts) {
   const CampaignSpec spec = MiniSpec();
   const CampaignResult serial = RunCampaign(spec, 1);
   EXPECT_EQ(serial.sessions, spec.sessions);
@@ -108,7 +98,7 @@ TEST_F(FleetDeterminismTest, RollupBytesIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(FleetDeterminismTest, EveryCohortCountsEachOfItsSessionsOnce) {
+TEST(FleetDeterminismTest, EveryCohortCountsEachOfItsSessionsOnce) {
   const CampaignSpec spec = MiniSpec();
   const CampaignResult result = RunCampaign(spec, 2);
   std::uint64_t genuine = 0;
@@ -126,7 +116,7 @@ TEST_F(FleetDeterminismTest, EveryCohortCountsEachOfItsSessionsOnce) {
   EXPECT_GT(impostor, 0u);  // impostor cadence plus the attacked cells
 }
 
-TEST_F(FleetDeterminismTest, RollupBytesIdenticalAcrossShardSizes) {
+TEST(FleetDeterminismTest, RollupBytesIdenticalAcrossShardSizes) {
   // Shard boundaries only decide which queue multiplexes a session,
   // never what the session does - including the ragged-final-shard and
   // one-session-per-shard extremes.
@@ -139,7 +129,7 @@ TEST_F(FleetDeterminismTest, RollupBytesIdenticalAcrossShardSizes) {
   }
 }
 
-TEST_F(FleetDeterminismTest, ShardMergeOrderIsIrrelevant) {
+TEST(FleetDeterminismTest, ShardMergeOrderIsIrrelevant) {
   const CampaignSpec spec = MiniSpec();
   const std::vector<ShardRange> shards =
       MakeShards(spec.sessions, spec.sessions_per_shard);
@@ -160,24 +150,9 @@ TEST_F(FleetDeterminismTest, ShardMergeOrderIsIrrelevant) {
   EXPECT_EQ(RollupBytes(forward), RollupBytes(RunCampaign(spec, 1)));
 }
 
-TEST_F(FleetDeterminismTest, MatchesCommittedGoldenRollup) {
-  const std::string bytes = RollupBytes(RunCampaign(MiniSpec(), 2));
-  const std::string golden_path =
-      std::string(WEARLOCK_FLEET_GOLDEN_DIR) + "/fleet_rollup.json";
-  if (std::getenv("WEARLOCK_REGEN_FLEET_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << bytes;
-    GTEST_SKIP() << "regenerated " << golden_path;
-  }
-  std::ifstream in(golden_path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden_path
-                         << " (regen with WEARLOCK_REGEN_FLEET_GOLDEN=1)";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(bytes, golden.str())
-      << "campaign rollup drifted from the committed golden; if the "
-         "change is intentional, regen with WEARLOCK_REGEN_FLEET_GOLDEN=1";
+TEST(FleetDeterminismTest, MatchesCommittedGoldenRollup) {
+  testing::ExpectMatchesGolden(RollupBytes(RunCampaign(MiniSpec(), 2)),
+                               "fleet_rollup.json");
 }
 
 }  // namespace

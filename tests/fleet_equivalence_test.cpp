@@ -82,19 +82,19 @@ ScenarioConfig CellScenario(int cell) {
 }
 
 /// Everything about an attempt that must not depend on which queue the
-/// machine ran on. Virtual-time stamps are excluded (they include
-/// host-measured compute, which jitters run to run); the decisions -
-/// outcome, signal statistics, step order, span order, fault sequence -
-/// must match byte for byte.
+/// machine ran on: the decisions (outcome, signal statistics, step
+/// order, span order, fault sequence) and the session's own modeled
+/// timeline (step stamps, phase timings) must match byte for byte.
 std::string Fingerprint(UnlockSession& session, const UnlockReport& report) {
   std::ostringstream fp;
   fp << std::hexfloat;
   fp << ToString(report.outcome) << "|" << report.unlocked << "|"
      << report.token_ber << "|" << report.required_ber << "|"
      << report.pilot_snr_db << "|" << report.preamble_score << "|"
-     << report.ambient_similarity << "|steps:";
+     << report.ambient_similarity << "|" << report.timings.total_ms()
+     << "|steps:";
   for (const auto& step : report.trace) {
-    fp << step.step << "=" << step.detail << ";";
+    fp << step.step << "@" << step.at_ms << "=" << step.detail << ";";
   }
   fp << "|spans:";
   for (const auto& span : session.tracer().spans()) fp << span.name << ",";

@@ -73,10 +73,8 @@ TEST(ObsIntegration, SpanTimesLieOnTheVirtualClock) {
 }
 
 TEST(ObsIntegration, SpanStructureIsDeterministicAcrossSameSeedSessions) {
-  // Span *durations* include host-measured compute scaled by the device
-  // profile, so timestamps jitter run to run; the structure - which
-  // spans fire, their order, nesting, and RNG-driven outcomes - must be
-  // identical for the same seed.
+  // The structure - which spans fire, their order, nesting, and
+  // RNG-driven outcomes - must be identical for the same seed.
   auto run = [] {
     UnlockSession session(NearbyQuiet());
     (void)session.Attempt();

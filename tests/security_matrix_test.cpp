@@ -11,25 +11,21 @@
 //     unlock or a live credential (token *recovery* at short range is
 //     expected physics - audible sound carries - and is pinned too:
 //     what protects the scheme is one-time semantics, not secrecy);
-//   * the same seed replays every cell bit-identically, on 1, 2 and 8
-//     executor threads;
+//   * the same seed replays every cell bit-identically, timeline
+//     included, on 1, 2 and 8 executor threads;
 //   * each defense layer demonstrably earns its keep: the relay that
 //     wins with distance bounding off is caught with it on, replays
 //     fall to whichever of the three layers they don't evade;
 //   * attack traces serialize as well-formed JSONL and match the
-//     committed goldens (timestamps normalized, same rationale as
-//     fault_matrix_test.cpp).
-//
-// Regenerate goldens after an intentional attack-model change with
-//   WEARLOCK_REGEN_ATTACK_GOLDEN=1 ./tests/security_matrix_test
-#include <cstdlib>
-#include <fstream>
+//     committed goldens byte for byte, timestamps included
+//     (golden_file.h says how to regenerate them).
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden_file.h"
 #include "json_check.h"
 #include "obs/rollup.h"
 #include "protocol/attack_agents.h"
@@ -37,7 +33,6 @@
 #include "protocol/fleet.h"
 #include "protocol/session.h"
 #include "sim/adversary.h"
-#include "sim/device.h"
 #include "sim/executor.h"
 
 namespace wearlock {
@@ -107,9 +102,9 @@ UnlockOutcome ExpectedOutcome(AttackKind kind) {
 }
 
 /// Everything about an attacked cell that must be deterministic under a
-/// fixed seed. Virtual-time stamps and phase timings are excluded (they
-/// include host-measured compute); the *decisions* - attack events,
-/// victim outcome, security verdicts, cohort key - must not move.
+/// fixed seed: the decisions (attack events, victim outcome, security
+/// verdicts, cohort key) and the victim's modeled timeline (step
+/// stamps, phase timings).
 std::string CellFingerprint(int cell) {
   const AttackReport r = RunAttackScenario(CellScenario(cell), CellSpec(cell));
   std::ostringstream fp;
@@ -119,34 +114,17 @@ std::string CellFingerprint(int cell) {
      << r.attacker_token_ber << "|"
      << (r.ranging_distance_m ? *r.ranging_distance_m : -1.0) << "|"
      << r.victim_report.token_ber << "|" << r.victim_report.pilot_snr_db
-     << "|events:";
+     << "|" << r.victim_report.timings.total_ms() << "|steps:";
+  for (const auto& step : r.victim_report.trace) {
+    fp << step.step << "@" << step.at_ms << ";";
+  }
+  fp << "|events:";
   for (const auto& e : r.events) {
     fp << ToString(e.kind) << "@" << e.stage << "=" << e.value << ";";
   }
   fp << "|cohorts:";
   for (const auto& rec : r.records) fp << obs::DefaultCohortKey(rec) << ";";
   return fp.str();
-}
-
-/// Zero out "at_ms" (virtual time includes host-measured compute, so
-/// timestamps jitter while the event sequence must not) - the same
-/// normalization tests/cli_golden_replay.cmake applies to the CLI's
-/// --attack-trace.
-std::string NormalizeTraceTimestamps(const std::string& jsonl) {
-  std::string out;
-  std::size_t pos = 0;
-  const std::string key = "\"at_ms\":";
-  while (pos < jsonl.size()) {
-    const std::size_t hit = jsonl.find(key, pos);
-    if (hit == std::string::npos) {
-      out += jsonl.substr(pos);
-      break;
-    }
-    out += jsonl.substr(pos, hit - pos) + key + "0";
-    pos = hit + key.size();
-    while (pos < jsonl.size() && jsonl[pos] != ',' && jsonl[pos] != '}') ++pos;
-  }
-  return out;
 }
 
 void ExpectWellFormedJsonl(const std::string& jsonl) {
@@ -235,29 +213,9 @@ TEST(SecurityMatrixTest, ByteIdenticalAcrossThreadCounts) {
 
 // --- Golden attack traces ---------------------------------------------
 
-void CompareOrRegenGolden(const std::string& normalized,
-                          const std::string& filename) {
-  const std::string golden_path =
-      std::string(WEARLOCK_SECURITY_GOLDEN_DIR) + "/" + filename;
-  if (std::getenv("WEARLOCK_REGEN_ATTACK_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << normalized;
-    GTEST_SKIP() << "regenerated " << golden_path;
-  }
-  std::ifstream in(golden_path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << golden_path
-                         << " (regen with WEARLOCK_REGEN_ATTACK_GOLDEN=1)";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(normalized, golden.str())
-      << "attack trace drifted from the committed golden; if the change "
-         "is intentional, regen with WEARLOCK_REGEN_ATTACK_GOLDEN=1";
-}
-
 /// The whole matrix's attack traces, one cell-header line followed by
-/// that cell's (normalized) attack events - the seed-pinned record of
-/// what every attacker did and when the defense cut it off.
+/// that cell's attack events - the seed-pinned record of what every
+/// attacker did and when the defense cut it off.
 TEST(SecurityMatrixTest, GoldenAttackTraces) {
   std::string all;
   for (int cell = 0; cell < kNumCells; ++cell) {
@@ -269,8 +227,7 @@ TEST(SecurityMatrixTest, GoldenAttackTraces) {
     all += sim::AttackTraceJsonl(r.events);
   }
   ExpectWellFormedJsonl(all);
-  CompareOrRegenGolden(NormalizeTraceTimestamps(all),
-                       "security_attack_traces.jsonl");
+  testing::ExpectMatchesGolden(all, "security_attack_traces.jsonl");
 }
 
 /// Exactly the scenario `wearlock_unlock_cli --attack <relay spec>`
@@ -292,8 +249,7 @@ TEST(SecurityMatrixTest, GoldenRelayCliTrace) {
   const std::string raw = sim::AttackTraceJsonl(r.events);
   EXPECT_FALSE(raw.empty());
   ExpectWellFormedJsonl(raw);
-  CompareOrRegenGolden(NormalizeTraceTimestamps(raw),
-                       "relay_attack_trace.jsonl");
+  testing::ExpectMatchesGolden(raw, "relay_attack_trace.jsonl");
 }
 
 // --- Each defense layer earns its keep --------------------------------
@@ -372,12 +328,7 @@ TEST(ReplayDefenseTest, TapeOfAFailedAttemptIsRetiredByTheNextMint) {
   spec.attack_specs = {"", "replay@0.5"};
   const protocol::SessionPlan plan = protocol::PlanSession(spec, 195);
   ASSERT_EQ(plan.attack.kind, AttackKind::kReplay);
-  // Campaign timing, as `wearlock_fleet` runs under
-  // WEARLOCK_FIXED_HOST_MS=1.25.
-  const double previous_timing = sim::FixedHostTimingMs();
-  sim::SetFixedHostTimingMs(1.25);
   const AttackReport r = RunAttackScenario(plan.scenario, plan.attack);
-  sim::SetFixedHostTimingMs(previous_timing);
   bool replayed = false;
   for (const auto& e : r.events) replayed = replayed || e.stage == "replay";
   ASSERT_TRUE(replayed) << "the tap must capture the victim's attempt";
@@ -575,6 +526,12 @@ TEST(AttackSpecTest, RejectsMalformedSpecs) {
   EXPECT_THROW(AttackSpec::Parse("eavesdrop:wat=1"), std::invalid_argument);
   EXPECT_THROW(AttackSpec::Parse("eavesdrop:"), std::invalid_argument);
   EXPECT_THROW(AttackSpec::Parse("eavesdrop:gain"), std::invalid_argument);
+  // Non-finite values would slip past every range check.
+  EXPECT_THROW(AttackSpec::Parse("relay@nan"), std::invalid_argument);
+  EXPECT_THROW(AttackSpec::Parse("eavesdrop@inf"), std::invalid_argument);
+  EXPECT_THROW(AttackSpec::Parse("relay:delay=inf"), std::invalid_argument);
+  EXPECT_THROW(AttackSpec::Parse("probe:level=nan"), std::invalid_argument);
+  EXPECT_THROW(AttackSpec::Parse("eavesdrop:gain=nan"), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
 # Telemetry golden replay: a seeded 200-session campaign through the
 # fleet engine must roll up to tests/golden/telemetry_rollup.json byte for
-# byte, at --threads 1 and at --threads 8. Fixed host timing is armed so
-# modeled compute times cannot absorb scheduler noise; wearlock_telemetry
-# --rollup re-serializes the document (adding its trailing newline).
+# byte, at --threads 1 and at --threads 8. wearlock_telemetry --rollup
+# re-serializes the document (adding its trailing newline).
 #
 #   cmake -DFLEET=<wearlock_fleet> -DTELEMETRY=<wearlock_telemetry>
 #         -DGOLDEN=<telemetry_rollup.json> -DWORK_DIR=<dir>
 #         -P telemetry_replay.cmake
-set(ENV{WEARLOCK_FIXED_HOST_MS} 1.25)
 foreach(threads 1 8)
   set(raw ${WORK_DIR}/telemetry-replay-t${threads}.raw.json)
   set(rollup ${WORK_DIR}/telemetry-replay-t${threads}.json)

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Local CI: the checks a PR must pass. Tier-1 (ctest) carries the
-# correctness contract - goldens, CLI golden replays, --threads 1-vs-8
-# stdout diffs, fleet and telemetry rollups, and the wearlock-lint gate
-# (build/lint.sarif, its 10s budget as the test TIMEOUT, and its
-# --threads 1 vs 8 byte-identity); this script adds the rest:
+# correctness contract - goldens (trace timestamps included), CLI golden
+# replays, --threads 1-vs-8 stdout diffs, fleet and telemetry rollups,
+# and the wearlock-lint gate (build/lint.sarif, its 10s budget as the
+# test TIMEOUT, and its --threads 1 vs 8 byte-identity). Modeled time is
+# a function of the seed alone, so no step pins host timing. This
+# script adds the rest:
 #   1. plain build (warnings-as-errors) + full ctest
 #   2. bench report: fig5 --json at 1 and 8 threads collected into
 #      BENCH_dsp_core.json; the serial run is also the zero-allocation
@@ -79,7 +81,7 @@ banner "contention campaign: rollup byte-identity across threads + shards"
 # 2-pair-contended cells. The rollup is a pure function of the spec -
 # never of the thread count or shard layout.
 run_contention() {  # $1 = thread count, $2 = shard size, $3 = out json
-  WEARLOCK_FIXED_HOST_MS=1.25 build/tools/wearlock_fleet \
+  build/tools/wearlock_fleet \
       --sessions 10080 --seed 424242 --threads "$1" --shard-size "$2" \
       --impairments '|sro=50|pairs=2' --out "$3"
 }
@@ -100,8 +102,7 @@ channel_bench_min3() {  # $1 = thread count, $2 = output json
   local best_ms="" best_file="" f ms
   for round in 1 2 3; do
     f="build/channel-bench-t$1-r$round.json"
-    WEARLOCK_FIXED_HOST_MS=1.25 build/bench/channel_sweep --quick \
-        --threads "$1" --json "$f" >/dev/null
+    build/bench/channel_sweep --quick --threads "$1" --json "$f" >/dev/null
     ms=$(sed -n 's/.*"wall_ms":\([0-9.]*\).*/\1/p' "$f")
     if [[ -z "$best_ms" ]] || \
         awk -v a="$ms" -v b="$best_ms" 'BEGIN { exit !(a < b) }'; then
@@ -158,7 +159,6 @@ for san in "${SANITIZERS[@]}"; do
     # The fleet multiplexer: shards fanned across 8 real workers, each
     # draining its own event queue of interleaved sessions.
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
-        WEARLOCK_FIXED_HOST_MS=1.25 \
         "build-$san/tests/fleet_determinism_test"
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/bench/fig7_ber_distance" --quick >/dev/null

@@ -8,8 +8,8 @@
 //                  [--configs 1,2,3] [--envs quiet,office]
 //                  [--distances 0.3,0.6] [--impostor-every N]
 //                  [--faults SPEC|SPEC...] [--attacks SPEC|SPEC...]
-//                  [--impairments SPEC|SPEC...] [--pairs N]
-//                  [--shard-size N] [--out rollup.json] [--summary]
+//                  [--impairments SPEC|SPEC...] [--shard-size N]
+//                  [--out rollup.json] [--summary]
 //
 // Every session's scenario and seed derive from the global session
 // index before sharding, so the rollup bytes are identical at any
@@ -19,8 +19,8 @@
 // an empty element means "none", and cells cross-product over every
 // element. Every element is validated up front, as is every distance
 // (none inside the propagation model's reference distance): a malformed
-// or out-of-range value exits 2 with a usage message. --pairs N adds N
-// contending WearLock pairs to every impaired cell (docs/channels.md).
+// or out-of-range value exits 2 with a usage message. Contending
+// WearLock pairs are an impairment, `pairs=N` (docs/channels.md).
 //
 // --out writes the rollup document ("-" or unset = stdout). --summary
 // prints per-cohort unlock/false-accept Wilson CIs and campaign
@@ -58,7 +58,7 @@ int Usage() {
       "                      [--envs quiet,office] [--distances 0.3,0.6]\n"
       "                      [--impostor-every N] [--faults SPEC|SPEC...]\n"
       "                      [--attacks SPEC|SPEC...]\n"
-      "                      [--impairments SPEC|SPEC...] [--pairs N]\n"
+      "                      [--impairments SPEC|SPEC...]\n"
       "                      [--shard-size N] [--out rollup.json]\n"
       "                      [--summary]\n");
   return 2;
@@ -158,9 +158,6 @@ int main(int argc, char** argv) {
       spec.attack_specs = Split(next(), '|');
     } else if (arg == "--impairments") {
       spec.impairment_specs = Split(next(), '|');
-    } else if (arg == "--pairs") {
-      if (!ParseU64(next(), &u) || u > 64) return Usage();
-      spec.contention_pairs = static_cast<int>(u);
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--summary") {
