@@ -15,6 +15,7 @@
 #include "audio/medium.h"
 #include "bench_util.h"
 #include "dsp/fft.h"
+#include "dsp/workspace.h"
 #include "modem/demodulator.h"
 #include "modem/equalizer.h"
 #include "modem/modem.h"
@@ -44,6 +45,8 @@ double MeasureBer(EqMode eq_mode, int rounds, sim::Rng& rng) {
   std::sort(data_bins.begin(), data_bins.end());
   std::vector<std::size_t> pilots = spec.plan.pilots;
   std::sort(pilots.begin(), pilots.end());
+  const modem::PilotGeometry geometry(spec);
+  dsp::Workspace& ws = dsp::Workspace::PerThread();
 
   std::size_t errors = 0, total = 0;
   for (int r = 0; r < rounds; ++r) {
@@ -77,13 +80,16 @@ double MeasureBer(EqMode eq_mode, int rounds, sim::Rng& rng) {
       audio::Samples body(rx.recording.begin() + body_start,
                           rx.recording.begin() + body_start +
                               static_cast<long>(spec.fft_size()));
-      const auto spectrum = modem::SymbolSpectrum(spec, body);
+      const auto spectrum = dsp::FftReal(body);
 
       std::vector<dsp::Complex> symbols;
       switch (eq_mode) {
         case EqMode::kFull: {
-          const auto est = modem::EstimateChannel(spec, spectrum);
-          symbols = modem::Equalize(est, spectrum, data_bins);
+          const modem::ChannelView est =
+              modem::EstimateChannelInto(geometry, spectrum, ws);
+          const auto equalized =
+              modem::EqualizeInto(est, spectrum, data_bins, ws);
+          symbols.assign(equalized.begin(), equalized.end());
           break;
         }
         case EqMode::kNearestPilot: {

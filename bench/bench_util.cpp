@@ -87,6 +87,14 @@ std::size_t ParseCount(const char* s) {
   return parsed;
 }
 
+[[noreturn]] void ExitWithUsage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--threads N] [--quick] [--seed S] [--json PATH]\n"
+               "  N is at most %zu\n",
+               argv0, sim::ParallelExecutor::kMaxThreads);
+  std::exit(2);
+}
+
 }  // namespace
 
 BenchOptions ParseBenchArgs(int argc, char** argv, std::uint64_t base_seed) {
@@ -98,17 +106,17 @@ BenchOptions ParseBenchArgs(int argc, char** argv, std::uint64_t base_seed) {
       options.quick = true;
     } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
       options.threads = ParseCount(argv[++i]);
+      if (options.threads > sim::ParallelExecutor::kMaxThreads) {
+        std::fprintf(stderr, "bench: too many threads '%s'\n", argv[i]);
+        ExitWithUsage(argv[0]);
+      }
     } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
       options.base_seed = ParseCount(argv[++i]);
     } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
       options.json_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "bench: unknown flag '%s'\n"
-                   "usage: %s [--threads N] [--quick] [--seed S] "
-                   "[--json PATH]\n",
-                   arg, argv[0]);
-      std::exit(2);
+      std::fprintf(stderr, "bench: unknown flag '%s'\n", arg);
+      ExitWithUsage(argv[0]);
     }
   }
   return options;

@@ -1,9 +1,5 @@
 #include "audio/medium.h"
 
-#include <cmath>
-
-#include "dsp/filter.h"
-#include "dsp/hilbert.h"
 #include "dsp/resample.h"
 #include "dsp/spl.h"
 
@@ -37,22 +33,12 @@ Reception AcousticChannel::Transmit(const Samples& signal, double volume) {
   // Doppler from receiver motion: uniform time compression/stretch.
   if (config_.radial_velocity_mps != 0.0) {
     const double rate = 1.0 + config_.radial_velocity_mps / kSpeedOfSound;
-    at_rx = wearlock::dsp::WarpTimeLinear(at_rx, 1.0 / rate);
+    at_rx = wearlock::dsp::WarpTimeSinc(at_rx, 1.0 / rate);
   }
 
   // Receive-chain phase jitter (see ChannelConfig::phase_noise_rad).
-  if (config_.phase_noise_rad > 0.0 && !at_rx.empty()) {
-    Samples theta = rng_.GaussianVector(at_rx.size());
-    if (config_.phase_noise_bw_hz > 0.0 &&
-        config_.phase_noise_bw_hz < kSampleRate / 2.0) {
-      wearlock::dsp::Biquad lpf = wearlock::dsp::Biquad::LowPass(
-          config_.phase_noise_bw_hz, kSampleRate);
-      theta = lpf.ProcessBlock(theta);
-    }
-    const double rms = wearlock::dsp::Rms(theta);
-    if (rms > 0.0) Scale(theta, config_.phase_noise_rad / rms);
-    at_rx = wearlock::dsp::RotatePhase(at_rx, theta);
-  }
+  at_rx = ApplyPhaseJitter(std::move(at_rx), config_.phase_noise_rad,
+                           config_.phase_noise_bw_hz, rng_);
 
   // Assemble the receiver's pressure field: noise everywhere, signal
   // starting after the lead-in.
@@ -68,10 +54,6 @@ Reception AcousticChannel::Transmit(const Samples& signal, double volume) {
   r.spl_noise_at_rx = spl_noise;
   r.recording = config_.microphone.Capture(pressure);
   return r;
-}
-
-Samples AcousticChannel::RecordAmbient(std::size_t n) {
-  return config_.microphone.Capture(MakeNoise(n));
 }
 
 void AcousticChannel::SetJammer(std::optional<ToneJammer> jammer) {

@@ -62,9 +62,6 @@ class AcousticChannel {
   /// recording (lead-in noise + propagated signal + noise + lead-out).
   Reception Transmit(const Samples& signal, double volume);
 
-  /// Ambient-only recording of n samples (for probing / co-location).
-  Samples RecordAmbient(std::size_t n);
-
   /// Install (or clear) a tone jammer audible at the receiver.
   void SetJammer(std::optional<ToneJammer> jammer);
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "dsp/filter.h"
+#include "dsp/hilbert.h"
 #include "dsp/spl.h"
 
 namespace wearlock::audio {
@@ -156,6 +157,20 @@ Samples ToneJammer::Generate(std::size_t n) const {
   const double rms = wearlock::dsp::Rms(out);
   if (rms > 0.0) Scale(out, wearlock::dsp::RmsFromSpl(spl_db_) / rms);
   return out;
+}
+
+Samples ApplyPhaseJitter(Samples x, double rms_rad, double bandwidth_hz,
+                         sim::Rng& rng) {
+  if (rms_rad <= 0.0 || x.empty()) return x;
+  Samples theta = rng.GaussianVector(x.size());
+  if (bandwidth_hz > 0.0 && bandwidth_hz < kSampleRate / 2.0) {
+    wearlock::dsp::Biquad lpf =
+        wearlock::dsp::Biquad::LowPass(bandwidth_hz, kSampleRate);
+    theta = lpf.ProcessBlock(theta);
+  }
+  const double rms = wearlock::dsp::Rms(theta);
+  if (rms > 0.0) Scale(theta, rms_rad / rms);
+  return wearlock::dsp::RotatePhase(x, theta);
 }
 
 }  // namespace wearlock::audio

@@ -62,6 +62,15 @@ class NoiseSource {
   std::size_t samples_generated_ = 0;  // keeps tone phase continuous
 };
 
+/// Receive-chain phase jitter: rotates x's phase by a Gaussian process
+/// of RMS `rms_rad` radians, low-passed to `bandwidth_hz` when that is
+/// inside (0, Nyquist). Models ADC clock jitter / hand micro-Doppler:
+/// envelopes stay nearly intact while the phase dimension is corrupted.
+/// Draws x.size() Gaussians from `rng` unless rms_rad <= 0 or x is
+/// empty, in which case x is returned unchanged.
+Samples ApplyPhaseJitter(Samples x, double rms_rad, double bandwidth_hz,
+                         sim::Rng& rng);
+
 /// Up to `kMaxTones` sine tones, each aimed at the centre frequency of an
 /// OFDM sub-channel (bin index at a given FFT size / sample rate).
 class ToneJammer {

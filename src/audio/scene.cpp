@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "dsp/filter.h"
-#include "dsp/hilbert.h"
 #include "dsp/spl.h"
 
 namespace wearlock::audio {
@@ -66,27 +64,14 @@ Samples TwoMicScene::MicNoise(std::size_t n, const MicrophoneModel& mic) {
   return rng_.GaussianVector(n, rms);
 }
 
-Samples TwoMicScene::ApplyPhaseJitter(Samples x) {
-  if (config_.phase_noise_rad <= 0.0 || x.empty()) return x;
-  Samples theta = rng_.GaussianVector(x.size());
-  if (config_.phase_noise_bw_hz > 0.0 &&
-      config_.phase_noise_bw_hz < kSampleRate / 2.0) {
-    wearlock::dsp::Biquad lpf =
-        wearlock::dsp::Biquad::LowPass(config_.phase_noise_bw_hz, kSampleRate);
-    theta = lpf.ProcessBlock(theta);
-  }
-  const double rms = wearlock::dsp::Rms(theta);
-  if (rms > 0.0) Scale(theta, config_.phase_noise_rad / rms);
-  return wearlock::dsp::RotatePhase(x, theta);
-}
-
 SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
                                               double volume) {
   const Samples emitted = config_.phone_speaker.Emit(signal, volume);
 
   // Watch side: propagate, jitter, then sit it in ambient noise.
-  Samples at_watch =
-      ApplyPhaseJitter(propagation_.Propagate(emitted, config_.distance_m));
+  Samples at_watch = ApplyPhaseJitter(
+      propagation_.Propagate(emitted, config_.distance_m),
+      config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
   if (impairments_) {
     // SRO/Doppler warp + room late field, as the watch's clock hears it.
     at_watch = impairments_->ApplyWatchPath(std::move(at_watch));
@@ -176,8 +161,9 @@ Samples TwoMicScene::RecordAtDistance(const Samples& signal, double volume,
                                       double gain_db) {
   const Samples emitted = config_.phone_speaker.Emit(signal, volume);
   PropagationModel prop(path);
-  Samples at_ear =
-      ApplyPhaseJitter(prop.Propagate(emitted, eavesdropper_distance_m));
+  Samples at_ear = ApplyPhaseJitter(
+      prop.Propagate(emitted, eavesdropper_distance_m),
+      config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
   if (gain_db != 0.0) Scale(at_ear, std::pow(10.0, gain_db / 20.0));
   const std::size_t total =
       config_.lead_in_samples + at_ear.size() + config_.lead_out_samples;

@@ -107,7 +107,6 @@ class TwoMicScene {
   Samples SharedAmbient(std::size_t n);
   Samples IndependentAmbient(std::size_t n);
   Samples MicNoise(std::size_t n, const MicrophoneModel& mic);
-  Samples ApplyPhaseJitter(Samples x);
 
   SceneConfig config_;
   PropagationModel propagation_;

@@ -108,16 +108,4 @@ PeakResult FindPeak(std::span<const double> scores) {
   return best;
 }
 
-double AutocorrelateAtLag(std::span<const double> x, std::size_t lag,
-                          std::size_t start, std::size_t count) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t a = start + i;
-    const std::size_t b = start + i + lag;
-    if (b >= x.size()) break;
-    acc += x[a] * x[b];
-  }
-  return acc;
-}
-
 }  // namespace wearlock::dsp

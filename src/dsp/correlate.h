@@ -57,9 +57,4 @@ struct PeakResult {
 /// Index and value of the maximum element. @throws if empty.
 PeakResult FindPeak(std::span<const double> scores);
 
-/// Autocorrelation of x at the given lag (un-normalized inner product of
-/// x[0..n-lag) with x[lag..n)). Used by the cyclic-prefix fine sync.
-double AutocorrelateAtLag(std::span<const double> x, std::size_t lag,
-                          std::size_t start, std::size_t count);
-
 }  // namespace wearlock::dsp

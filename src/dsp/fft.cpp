@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
 
@@ -32,22 +33,25 @@ ComplexVec Dft(const ComplexVec& x, bool inverse) {
   return out;
 }
 
-ComplexVec ForwardAnySize(const ComplexVec& x) {
-  if (IsPowerOfTwo(x.size())) {
-    ComplexVec copy = x;
-    PlanCache::Shared().Get(copy.size())->Forward(copy.data());
-    return copy;
+// In-place forward or inverse transform of any size: powers of two run
+// `plan` (resolved through the shared cache when null), other sizes the
+// direct DFT. `x` may be a workspace slot, so it keeps its buffer.
+void TransformAnySize(ComplexVec& x, bool inverse, const FftPlan* plan) {
+  if (!IsPowerOfTwo(x.size())) {
+    const ComplexVec out = Dft(x, inverse);
+    std::copy(out.begin(), out.end(), x.begin());
+    return;
   }
-  return Dft(x, /*inverse=*/false);
-}
-
-ComplexVec InverseAnySize(const ComplexVec& x) {
-  if (IsPowerOfTwo(x.size())) {
-    ComplexVec copy = x;
-    PlanCache::Shared().Get(copy.size())->Inverse(copy.data());
-    return copy;
+  std::shared_ptr<const FftPlan> cached;
+  if (plan == nullptr) {
+    cached = PlanCache::Shared().Get(x.size());
+    plan = cached.get();
   }
-  return Dft(x, /*inverse=*/true);
+  if (inverse) {
+    plan->Inverse(x.data());
+  } else {
+    plan->Forward(x.data());
+  }
 }
 
 void RequirePowerOfTwo(std::size_t n) {
@@ -96,61 +100,30 @@ RealVec IfftReal(ComplexVec spectrum) {
   return out;
 }
 
-ComplexVec FftInterpolate(const ComplexVec& points, std::size_t out_len) {
-  if (points.empty()) throw std::invalid_argument("FftInterpolate: empty input");
-  const std::size_t m = points.size();
-  if (out_len <= m) {
-    // Degenerate request: band-limited "interpolation" to fewer points is
-    // just resampling; handle by returning the inverse of a truncated
-    // spectrum so the call still behaves sensibly.
-    ComplexVec spec = ForwardAnySize(points);
-    spec.resize(out_len);
-    ComplexVec out = InverseAnySize(spec);
-    const double scale = static_cast<double>(out_len) / static_cast<double>(m);
-    for (Complex& c : out) c *= scale;
-    return out;
-  }
-  ComplexVec spec = ForwardAnySize(points);
-  // Zero-pad in the middle of the spectrum, splitting the Nyquist-adjacent
-  // region so low and high frequencies keep their places.
-  ComplexVec padded(out_len, Complex(0.0, 0.0));
-  const std::size_t half = (m + 1) / 2;  // low-frequency half (incl. DC)
-  for (std::size_t i = 0; i < half; ++i) padded[i] = spec[i];
-  for (std::size_t i = half; i < m; ++i) padded[out_len - m + i] = spec[i];
-  ComplexVec out = InverseAnySize(padded);
-  const double scale = static_cast<double>(out_len) / static_cast<double>(m);
-  for (Complex& c : out) c *= scale;
-  return out;
-}
-
 ComplexVec& FftInterpolateInto(const ComplexVec& points,
                                std::size_t out_len, Workspace& ws,
                                const FftPlan* fwd_plan,
                                const FftPlan* inv_plan) {
   const std::size_t m = points.size();
-  if (m == 0 || !IsPowerOfTwo(m) || !IsPowerOfTwo(out_len) || out_len <= m) {
-    // Cold shapes (and the degenerate/throwing cases) keep the legacy
-    // any-size semantics; only the result's storage changes.
-    ComplexVec& out = ws.ComplexBuf(CSlot::kInterpPadded, 0);
-    out = FftInterpolate(points, out_len);
-    return out;
-  }
+  if (m == 0) throw std::invalid_argument("FftInterpolateInto: empty input");
   ComplexVec& spec = ws.ComplexBuf(CSlot::kInterpSpec, m);
   std::copy(points.begin(), points.end(), spec.begin());
-  if (fwd_plan != nullptr) {
-    fwd_plan->Forward(spec.data());
-  } else {
-    PlanCache::Shared().Get(m)->Forward(spec.data());
-  }
+  TransformAnySize(spec, /*inverse=*/false, fwd_plan);
   ComplexVec& padded = ws.ComplexZeroed(CSlot::kInterpPadded, out_len);
-  const std::size_t half = (m + 1) / 2;  // low-frequency half (incl. DC)
-  for (std::size_t i = 0; i < half; ++i) padded[i] = spec[i];
-  for (std::size_t i = half; i < m; ++i) padded[out_len - m + i] = spec[i];
-  if (inv_plan != nullptr) {
-    inv_plan->Inverse(padded.data());
+  if (out_len >= m) {
+    // Zero-pad in the middle of the spectrum, splitting the
+    // Nyquist-adjacent region so low and high frequencies keep their
+    // places.
+    const std::size_t half = (m + 1) / 2;  // low-frequency half (incl. DC)
+    for (std::size_t i = 0; i < half; ++i) padded[i] = spec[i];
+    for (std::size_t i = half; i < m; ++i) padded[out_len - m + i] = spec[i];
   } else {
-    PlanCache::Shared().Get(out_len)->Inverse(padded.data());
+    // Degenerate request: band-limited "interpolation" to fewer points is
+    // resampling; keep the lowest out_len bins of the spectrum.
+    std::copy(spec.begin(), spec.begin() + static_cast<long>(out_len),
+              padded.begin());
   }
+  TransformAnySize(padded, /*inverse=*/true, inv_plan);
   const double scale = static_cast<double>(out_len) / static_cast<double>(m);
   for (Complex& c : padded) c *= scale;
   return padded;

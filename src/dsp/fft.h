@@ -43,19 +43,17 @@ RealVec IfftReal(ComplexVec spectrum);
 
 /// FFT-based interpolation: given `points` samples of a (conceptually
 /// periodic) sequence, produce `out_len` samples of the band-limited
-/// interpolant. Used to expand the pilot-tone channel estimate to cover
-/// data sub-channels (paper §III "FFT-based interpolation").
-/// Works for any sizes; internally zero-pads the spectrum.
-ComplexVec FftInterpolate(const ComplexVec& points, std::size_t out_len);
-
-/// Workspace-based FftInterpolate: identical values, but the result
-/// lives in workspace slot CSlot::kInterpPadded (valid until the next
-/// FftInterpolateInto on `ws`) and power-of-two shapes allocate nothing
-/// in steady state. Optional `fwd_plan`/`inv_plan` (sizes points.size()
-/// and out_len) let hot callers skip the cache lookup; pass nullptr to
-/// resolve through PlanCache::Shared(). Non-power-of-two shapes fall
-/// back to the allocating any-size path. The reference is mutable so
+/// interpolant by zero-padding the middle of the spectrum. Used to
+/// expand the pilot-tone channel estimate to cover data sub-channels
+/// (paper §III "FFT-based interpolation"). Works for any sizes: each
+/// power-of-two transform runs a plan (`fwd_plan`/`inv_plan`, sizes
+/// points.size() and out_len, let hot callers skip the cache lookup;
+/// nullptr resolves through PlanCache::Shared()), any other size a
+/// direct DFT. The result lives in workspace slot CSlot::kInterpPadded,
+/// valid until the next FftInterpolateInto on `ws`, so power-of-two
+/// shapes allocate nothing in steady state. The reference is mutable so
 /// callers (the channel estimator) can post-process in place.
+/// @throws std::invalid_argument if `points` is empty.
 ComplexVec& FftInterpolateInto(const ComplexVec& points,
                                std::size_t out_len, Workspace& ws,
                                const FftPlan* fwd_plan = nullptr,

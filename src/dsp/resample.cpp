@@ -78,22 +78,6 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
   return y;
 }
 
-std::vector<double> WarpTimeLinear(const std::vector<double>& x, double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("WarpTimeLinear: rate <= 0");
-  if (x.empty()) return {};
-  const std::size_t out_len =
-      static_cast<std::size_t>(static_cast<double>(x.size()) / rate);
-  std::vector<double> out(out_len, 0.0);
-  for (std::size_t i = 0; i < out_len; ++i) {
-    const double pos = static_cast<double>(i) * rate;
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    if (lo + 1 >= x.size()) break;
-    const double frac = pos - static_cast<double>(lo);
-    out[i] = x[lo] * (1.0 - frac) + x[lo + 1] * frac;
-  }
-  return out;
-}
-
 std::vector<double> WarpTimeSinc(const std::vector<double>& x, double rate,
                                  std::size_t taps) {
   if (rate <= 0.0) throw std::invalid_argument("WarpTimeSinc: rate <= 0");

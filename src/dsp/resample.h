@@ -23,17 +23,14 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
                                     double delay_samples,
                                     std::size_t taps = 33);
 
-/// Resample x at a constant rate ratio via linear interpolation:
-/// output[i] = x(i * rate). rate > 1 compresses (receiver approaching,
-/// positive Doppler), rate < 1 stretches. Output length is
-/// floor(x.size() / rate). @throws std::invalid_argument for rate <= 0.
-std::vector<double> WarpTimeLinear(const std::vector<double>& x, double rate);
-
-/// Windowed-sinc version of WarpTimeLinear: output[i] = x(i * rate)
-/// interpolated with `taps` sinc coefficients per output sample. Keeps
-/// OFDM constellations clean where linear interpolation's high-band
-/// droop would not (sample-rate-offset / Doppler compensation in the
-/// hardened receiver). Output length is floor(x.size() / rate).
+/// Resample x at a constant rate ratio: output[i] = x(i * rate),
+/// interpolated with `taps` windowed-sinc coefficients per output
+/// sample. rate > 1 compresses (receiver approaching, positive Doppler),
+/// rate < 1 stretches. The sinc kernel keeps OFDM constellations clean
+/// where linear interpolation's high-band droop would not; the walker
+/// Doppler, sample-rate offset and the hardened receiver's rate
+/// compensation all warp through it. Output length is
+/// floor(x.size() / rate).
 /// @throws std::invalid_argument for rate <= 0 or even/zero taps.
 std::vector<double> WarpTimeSinc(const std::vector<double>& x, double rate,
                                  std::size_t taps = 17);

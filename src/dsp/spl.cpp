@@ -13,11 +13,6 @@ double Rms(const std::vector<double>& x) {
   return std::sqrt(acc / static_cast<double>(x.size()));
 }
 
-double MeanPower(const std::vector<double>& x) {
-  const double r = Rms(x);
-  return r * r;
-}
-
 double SplFromRms(double rms) {
   if (rms < 0.0) throw std::invalid_argument("SplFromRms: negative rms");
   if (rms == 0.0) return -std::numeric_limits<double>::infinity();

@@ -20,9 +20,6 @@ inline constexpr double kReferencePressure = 1.411e-5;
 /// Root-mean-square of a buffer (0 for empty input).
 double Rms(const std::vector<double>& x);
 
-/// Mean energy per sample (rms^2).
-double MeanPower(const std::vector<double>& x);
-
 /// SPL (dB) of an rms pressure value. @throws if rms < 0.
 double SplFromRms(double rms);
 
@@ -36,11 +33,6 @@ double RmsFromSpl(double spl_db);
 /// SPLtx - SPLrx = 20*g*log10(d/d0)). @throws if d or d0 <= 0.
 double SpreadingLossDb(double distance_m, double reference_distance_m,
                        double geometric_constant = 1.0);
-
-/// SNR (dB) from signal and noise SPL values.
-inline double SnrFromSpl(double spl_signal_db, double spl_noise_db) {
-  return spl_signal_db - spl_noise_db;
-}
 
 /// Convert a carrier-to-noise SNR (dB) into Eb/N0 (dB) given occupied
 /// bandwidth and bit rate: Eb/N0 = C/N * B/R (paper §III-7).

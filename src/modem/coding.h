@@ -40,7 +40,7 @@ std::vector<std::uint8_t> Decode(CodeScheme scheme,
 std::size_t EncodedLength(CodeScheme scheme, std::size_t n_payload_bits);
 
 /// Soft-decision decode from per-bit LLRs (positive = bit 0 likelier,
-/// the convention of modem::DemapSymbolsSoft). Repetition sums LLRs per
+/// the convention of modem::DemapSymbolsSoftInto). Repetition sums LLRs per
 /// triple; Hamming runs maximum-likelihood over the 16 codewords. kNone
 /// hard-slices the signs.
 std::vector<std::uint8_t> DecodeSoft(CodeScheme scheme,
@@ -61,7 +61,7 @@ std::vector<std::uint8_t> Deinterleave(const std::vector<std::uint8_t>& bits,
                                        std::size_t depth);
 
 /// Chase combining across retransmissions of the SAME payload: per-bit
-/// LLRs (positive = bit 0 likelier, the DemapSymbolsSoft convention)
+/// LLRs (positive = bit 0 likelier, the DemapSymbolsSoftInto convention)
 /// from each reception are summed element-wise before slicing or FEC
 /// decoding. Under independent noise the combined LLR's SNR grows
 /// linearly with the number of copies, so a retransmission at low SNR

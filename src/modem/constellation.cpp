@@ -184,14 +184,6 @@ void DemapSymbolsInto(Modulation m, std::span<const Complex> symbols,
   }
 }
 
-std::vector<double> DemapSymbolsSoft(Modulation m,
-                                     const std::vector<Complex>& symbols) {
-  std::vector<double> llrs;
-  llrs.reserve(symbols.size() * BitsPerSymbol(m));
-  DemapSymbolsSoftInto(m, symbols, llrs);
-  return llrs;
-}
-
 void DemapSymbolsSoftInto(Modulation m, std::span<const Complex> symbols,
                           std::vector<double>& out) {
   const Constellation& c = Constellation::Get(m);

@@ -66,12 +66,9 @@ void DemapSymbolsInto(Modulation m, std::span<const Complex> symbols,
 
 /// Soft demapping: per-bit log-likelihood ratios via the max-log
 /// approximation, LLR = min_{s: bit=1} |r-s|^2 - min_{s: bit=0} |r-s|^2,
-/// so positive means "bit 0 more likely". Units are squared distance
-/// (the common noise variance cancels in the soft decoders).
-std::vector<double> DemapSymbolsSoft(Modulation m,
-                                     const std::vector<Complex>& symbols);
-
-/// Appending DemapSymbolsSoft: identical LLRs pushed onto `out`.
+/// so positive means "bit 0 more likely", pushed onto `out`. Units are
+/// squared distance (the common noise variance cancels in the soft
+/// decoders).
 void DemapSymbolsSoftInto(Modulation m, std::span<const Complex> symbols,
                           std::vector<double>& out);
 

@@ -20,9 +20,7 @@ Demodulator::Demodulator(FrameSpec spec, DemodConfig config)
   spec_.plan.Validate();
   data_bins_ = spec_.plan.data;
   std::sort(data_bins_.begin(), data_bins_.end());
-  if (dsp::IsPowerOfTwo(spec_.fft_size())) {
-    fft_plan_ = dsp::PlanCache::Shared().Get(spec_.fft_size());
-  }
+  fft_plan_ = dsp::PlanCache::Shared().Get(spec_.fft_size());
 }
 
 long Demodulator::FrameOffset(std::span<const double> recording,
@@ -53,18 +51,10 @@ const dsp::ComplexVec* Demodulator::SymbolSpectrumInto(
   const std::size_t n = spec_.fft_size();
   if (body_start + n > recording.size()) return nullptr;
   dsp::ComplexVec& spectrum = ws.ComplexBuf(dsp::CSlot::kSymbolSpectrum, n);
-  if (fft_plan_ != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      spectrum[i] = dsp::Complex(recording[body_start + i], 0.0);
-    }
-    fft_plan_->Forward(spectrum.data());
-  } else {
-    // Cold any-size fallback (a plan requires a power-of-two size).
-    const audio::Samples body(recording.begin() + static_cast<long>(body_start),
-                              recording.begin() +
-                                  static_cast<long>(body_start + n));
-    spectrum = SymbolSpectrum(spec_, body);
+  for (std::size_t i = 0; i < n; ++i) {
+    spectrum[i] = dsp::Complex(recording[body_start + i], 0.0);
   }
+  fft_plan_->Forward(spectrum.data());
   return &spectrum;
 }
 
@@ -196,7 +186,7 @@ std::optional<ProbeAnalysis> Demodulator::AnalyzeProbe(
     if (spectrum == nullptr) break;
     snr_acc += PilotSnrDb(spec_, *spectrum);
     ++snr_n;
-    estimates.push_back(EstimateChannel(spec_, *spectrum));
+    estimates.emplace_back(EstimateChannelInto(geometry_, *spectrum, ws));
   }
   if (snr_n == 0) return std::nullopt;
   probe.pilot_snr_db = snr_acc / static_cast<double>(snr_n);

@@ -57,6 +57,8 @@ struct ProbeAnalysis {
 
 class Demodulator {
  public:
+  /// @throws std::invalid_argument if the plan is invalid or its FFT
+  /// size is not a power of two.
   explicit Demodulator(FrameSpec spec, DemodConfig config = {});
 
   /// Demodulate a payload of n_bits (the length is agreed over the
@@ -96,8 +98,7 @@ class Demodulator {
   DemodConfig config_;
   PreambleDetector detector_;
   /// Per-instance caches resolved at construction: sorted data bins,
-  /// pilot geometry, and the symbol FFT plan (null for non-power-of-two
-  /// FFT sizes, where the legacy any-size path is used).
+  /// pilot geometry, and the symbol FFT plan.
   std::vector<std::size_t> data_bins_;
   PilotGeometry geometry_;
   std::shared_ptr<const dsp::FftPlan> fft_plan_;

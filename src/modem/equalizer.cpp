@@ -12,13 +12,9 @@ namespace wearlock::modem {
 ChannelEstimate::ChannelEstimate(std::size_t first_bin, dsp::ComplexVec response)
     : first_bin_(first_bin), response_(std::move(response)) {}
 
-dsp::Complex ChannelEstimate::At(std::size_t bin) const {
-  if (response_.empty()) return dsp::Complex(1.0, 0.0);
-  if (bin < first_bin_) return response_.front();
-  const std::size_t idx = bin - first_bin_;
-  if (idx >= response_.size()) return response_.back();
-  return response_[idx];
-}
+ChannelEstimate::ChannelEstimate(const ChannelView& view)
+    : first_bin_(view.first_bin),
+      response_(view.response.begin(), view.response.end()) {}
 
 ChannelEstimate ChannelEstimate::Average(
     const std::vector<ChannelEstimate>& estimates) {
@@ -35,73 +31,6 @@ ChannelEstimate ChannelEstimate::Average(
   return ChannelEstimate(estimates.front().first_bin_, std::move(acc));
 }
 
-double ChannelEstimate::MeanMagnitude() const {
-  if (response_.empty()) return 0.0;
-  double acc = 0.0;
-  for (const dsp::Complex& h : response_) acc += std::abs(h);
-  return acc / static_cast<double>(response_.size());
-}
-
-ChannelEstimate EstimateChannel(const FrameSpec& spec,
-                                const dsp::ComplexVec& spectrum) {
-  std::vector<std::size_t> pilots = spec.plan.pilots;
-  std::sort(pilots.begin(), pilots.end());
-  if (pilots.size() < 2) {
-    throw std::invalid_argument("EstimateChannel: need >= 2 pilots");
-  }
-  const std::size_t spacing = pilots[1] - pilots[0];
-  for (std::size_t i = 1; i < pilots.size(); ++i) {
-    if (pilots[i] - pilots[i - 1] != spacing) {
-      throw std::invalid_argument("EstimateChannel: pilots not equally spaced");
-    }
-  }
-  // Raw estimates at pilot bins: H(p) = z(p) / pilot value (unit power).
-  dsp::ComplexVec h_pilots(pilots.size());
-  for (std::size_t i = 0; i < pilots.size(); ++i) {
-    h_pilots[i] = spectrum[pilots[i]] / PilotValue(pilots[i]);
-  }
-  // Residual bulk delay rotates phase linearly across frequency; with a
-  // pilot spacing of several bins the rotation between pilots can get near
-  // pi, which aliases through the FFT interpolation. Estimate the slope
-  // (phase advance per pilot), derotate, interpolate the now slowly
-  // varying response, and re-apply the slope on the dense grid.
-  dsp::Complex slope_acc(0.0, 0.0);
-  for (std::size_t i = 1; i < h_pilots.size(); ++i) {
-    slope_acc += h_pilots[i] * std::conj(h_pilots[i - 1]);
-  }
-  const double slope = std::arg(slope_acc);  // radians per pilot spacing
-  dsp::ComplexVec derotated(h_pilots.size());
-  for (std::size_t i = 0; i < h_pilots.size(); ++i) {
-    derotated[i] =
-        h_pilots[i] * std::polar(1.0, -slope * static_cast<double>(i));
-  }
-  // FFT interpolation expands the comb by the pilot spacing, giving an
-  // estimate at every bin from the first pilot onward.
-  dsp::ComplexVec dense =
-      dsp::FftInterpolate(derotated, pilots.size() * spacing);
-  for (std::size_t j = 0; j < dense.size(); ++j) {
-    dense[j] *= std::polar(
-        1.0, slope * static_cast<double>(j) / static_cast<double>(spacing));
-  }
-  return ChannelEstimate(pilots.front(), dense);
-}
-
-std::vector<dsp::Complex> Equalize(const ChannelEstimate& estimate,
-                                   const dsp::ComplexVec& spectrum,
-                                   const std::vector<std::size_t>& bins) {
-  constexpr double kEpsilon = 1e-9;
-  std::vector<dsp::Complex> out;
-  out.reserve(bins.size());
-  for (std::size_t bin : bins) {
-    dsp::Complex h = estimate.At(bin);
-    if (std::abs(h) < kEpsilon) {
-      h = dsp::Complex(kEpsilon, 0.0);
-    }
-    out.push_back(spectrum[bin] / h);
-  }
-  return out;
-}
-
 PilotGeometry::PilotGeometry(const FrameSpec& spec)
     : pilots_(spec.plan.pilots) {
   std::sort(pilots_.begin(), pilots_.end());
@@ -113,9 +42,10 @@ PilotGeometry::PilotGeometry(const FrameSpec& spec)
     if (pilots_[i] - pilots_[i - 1] != spacing_) return;
   }
   uniform_ = true;
-  if (dsp::IsPowerOfTwo(count()) && dsp::IsPowerOfTwo(dense_len()) &&
-      dense_len() > count()) {
+  if (dsp::IsPowerOfTwo(count())) {
     fwd_plan_ = dsp::PlanCache::Shared().Get(count());
+  }
+  if (dsp::IsPowerOfTwo(dense_len())) {
     inv_plan_ = dsp::PlanCache::Shared().Get(dense_len());
   }
 }
@@ -125,10 +55,11 @@ ChannelView EstimateChannelInto(const PilotGeometry& geometry,
                                 const dsp::ComplexVec& spectrum,
                                 dsp::Workspace& ws) {
   if (geometry.count() < 2) {
-    throw std::invalid_argument("EstimateChannel: need >= 2 pilots");
+    throw std::invalid_argument("EstimateChannelInto: need >= 2 pilots");
   }
   if (!geometry.uniform()) {
-    throw std::invalid_argument("EstimateChannel: pilots not equally spaced");
+    throw std::invalid_argument(
+        "EstimateChannelInto: pilots not equally spaced");
   }
   const std::size_t m = geometry.count();
   // Raw estimates at pilot bins: H(p) = z(p) / pilot value (unit power).
@@ -136,8 +67,11 @@ ChannelView EstimateChannelInto(const PilotGeometry& geometry,
   for (std::size_t i = 0; i < m; ++i) {
     h_pilots[i] = spectrum[geometry.pilot(i)] / geometry.pilot_value(i);
   }
-  // Same bulk-delay derotation as EstimateChannel (see the free function
-  // for the rationale); only the storage differs.
+  // Residual bulk delay rotates phase linearly across frequency; with a
+  // pilot spacing of several bins the rotation between pilots can get near
+  // pi, which aliases through the FFT interpolation. Estimate the slope
+  // (phase advance per pilot), derotate, interpolate the now slowly
+  // varying response, and re-apply the slope on the dense grid.
   dsp::Complex slope_acc(0.0, 0.0);
   for (std::size_t i = 1; i < m; ++i) {
     slope_acc += h_pilots[i] * std::conj(h_pilots[i - 1]);
@@ -148,6 +82,8 @@ ChannelView EstimateChannelInto(const PilotGeometry& geometry,
     derotated[i] =
         h_pilots[i] * std::polar(1.0, -slope * static_cast<double>(i));
   }
+  // FFT interpolation expands the comb by the pilot spacing, giving an
+  // estimate at every bin from the first pilot onward.
   dsp::ComplexVec& dense = dsp::FftInterpolateInto(
       derotated, geometry.dense_len(), ws, geometry.fwd_plan(),
       geometry.inv_plan());

@@ -21,18 +21,38 @@ class Workspace;  // dsp/workspace.h
 
 namespace wearlock::modem {
 
-/// Channel frequency response over the pilot span.
+/// Non-owning view of a channel estimate whose response lives in a
+/// Workspace slot. Valid until the next EstimateChannelInto (or other
+/// kInterpPadded owner) call on the same workspace.
+struct ChannelView {
+  std::size_t first_bin = 0;
+  std::span<const dsp::Complex> response;
+
+  /// H(bin). Bins outside the estimated span clamp to the nearest edge
+  /// estimate (data bins are kept inside the span by construction); an
+  /// empty estimate is the unit channel.
+  dsp::Complex At(std::size_t bin) const {
+    if (response.empty()) return dsp::Complex(1.0, 0.0);
+    if (bin < first_bin) return response.front();
+    const std::size_t idx = bin - first_bin;
+    if (idx >= response.size()) return response.back();
+    return response[idx];
+  }
+};
+
+/// Owned channel frequency response over the pilot span (the probe's
+/// averaged estimate outlives the workspace it was computed in).
 class ChannelEstimate {
  public:
   ChannelEstimate() = default;
   ChannelEstimate(std::size_t first_bin, dsp::ComplexVec response);
+  /// Copy of a workspace estimate.
+  explicit ChannelEstimate(const ChannelView& view);
 
-  /// H(bin). Bins outside the estimated span clamp to the nearest edge
-  /// estimate (data bins are kept inside the span by construction).
-  dsp::Complex At(std::size_t bin) const;
-
-  /// |H| averaged over the span (sanity/diagnostic).
-  double MeanMagnitude() const;
+  /// H(bin), clamped as ChannelView::At.
+  dsp::Complex At(std::size_t bin) const {
+    return ChannelView{first_bin_, response_}.At(bin);
+  }
 
   /// Elementwise average with another estimate (same span required);
   /// used to combine estimates from repeated probe symbols.
@@ -47,24 +67,10 @@ class ChannelEstimate {
   dsp::ComplexVec response_;
 };
 
-/// Estimate the channel from one received symbol spectrum using the
-/// plan's pilot set. Pilots must be equally spaced (validated).
-/// @throws std::invalid_argument if pilots are not equally spaced.
-ChannelEstimate EstimateChannel(const FrameSpec& spec,
-                                const dsp::ComplexVec& spectrum);
-
-/// Equalize the listed bins of a spectrum: returns s_hat(k) = z(k)/H(k)
-/// in the same order as `bins`. Bins where |H| is tiny (deep fade) pass
-/// through scaled by 1/epsilon to avoid blowups.
-std::vector<dsp::Complex> Equalize(const ChannelEstimate& estimate,
-                                   const dsp::ComplexVec& spectrum,
-                                   const std::vector<std::size_t>& bins);
-
 /// Pilot geometry of a FrameSpec, precomputed once so the per-symbol
 /// estimator does no sorting, no PilotValue trigonometry, and no plan
-/// lookups. Construction never throws on a degenerate pilot set; the
-/// estimator raises EstimateChannel's errors at call time instead (same
-/// contract as the free function).
+/// lookups. Construction never throws on a degenerate pilot set;
+/// EstimateChannelInto raises the errors at call time instead.
 class PilotGeometry {
  public:
   explicit PilotGeometry(const FrameSpec& spec);
@@ -76,8 +82,9 @@ class PilotGeometry {
   bool uniform() const { return uniform_; }
   std::size_t pilot(std::size_t i) const { return pilots_[i]; }
   const dsp::Complex& pilot_value(std::size_t i) const { return values_[i]; }
-  /// Cached interpolation plans (null when the shape is not power-of-two;
-  /// the interpolator then falls back to its any-size path).
+  /// Cached interpolation plans, forward over count() and inverse over
+  /// dense_len() (null for a size that is not a power of two; the
+  /// interpolator then transforms that size with its direct DFT).
   const dsp::FftPlan* fwd_plan() const { return fwd_plan_.get(); }
   const dsp::FftPlan* inv_plan() const { return inv_plan_.get(); }
 
@@ -90,32 +97,19 @@ class PilotGeometry {
   std::shared_ptr<const dsp::FftPlan> inv_plan_;
 };
 
-/// Non-owning view of a channel estimate whose response lives in a
-/// Workspace slot. Valid until the next EstimateChannelInto (or other
-/// kInterpPadded owner) call on the same workspace.
-struct ChannelView {
-  std::size_t first_bin = 0;
-  std::span<const dsp::Complex> response;
-
-  /// Same clamping semantics as ChannelEstimate::At.
-  dsp::Complex At(std::size_t bin) const {
-    if (response.empty()) return dsp::Complex(1.0, 0.0);
-    if (bin < first_bin) return response.front();
-    const std::size_t idx = bin - first_bin;
-    if (idx >= response.size()) return response.back();
-    return response[idx];
-  }
-};
-
-/// Workspace EstimateChannel: bit-identical response values computed
-/// into ws scratch (slots kEqPilots, kEqDerot, and the interpolator's).
-/// @throws std::invalid_argument exactly as EstimateChannel does.
+/// Estimate the channel from one received symbol spectrum using the
+/// geometry's pilot set, into ws scratch (slots kEqPilots, kEqDerot, and
+/// the interpolator's).
+/// @throws std::invalid_argument with fewer than two pilots or pilots
+/// that are not equally spaced.
 ChannelView EstimateChannelInto(const PilotGeometry& geometry,
                                 const dsp::ComplexVec& spectrum,
                                 dsp::Workspace& ws);
 
-/// Workspace Equalize: identical values into ws slot kEqualized; the
-/// returned span is valid until the next EqualizeInto on the workspace.
+/// Equalize the listed bins of a spectrum: s_hat(k) = z(k)/H(k), in the
+/// same order as `bins`, into ws slot kEqualized (valid until the next
+/// EqualizeInto on the workspace). Bins where |H| is tiny (deep fade)
+/// pass through scaled by 1/epsilon to avoid blowups.
 std::span<const dsp::Complex> EqualizeInto(const ChannelView& estimate,
                                            const dsp::ComplexVec& spectrum,
                                            std::span<const std::size_t> bins,

@@ -37,27 +37,6 @@ audio::Samples MakePreamble(const FrameSpec& spec) {
   return dsp::MakeChirp(chirp);
 }
 
-audio::Samples BuildSymbol(const FrameSpec& spec,
-                           const std::map<std::size_t, dsp::Complex>& loads) {
-  const std::size_t n = spec.fft_size();
-  dsp::ComplexVec spectrum(n, dsp::Complex(0.0, 0.0));
-  for (const auto& [bin, value] : loads) {
-    if (bin == 0 || bin >= n / 2) {
-      throw std::invalid_argument("BuildSymbol: bin out of (0, N/2)");
-    }
-    spectrum[bin] = value;
-    spectrum[n - bin] = std::conj(value);  // Hermitian -> real signal
-  }
-  audio::Samples body = dsp::IfftReal(std::move(spectrum));
-  // Cyclic prefix: copy of the tail, prepended.
-  audio::Samples symbol;
-  symbol.reserve(spec.cyclic_prefix_samples + n);
-  symbol.insert(symbol.end(), body.end() - static_cast<long>(spec.cyclic_prefix_samples),
-                body.end());
-  symbol.insert(symbol.end(), body.begin(), body.end());
-  return symbol;
-}
-
 // lint: hot-path
 void WriteSymbol(const FrameSpec& spec, const dsp::FftPlan& plan,
                  std::span<const BinLoad> fixed,
@@ -75,7 +54,7 @@ void WriteSymbol(const FrameSpec& spec, const dsp::FftPlan& plan,
   dsp::ComplexVec& spectrum = ws.ComplexZeroed(dsp::CSlot::kSymbolBuild, n);
   const auto load = [&](std::size_t bin, const dsp::Complex& value) {
     if (bin == 0 || bin >= n / 2) {
-      throw std::invalid_argument("BuildSymbol: bin out of (0, N/2)");
+      throw std::invalid_argument("WriteSymbol: bin out of (0, N/2)");
     }
     spectrum[bin] = value;
     spectrum[n - bin] = std::conj(value);  // Hermitian -> real signal
@@ -89,14 +68,6 @@ void WriteSymbol(const FrameSpec& spec, const dsp::FftPlan& plan,
   // which already sits at out[n..n+cp).
   for (std::size_t i = 0; i < n; ++i) out[cp + i] = spectrum[i].real();
   for (std::size_t j = 0; j < cp; ++j) out[j] = out[n + j];
-}
-
-dsp::ComplexVec SymbolSpectrum(const FrameSpec& spec,
-                               const audio::Samples& body) {
-  if (body.size() != spec.fft_size()) {
-    throw std::invalid_argument("SymbolSpectrum: body size != FFT size");
-  }
-  return dsp::FftReal(body);
 }
 
 void NormalizeFrame(const FrameSpec& spec, audio::Samples& frame) {

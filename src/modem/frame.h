@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -68,13 +67,6 @@ dsp::Complex PilotValue(std::size_t bin);
 /// band (Doppler-tolerant, strong autocorrelation).
 audio::Samples MakePreamble(const FrameSpec& spec);
 
-/// Build one time-domain OFDM symbol (CP prepended) from bin loads.
-/// Bins not present in `loads` stay zero. Hermitian symmetry is applied
-/// internally so the output is real.
-/// @throws std::invalid_argument if a bin is out of (0, N/2).
-audio::Samples BuildSymbol(const FrameSpec& spec,
-                           const std::map<std::size_t, dsp::Complex>& loads);
-
 /// One spectral load for WriteSymbol: `value` goes to `bin` (the
 /// Hermitian mirror bin is filled internally).
 struct BinLoad {
@@ -82,12 +74,13 @@ struct BinLoad {
   dsp::Complex value;
 };
 
-/// Hot-path symbol builder: writes one CP-prefixed OFDM symbol - exactly
-/// spec.symbol_samples() samples, bit-identical to BuildSymbol on the
-/// same loads - into `out`, running the IFFT through a cached plan and
-/// the workspace's scratch so steady-state calls allocate nothing.
-/// `fixed` carries precomputed loads (pilots); `data_bins[i]` carries
-/// `data_values[i]`. All bins must be distinct.
+/// Build one time-domain OFDM symbol (CP prepended) from bin loads:
+/// writes exactly spec.symbol_samples() samples into `out`, running the
+/// IFFT through `plan` and the workspace's scratch so steady-state calls
+/// allocate nothing. Bins not loaded stay zero; Hermitian symmetry is
+/// applied internally so the output is real. `fixed` carries
+/// precomputed loads (pilots); `data_bins[i]` carries `data_values[i]`.
+/// All bins must be distinct.
 /// @throws std::invalid_argument on a bin out of (0, N/2), a
 /// data_bins/data_values length mismatch, or a mis-sized `out`.
 void WriteSymbol(const FrameSpec& spec, const dsp::FftPlan& plan,
@@ -95,11 +88,6 @@ void WriteSymbol(const FrameSpec& spec, const dsp::FftPlan& plan,
                  std::span<const std::size_t> data_bins,
                  std::span<const dsp::Complex> data_values,
                  dsp::Workspace& ws, std::span<double> out);
-
-/// FFT of one received symbol body (CP already stripped): returns the
-/// complex spectrum (size N).
-dsp::ComplexVec SymbolSpectrum(const FrameSpec& spec,
-                               const audio::Samples& body);
 
 /// Peak-normalize a frame to spec.peak_amplitude (no-op on silence).
 void NormalizeFrame(const FrameSpec& spec, audio::Samples& frame);

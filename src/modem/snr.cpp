@@ -39,22 +39,6 @@ double EbN0Db(const FrameSpec& spec, Modulation m, double snr_db) {
   return dsp::EbN0FromSnrDb(snr_db, bandwidth, rate);
 }
 
-std::vector<double> NoisePowerPerBin(
-    const FrameSpec& spec, const std::vector<dsp::ComplexVec>& spectra) {
-  if (spectra.empty()) {
-    throw std::invalid_argument("NoisePowerPerBin: no spectra");
-  }
-  std::vector<double> power(spec.fft_size(), 0.0);
-  for (const dsp::ComplexVec& s : spectra) {
-    if (s.size() != spec.fft_size()) {
-      throw std::invalid_argument("NoisePowerPerBin: spectrum size mismatch");
-    }
-    for (std::size_t k = 0; k < s.size(); ++k) power[k] += std::norm(s[k]);
-  }
-  for (double& p : power) p /= static_cast<double>(spectra.size());
-  return power;
-}
-
 std::vector<double> NoisePowerFromAmbient(const FrameSpec& spec,
                                           std::span<const double> ambient) {
   const std::size_t n = spec.fft_size();
@@ -62,9 +46,7 @@ std::vector<double> NoisePowerFromAmbient(const FrameSpec& spec,
     throw std::invalid_argument("NoisePowerFromAmbient: recording shorter than FFT");
   }
   // Accumulate |X(k)|^2 window by window through one reused spectrum
-  // buffer; summation order matches NoisePowerPerBin over the same
-  // windows, so the result is bit-identical to the old materialize-
-  // everything path.
+  // buffer.
   const auto plan = dsp::PlanCache::Shared().Get(n);
   dsp::Workspace& ws = dsp::Workspace::PerThread();
   std::vector<double> power(n, 0.0);

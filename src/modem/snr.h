@@ -28,15 +28,12 @@ double PilotSnrDb(const FrameSpec& spec, const dsp::ComplexVec& spectrum);
 /// occupied bandwidth and R the raw data rate of the modulation.
 double EbN0Db(const FrameSpec& spec, Modulation m, double snr_db);
 
-/// Per-bin noise power (linear, |X(k)|^2 averaged over `spectra`) -
-/// feeds SelectSubchannels. Spectra are typically FFTs of consecutive
-/// ambient-noise windows.
-std::vector<double> NoisePowerPerBin(const FrameSpec& spec,
-                                     const std::vector<dsp::ComplexVec>& spectra);
-
-/// Convenience: chop an ambient recording into FFT-size windows and
-/// average their bin powers. Window FFTs run through the cached plan and
-/// per-thread workspace, so no per-window spectra are materialized.
+/// Per-bin noise power (linear, |X(k)|^2 averaged over the FFT-size
+/// windows of an ambient recording) - feeds SelectSubchannels. Window
+/// FFTs run through the cached plan and per-thread workspace, so no
+/// per-window spectra are materialized.
+/// @throws std::invalid_argument if the recording is shorter than one
+/// FFT.
 std::vector<double> NoisePowerFromAmbient(const FrameSpec& spec,
                                           std::span<const double> ambient);
 

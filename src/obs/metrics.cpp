@@ -9,14 +9,11 @@ namespace {
 
 thread_local MetricsRegistry* g_current_metrics = nullptr;
 
-template <typename T, typename... Args>
+template <typename T>
 T& GetOrCreate(std::map<std::string, std::unique_ptr<T>>& store,
-               const std::string& name, Args&&... args) {
+               const std::string& name) {
   auto it = store.find(name);
-  if (it == store.end()) {
-    it = store.emplace(name, std::make_unique<T>(std::forward<Args>(args)...))
-             .first;
-  }
+  if (it == store.end()) it = store.emplace(name, std::make_unique<T>()).first;
   return *it->second;
 }
 
@@ -58,10 +55,9 @@ Series& MetricsRegistry::GetSeries(const std::string& name) {
   return GetOrCreate(series_, name);
 }
 
-Sketch& MetricsRegistry::GetSketch(const std::string& name,
-                                   double relative_accuracy) {
+Sketch& MetricsRegistry::GetSketch(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  return GetOrCreate(sketches_, name, relative_accuracy);
+  return GetOrCreate(sketches_, name);
 }
 
 std::uint64_t MetricsRegistry::CounterValue(const std::string& name) const {

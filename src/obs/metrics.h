@@ -107,10 +107,8 @@ class MetricsRegistry {
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   Series& GetSeries(const std::string& name);
-  /// Quantile sketch (first caller's relative accuracy wins; later
-  /// calls get the existing sketch).
-  Sketch& GetSketch(const std::string& name,
-                    double relative_accuracy = Sketch::kDefaultAccuracy);
+  /// Quantile sketch at Sketch::kAccuracy.
+  Sketch& GetSketch(const std::string& name);
 
   /// Series values by name; empty vector when the series was never
   /// registered (lookup without registering).

@@ -65,10 +65,8 @@ void TelemetrySink::Cohort::Merge(const Cohort& other) {
   }
 }
 
-TelemetrySink::TelemetrySink(CohortKeyFn keyer) : keyer_(std::move(keyer)) {}
-
 void TelemetrySink::Ingest(const SessionRecord& record) {
-  Cohort& cohort = cohorts_[keyer_(record)];
+  Cohort& cohort = cohorts_[DefaultCohortKey(record)];
   cohort.sessions += 1;
   if (record.same_body) {
     cohort.genuine += 1;

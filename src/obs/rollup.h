@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -40,7 +39,7 @@ struct WilsonInterval {
 WilsonInterval WilsonScore(std::uint64_t successes, std::uint64_t trials,
                            double z = 1.96);
 
-/// Default cohort key, the grammar docs/observability.md documents:
+/// The cohort key, the grammar docs/observability.md documents:
 ///   config=<label>;dist=<lo>-<hi>;env=<environment>;faults=<spec>
 /// with ";attack=<spec>" appended only for attacked sessions, so
 /// unattacked cohorts keep their historical keys.
@@ -50,11 +49,10 @@ WilsonInterval WilsonScore(std::uint64_t successes, std::uint64_t trials,
 /// still aggregate correctly - they just share a cohort.
 std::string DefaultCohortKey(const SessionRecord& record);
 
-/// Groups SessionRecords into cohorts and aggregates each one.
+/// Groups SessionRecords into cohorts (keyed by DefaultCohortKey) and
+/// aggregates each one.
 class TelemetrySink {
  public:
-  using CohortKeyFn = std::function<std::string(const SessionRecord&)>;
-
   /// Per-cohort aggregate. Sessions split by ground truth: genuine
   /// (same_body) attempts feed the unlock rate, impostor attempts the
   /// false-accept rate; the two CIs answer different questions and
@@ -86,8 +84,6 @@ class TelemetrySink {
     void Merge(const Cohort& other);
   };
 
-  explicit TelemetrySink(CohortKeyFn keyer = DefaultCohortKey);
-
   void Ingest(const SessionRecord& record);
 
   /// Ingest JSONL text, one record per line (blank lines skipped).
@@ -112,7 +108,6 @@ class TelemetrySink {
   bool MergeJson(const JsonValue& v, std::string* error = nullptr);
 
  private:
-  CohortKeyFn keyer_;
   std::map<std::string, Cohort> cohorts_;
 };
 

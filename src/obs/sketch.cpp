@@ -189,21 +189,28 @@ double ExactSum::Value() const {
 // Sketch
 // ---------------------------------------------------------------------
 
-Sketch::Sketch(double relative_accuracy)
-    : alpha_(relative_accuracy),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {
-  if (!(relative_accuracy > 0.0) || !(relative_accuracy < 1.0)) {
-    throw std::invalid_argument("Sketch: relative accuracy must be in (0,1)");
-  }
-  gamma_ = (1.0 + alpha_) / (1.0 - alpha_);
-  inv_log_gamma_ = 1.0 / std::log(gamma_);
+namespace {
+
+/// Bucket growth factor gamma = (1+alpha)/(1-alpha).
+constexpr double kGamma =
+    (1.0 + Sketch::kAccuracy) / (1.0 - Sketch::kAccuracy);
+
+std::int32_t KeyFor(double magnitude) {
+  // std::log is not constexpr, so 1/ln(gamma) is computed once.
+  static const double inv_log_gamma = 1.0 / std::log(kGamma);
+  return static_cast<std::int32_t>(
+      std::ceil(std::log(magnitude) * inv_log_gamma));
 }
 
-Sketch::Sketch(const Sketch& other)
-    : alpha_(other.alpha_),
-      gamma_(other.gamma_),
-      inv_log_gamma_(other.inv_log_gamma_) {
+double RepresentativeFor(std::int32_t key) {
+  // Bucket (gamma^(k-1), gamma^k] is represented by the midpoint-ish
+  // 2*gamma^k/(gamma+1), which bounds relative error by alpha.
+  return 2.0 * std::pow(kGamma, static_cast<double>(key)) / (kGamma + 1.0);
+}
+
+}  // namespace
+
+Sketch::Sketch(const Sketch& other) {
   const std::lock_guard<std::mutex> lock(other.mu_);
   positive_ = other.positive_;
   negative_ = other.negative_;
@@ -218,9 +225,6 @@ Sketch& Sketch::operator=(const Sketch& other) {
   if (this == &other) return *this;
   const Sketch copy(other);  // locks `other` exactly once, no lock order
   const std::lock_guard<std::mutex> lock(mu_);
-  alpha_ = copy.alpha_;
-  gamma_ = copy.gamma_;
-  inv_log_gamma_ = copy.inv_log_gamma_;
   positive_ = copy.positive_;
   negative_ = copy.negative_;
   zero_ = copy.zero_;
@@ -229,17 +233,6 @@ Sketch& Sketch::operator=(const Sketch& other) {
   max_ = copy.max_;
   sum_ = copy.sum_;
   return *this;
-}
-
-std::int32_t Sketch::KeyFor(double magnitude) const {
-  return static_cast<std::int32_t>(
-      std::ceil(std::log(magnitude) * inv_log_gamma_));
-}
-
-double Sketch::RepresentativeFor(std::int32_t key) const {
-  // Bucket (gamma^(k-1), gamma^k] is represented by the midpoint-ish
-  // 2*gamma^k/(gamma+1), which bounds relative error by alpha.
-  return 2.0 * std::pow(gamma_, static_cast<double>(key)) / (gamma_ + 1.0);
 }
 
 void Sketch::Observe(double v) {
@@ -262,10 +255,6 @@ void Sketch::Observe(double v) {
 void Sketch::Merge(const Sketch& other) {
   if (this == &other) {
     throw std::invalid_argument("Sketch::Merge: cannot merge with self");
-  }
-  if (alpha_ != other.alpha_) {
-    throw std::invalid_argument(
-        "Sketch::Merge: relative-accuracy mismatch (buckets do not align)");
   }
   const Sketch snapshot(other);  // locks `other` exactly once
   const std::lock_guard<std::mutex> lock(mu_);
@@ -340,7 +329,7 @@ double Sketch::Quantile(double q) const {
 
 void Sketch::WriteJson(std::ostream& os) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  os << "{\"a\":" << JsonNumber(alpha_)
+  os << "{\"a\":" << JsonNumber(kAccuracy)
      << ",\"count\":" << JsonNumber(static_cast<double>(count_))
      << ",\"zero\":" << JsonNumber(static_cast<double>(zero_))
      << ",\"sum\":" << JsonNumber(sum_.Value())
@@ -370,11 +359,10 @@ std::optional<Sketch> Sketch::FromJson(const JsonValue& v,
   };
   if (!v.is_object()) return fail("sketch: expected object");
   const JsonValue* a = v.Find("a");
-  if (a == nullptr || !a->is_number() || !(a->number > 0.0) ||
-      !(a->number < 1.0)) {
-    return fail("sketch: bad relative accuracy");
+  if (a == nullptr || !a->is_number() || a->number != kAccuracy) {
+    return fail("sketch: relative accuracy must be " + JsonNumber(kAccuracy));
   }
-  Sketch sketch(a->number);
+  Sketch sketch;
   auto read_buckets = [&](const char* name,
                           std::map<std::int32_t, std::uint64_t>* out) {
     const JsonValue* buckets = v.Find(name);

@@ -15,8 +15,8 @@
 //     comes out only at read time.
 //
 //   * Sketch - a DDSketch-style quantile sketch over fixed
-//     log-spaced bucket boundaries (no bucket collapsing, so two
-//     sketches with the same relative accuracy always align), with
+//     log-spaced bucket boundaries (one relative accuracy and no bucket
+//     collapsing, so any two sketches' buckets align), with
 //     exact min/max/count and an ExactSum total. Quantile estimates
 //     carry a bounded relative error; Merge is exact on every stored
 //     field, so any shard partition of the same observation multiset
@@ -30,6 +30,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -75,7 +76,7 @@ class ExactSum {
 };
 
 /// Mergeable quantile sketch: log-spaced buckets with fixed boundaries
-/// derived from the relative accuracy alpha (bucket key
+/// derived from the relative accuracy alpha = kAccuracy (bucket key
 /// ceil(log_gamma |v|), gamma = (1+alpha)/(1-alpha)), an exact zero
 /// bucket (|v| below kMinTrackable counts as zero), mirrored negative
 /// buckets, exact min/max/count and an ExactSum total.
@@ -86,15 +87,15 @@ class ExactSum {
 /// observed from hot paths like a Series; Merge locks both operands.
 class Sketch {
  public:
-  /// Default relative accuracy: 1% - p99 latency estimates land
-  /// within 1% of the exact sample percentile.
-  static constexpr double kDefaultAccuracy = 0.01;
+  /// Relative accuracy of every sketch: 1% - p99 latency estimates land
+  /// within 1% of the exact sample percentile. One value for all
+  /// sketches keeps every pair mergeable.
+  static constexpr double kAccuracy = 0.01;
   /// Magnitudes below this collapse into the zero bucket (bounds the
   /// key range; nothing the pipeline measures is smaller).
   static constexpr double kMinTrackable = 1e-12;
 
-  /// @throws std::invalid_argument unless 0 < alpha < 1.
-  explicit Sketch(double relative_accuracy = kDefaultAccuracy);
+  Sketch() = default;
   Sketch(const Sketch& other);
   Sketch& operator=(const Sketch& other);
 
@@ -102,7 +103,6 @@ class Sketch {
 
   /// Fold `other` in. Exact on every stored field, so merge order and
   /// shard partition never change the result.
-  /// @throws std::invalid_argument on relative-accuracy mismatch.
   void Merge(const Sketch& other);
 
   std::uint64_t count() const;
@@ -116,8 +116,6 @@ class Sketch {
   /// clamped to [min, max]. NaN when the sketch is empty.
   double Quantile(double q) const;
 
-  double relative_accuracy() const { return alpha_; }
-
   /// One JSON object: {"a":...,"count":...,"zero":...,"sum":...,
   /// "min":...,"max":...,"pos":[[key,count],...],"neg":[...]}.
   /// Deterministic: ascending key order, round-tripping numbers.
@@ -126,26 +124,21 @@ class Sketch {
   /// Rebuild from WriteJson output. The sum is re-seeded from the
   /// serialized (rounded) double, so write->read->write is
   /// byte-stable; merging *after* a round trip folds per-file rounded
-  /// sums exactly instead of the original samples.
+  /// sums exactly instead of the original samples. A sketch whose "a"
+  /// is not kAccuracy is rejected (its buckets would not align).
   static std::optional<Sketch> FromJson(const JsonValue& v,
                                         std::string* error = nullptr);
 
  private:
-  std::int32_t KeyFor(double magnitude) const;
-  double RepresentativeFor(std::int32_t key) const;
   double QuantileLocked(double q) const;
-
-  double alpha_;
-  double gamma_;
-  double inv_log_gamma_;
 
   mutable std::mutex mu_;
   std::map<std::int32_t, std::uint64_t> positive_;
   std::map<std::int32_t, std::uint64_t> negative_;  // keyed on magnitude
   std::uint64_t zero_ = 0;
   std::uint64_t count_ = 0;
-  double min_;
-  double max_;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
   ExactSum sum_;
 };
 

@@ -4,12 +4,17 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace wearlock::sim {
 
 ParallelExecutor::ParallelExecutor(std::size_t n_threads) {
-  std::size_t count = n_threads > 0 ? n_threads : DefaultThreadCount();
-  if (count == 0) count = 1;
+  if (n_threads > kMaxThreads) {
+    throw std::invalid_argument("ParallelExecutor: more than " +
+                                std::to_string(kMaxThreads) + " threads");
+  }
+  const std::size_t count = n_threads > 0 ? n_threads : DefaultThreadCount();
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -30,12 +35,13 @@ std::size_t ParallelExecutor::DefaultThreadCount() {
     std::size_t parsed = 0;
     const auto result =
         std::from_chars(env, env + std::strlen(env), parsed);
-    if (result.ec == std::errc() && *result.ptr == '\0' && parsed > 0) {
+    if (result.ec == std::errc() && *result.ptr == '\0' && parsed > 0 &&
+        parsed <= kMaxThreads) {
       return parsed;
     }
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  const std::size_t hw = std::thread::hardware_concurrency();
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 std::uint64_t ParallelExecutor::TaskSeed(std::uint64_t base_seed,

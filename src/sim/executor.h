@@ -16,7 +16,8 @@
 //     honor system plus the TSan CI leg).
 //
 // Thread count: explicit constructor argument, else the WEARLOCK_THREADS
-// environment variable, else std::thread::hardware_concurrency().
+// environment variable, else std::thread::hardware_concurrency(); never
+// more than kMaxThreads.
 //
 // Worker threads are long-lived, which the zero-allocation DSP core
 // leans on: a task that calls dsp::Workspace::PerThread() gets the same
@@ -54,7 +55,13 @@ struct TaskContext {
 
 class ParallelExecutor {
  public:
+  /// Upper bound on the worker count. Each worker is an OS thread, so a
+  /// typo such as `--threads 40000` must be refused, not obeyed.
+  static constexpr std::size_t kMaxThreads = 256;
+
   /// @param n_threads 0 selects DefaultThreadCount().
+  /// @throws std::invalid_argument if n_threads > kMaxThreads (before
+  /// any worker starts).
   explicit ParallelExecutor(std::size_t n_threads = 0);
   ~ParallelExecutor();
   ParallelExecutor(const ParallelExecutor&) = delete;
@@ -62,8 +69,8 @@ class ParallelExecutor {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// WEARLOCK_THREADS when set to a positive integer, else
-  /// hardware_concurrency() (minimum 1).
+  /// WEARLOCK_THREADS when set to an integer in [1, kMaxThreads], else
+  /// hardware_concurrency() clamped to [1, kMaxThreads].
   static std::size_t DefaultThreadCount();
 
   /// The seed-forking scheme: SplitMix64 over base_seed and index.

@@ -3,8 +3,8 @@
 #
 #   cmake -DUNLOCK_CLI=<wearlock_unlock_cli> -DFLEET=<wearlock_fleet>
 #         -DMODEM_CLI=<wearlock_modem_cli> -DTELEMETRY=<wearlock_telemetry>
-#         -DROLLUP=<a rollup JSON> -DWORK_DIR=<dir>
-#         -P cli_usage_probes.cmake
+#         -DBENCH=<any bench binary> -DROLLUP=<a rollup JSON>
+#         -DWORK_DIR=<dir> -P cli_usage_probes.cmake
 function(expect_usage_error)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(NOT rc EQUAL 2)
@@ -63,7 +63,21 @@ expect_usage_error(${MODEM_CLI} send hi ${WORK_DIR}/never.wav qpsk hamimng)
 expect_usage_error(${MODEM_CLI} recv ${WORK_DIR}/probe-hamming.wav qpsk
                    hamimng)
 expect_usage_error(${MODEM_CLI} --threads abc --regen-golden)
+# Worker counts above sim::ParallelExecutor::kMaxThreads (256) are
+# refused before any thread starts.
+expect_usage_error(${FLEET} --sessions 1 --threads 257
+                   --out ${WORK_DIR}/never.json)
+expect_usage_error(${MODEM_CLI} --threads 257 --regen-golden)
+expect_usage_error(${BENCH} --quick --threads 257)
 expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold -5)
 expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold abc)
 expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold inf)
 expect_usage_error(${TELEMETRY} --diff ${ROLLUP} ${ROLLUP} --threshold)
+# Every sketch has accuracy 0.01; a rollup claiming another is refused,
+# alone or merged with a 0.01 rollup.
+file(READ ${ROLLUP} rollup_text)
+string(REPLACE "\"a\":0.01," "\"a\":0.05," coarse_text "${rollup_text}")
+file(WRITE ${WORK_DIR}/rollup-a0.05.json "${coarse_text}")
+expect_usage_error(${TELEMETRY} --rollup ${WORK_DIR}/rollup-a0.05.json)
+expect_usage_error(${TELEMETRY} --rollup ${ROLLUP}
+                   --rollup ${WORK_DIR}/rollup-a0.05.json)

@@ -13,28 +13,28 @@
 namespace wearlock {
 namespace {
 
-TEST(WarpTimeLinear, IdentityAtRateOne) {
+TEST(WarpTimeSinc, IdentityAtRateOne) {
   std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-  const auto y = dsp::WarpTimeLinear(x, 1.0);
+  const auto y = dsp::WarpTimeSinc(x, 1.0);
   ASSERT_EQ(y.size(), 4u);
-  for (std::size_t i = 0; i + 1 < y.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-12);
+  for (std::size_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-12);
 }
 
-TEST(WarpTimeLinear, StretchAndCompressLengths) {
+TEST(WarpTimeSinc, StretchAndCompressLengths) {
   const std::vector<double> x(1000, 0.5);
-  EXPECT_EQ(dsp::WarpTimeLinear(x, 2.0).size(), 500u);
-  EXPECT_EQ(dsp::WarpTimeLinear(x, 0.5).size(), 2000u);
-  EXPECT_THROW(dsp::WarpTimeLinear(x, 0.0), std::invalid_argument);
+  EXPECT_EQ(dsp::WarpTimeSinc(x, 2.0).size(), 500u);
+  EXPECT_EQ(dsp::WarpTimeSinc(x, 0.5).size(), 2000u);
+  EXPECT_THROW(dsp::WarpTimeSinc(x, 0.0), std::invalid_argument);
 }
 
-TEST(WarpTimeLinear, ShiftsToneFrequency) {
+TEST(WarpTimeSinc, ShiftsToneFrequency) {
   // A 1 kHz tone warped by rate 1.01 should read as ~1010 Hz.
   std::vector<double> tone(8192);
   for (std::size_t i = 0; i < tone.size(); ++i) {
     tone[i] = std::sin(2.0 * std::numbers::pi * 1000.0 *
                        static_cast<double>(i) / 44100.0);
   }
-  const auto warped = dsp::WarpTimeLinear(tone, 1.01);
+  const auto warped = dsp::WarpTimeSinc(tone, 1.01);
   std::vector<double> window(warped.begin(), warped.begin() + 4096);
   const auto spec = dsp::FftReal(window);
   std::size_t peak = 0;

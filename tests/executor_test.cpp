@@ -199,6 +199,11 @@ TEST(ParallelExecutor, TaskSeedsAreDistinct) {
   EXPECT_EQ(seeds.size(), 30'000u);
 }
 
+TEST(ParallelExecutor, RefusesMoreThanMaxThreadsBeforeStartingAny) {
+  EXPECT_THROW(sim::ParallelExecutor(sim::ParallelExecutor::kMaxThreads + 1),
+               std::invalid_argument);
+}
+
 TEST(ParallelExecutor, WearlockThreadsEnvOverride) {
   const char* saved = std::getenv("WEARLOCK_THREADS");
   const std::string saved_value = saved ? saved : "";
@@ -213,6 +218,11 @@ TEST(ParallelExecutor, WearlockThreadsEnvOverride) {
   EXPECT_GE(sim::ParallelExecutor::DefaultThreadCount(), 1u);
   ::setenv("WEARLOCK_THREADS", "0", 1);
   EXPECT_GE(sim::ParallelExecutor::DefaultThreadCount(), 1u);
+  // So does a count above the bound; no thread is started here.
+  const std::size_t fallback = sim::ParallelExecutor::DefaultThreadCount();
+  ::setenv("WEARLOCK_THREADS", "40000", 1);
+  EXPECT_EQ(sim::ParallelExecutor::DefaultThreadCount(), fallback);
+  EXPECT_LE(fallback, sim::ParallelExecutor::kMaxThreads);
 
   if (saved) {
     ::setenv("WEARLOCK_THREADS", saved_value.c_str(), 1);

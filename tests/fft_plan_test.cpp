@@ -1,10 +1,13 @@
-// dsp::FftPlan / dsp::PlanCache: bit-identity against the legacy
-// transform, cache counter behavior, and concurrent Get() (a TSan
-// target; ci.sh runs this binary under ThreadSanitizer with
-// WEARLOCK_THREADS=8).
+// dsp::FftPlan / dsp::PlanCache: agreement with a direct O(n^2) DFT,
+// bit-identity of cached and fresh plans, cache counter behavior, and
+// concurrent Get() (a TSan target; ci.sh runs this binary under
+// ThreadSanitizer with WEARLOCK_THREADS=8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <numbers>
 #include <thread>
 #include <vector>
 
@@ -16,15 +19,6 @@
 namespace wearlock::dsp {
 namespace {
 
-// Bit-identical means bit-identical: compare the raw representation, not
-// an epsilon. The whole refactor rests on the plan replaying the legacy
-// `w *= wlen` recurrence exactly.
-void ExpectBitIdentical(const ComplexVec& a, const ComplexVec& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_NE(a.size(), 0u);
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)), 0);
-}
-
 ComplexVec RandomSignal(std::size_t n, std::uint64_t seed) {
   sim::Rng rng(seed);
   ComplexVec x(n);
@@ -32,39 +26,60 @@ ComplexVec RandomSignal(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
-class PlanVsLegacy : public ::testing::TestWithParam<std::size_t> {};
+// max_k |planned[k] - X[k]| / max_k |X[k]|, where X is the textbook
+// transform of x, sum_j x[j] e^(-+2 pi i jk/n) (over n for the inverse),
+// computed directly in O(n^2) from a table of the n twiddles.
+double RelativeErrorVsDft(const ComplexVec& x, const ComplexVec& planned,
+                          bool inverse) {
+  const std::size_t n = x.size();
+  const double step = (inverse ? 2.0 : -2.0) * std::numbers::pi /
+                      static_cast<double>(n);
+  ComplexVec w(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = std::polar(1.0, step * static_cast<double>(m));
+  }
+  double err = 0.0, scale = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    Complex want(0.0, 0.0);
+    // jk mod n; n is a power of two.
+    for (std::size_t j = 0; j < n; ++j) want += x[j] * w[(j * k) & (n - 1)];
+    if (inverse) want /= static_cast<double>(n);
+    err = std::max(err, std::abs(planned[k] - want));
+    scale = std::max(scale, std::abs(want));
+  }
+  return err / scale;
+}
 
-TEST_P(PlanVsLegacy, ForwardMatchesFftBitForBit) {
+// The worst error measured over these sizes is about 5e-14 (n = 8192,
+// where the plan's twiddle recurrence has accumulated most rounding); a
+// wrong butterfly or twiddle gives errors of order 1.
+constexpr double kDftTolerance = 1e-12;
+
+class PlanVsDft : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PlanVsDft, ForwardAndInverseMatchDirectDft) {
   const std::size_t n = GetParam();
   const ComplexVec x = RandomSignal(n, n);
-  ComplexVec legacy = x;
-  Fft(legacy);
-  ComplexVec planned = x;
-  FftPlan(n).Forward(planned.data());
-  ExpectBitIdentical(planned, legacy);
+  ComplexVec forward = x;
+  FftPlan(n).Forward(forward.data());
+  EXPECT_LE(RelativeErrorVsDft(x, forward, /*inverse=*/false), kDftTolerance);
+  ComplexVec inverse = x;
+  FftPlan(n).Inverse(inverse.data());
+  EXPECT_LE(RelativeErrorVsDft(x, inverse, /*inverse=*/true), kDftTolerance);
 }
 
-TEST_P(PlanVsLegacy, InverseMatchesIfftBitForBit) {
-  const std::size_t n = GetParam();
-  const ComplexVec x = RandomSignal(n, n + 1);
-  ComplexVec legacy = x;
-  Ifft(legacy);
-  ComplexVec planned = x;
-  FftPlan(n).Inverse(planned.data());
-  ExpectBitIdentical(planned, legacy);
-}
-
-TEST_P(PlanVsLegacy, CachedPlanMatchesFreshPlan) {
+TEST_P(PlanVsDft, CachedPlanMatchesFreshPlanBitForBit) {
   const std::size_t n = GetParam();
   const ComplexVec x = RandomSignal(n, n + 2);
   ComplexVec fresh = x;
   FftPlan(n).Forward(fresh.data());
   ComplexVec cached = x;
   PlanCache::Shared().Get(n)->Forward(cached.data());
-  ExpectBitIdentical(cached, fresh);
+  // Same tables, same order: compare the raw representation.
+  EXPECT_EQ(std::memcmp(cached.data(), fresh.data(), n * sizeof(Complex)), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, PlanVsLegacy,
+INSTANTIATE_TEST_SUITE_P(Sizes, PlanVsDft,
                          ::testing::Values(8, 16, 64, 256, 1024, 4096, 8192),
                          [](const auto& info) {
                            // Piecewise: dodges GCC 12 -Wrestrict at -O3.

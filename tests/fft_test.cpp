@@ -1,4 +1,4 @@
-// dsp::Fft / Ifft / FftInterpolate unit and property tests.
+// dsp::Fft / Ifft / FftInterpolateInto unit and property tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "dsp/fft.h"
+#include "dsp/workspace.h"
 #include "sim/rng.h"
 
 namespace wearlock::dsp {
@@ -126,7 +127,7 @@ TEST(IfftReal, InvertsFftReal) {
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-9);
 }
 
-TEST(FftInterpolate, PreservesOriginalSamplesOnIntegerUpsample) {
+TEST(FftInterpolateInto, PreservesOriginalSamplesOnIntegerUpsample) {
   // Band-limited interpolation must pass through the original points
   // when the ratio is an integer.
   const std::size_t m = 8, factor = 4;
@@ -135,7 +136,8 @@ TEST(FftInterpolate, PreservesOriginalSamplesOnIntegerUpsample) {
     points[i] = Complex(std::sin(0.7 * static_cast<double>(i)),
                         std::cos(0.3 * static_cast<double>(i)));
   }
-  const ComplexVec dense = FftInterpolate(points, m * factor);
+  Workspace ws;
+  const ComplexVec& dense = FftInterpolateInto(points, m * factor, ws);
   ASSERT_EQ(dense.size(), m * factor);
   for (std::size_t i = 0; i < m; ++i) {
     EXPECT_NEAR(dense[i * factor].real(), points[i].real(), 1e-9) << i;
@@ -143,7 +145,7 @@ TEST(FftInterpolate, PreservesOriginalSamplesOnIntegerUpsample) {
   }
 }
 
-TEST(FftInterpolate, InterpolatesSmoothFunctionAccurately) {
+TEST(FftInterpolateInto, InterpolatesSmoothFunctionAccurately) {
   // Sample a slow complex exponential; the interpolant should track it.
   const std::size_t m = 16, out = 64;
   ComplexVec points(m);
@@ -152,7 +154,8 @@ TEST(FftInterpolate, InterpolatesSmoothFunctionAccurately) {
                      static_cast<double>(m);
     points[i] = std::polar(1.0, std::sin(t));
   }
-  const ComplexVec dense = FftInterpolate(points, out);
+  Workspace ws;
+  const ComplexVec& dense = FftInterpolateInto(points, out, ws);
   for (std::size_t j = 0; j < out; ++j) {
     const double t = 2.0 * std::numbers::pi * static_cast<double>(j) /
                      static_cast<double>(out);
@@ -161,15 +164,24 @@ TEST(FftInterpolate, InterpolatesSmoothFunctionAccurately) {
   }
 }
 
-TEST(FftInterpolate, ThrowsOnEmpty) {
-  EXPECT_THROW(FftInterpolate({}, 8), std::invalid_argument);
+TEST(FftInterpolateInto, ThrowsOnEmpty) {
+  Workspace ws;
+  EXPECT_THROW(FftInterpolateInto({}, 8, ws), std::invalid_argument);
 }
 
-TEST(FftInterpolate, NonPowerOfTwoSizesWork) {
-  ComplexVec points(6, Complex(2.0, 0.0));
-  const ComplexVec dense = FftInterpolate(points, 18);
-  ASSERT_EQ(dense.size(), 18u);
-  for (const auto& c : dense) EXPECT_NEAR(c.real(), 2.0, 1e-9);
+TEST(FftInterpolateInto, NonPowerOfTwoSizesWork) {
+  // Each transform picks its own path: both DFT (6 -> 18), plan then
+  // DFT (8 -> 12), DFT then plan (6 -> 16), and a shrinking request.
+  Workspace ws;
+  const std::size_t shapes[][2] = {{6, 18}, {8, 12}, {6, 16}, {8, 6}};
+  for (const auto& [m, out] : shapes) {
+    const ComplexVec& dense =
+        FftInterpolateInto(ComplexVec(m, Complex(2.0, 0.0)), out, ws);
+    ASSERT_EQ(dense.size(), out);
+    for (const auto& c : dense) {
+      EXPECT_NEAR(c.real(), 2.0, 1e-9) << m << " -> " << out;
+    }
+  }
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 
 #include <cmath>
 
+#include "dsp/fft_plan.h"
 #include "dsp/resample.h"
 #include "dsp/spl.h"
+#include "dsp/workspace.h"
 #include "modem/adaptive.h"
 #include "modem/coding.h"
 #include "modem/demodulator.h"
@@ -23,6 +25,21 @@ namespace wearlock::modem {
 namespace {
 
 FrameSpec DefaultSpec() { return FrameSpec{}; }
+
+/// One CP-prefixed OFDM symbol carrying `loads`, built as the modulator does.
+audio::Samples MakeSymbol(const FrameSpec& spec,
+                          const std::vector<BinLoad>& loads) {
+  audio::Samples symbol(spec.symbol_samples());
+  WriteSymbol(spec, *dsp::PlanCache::Shared().Get(spec.fft_size()), loads,
+              {}, {}, dsp::Workspace::PerThread(), symbol);
+  return symbol;
+}
+
+std::vector<BinLoad> PilotLoads(const FrameSpec& spec) {
+  std::vector<BinLoad> loads;
+  for (std::size_t b : spec.plan.pilots) loads.push_back({b, PilotValue(b)});
+  return loads;
+}
 
 // ----------------------------------------------------------------- frame
 TEST(Frame, LayoutArithmetic) {
@@ -58,11 +75,9 @@ TEST(Frame, PilotValuesAreUnitMagnitude) {
   EXPECT_GT(std::abs(PilotValue(7) - PilotValue(11)), 0.1);
 }
 
-TEST(Frame, BuildSymbolHasCyclicPrefix) {
+TEST(Frame, WriteSymbolHasCyclicPrefix) {
   const FrameSpec spec = DefaultSpec();
-  std::map<std::size_t, dsp::Complex> loads;
-  for (std::size_t b : spec.plan.pilots) loads[b] = PilotValue(b);
-  const auto symbol = BuildSymbol(spec, loads);
+  const auto symbol = MakeSymbol(spec, PilotLoads(spec));
   ASSERT_EQ(symbol.size(), spec.symbol_samples());
   // CP == tail of the body.
   for (std::size_t i = 0; i < spec.cyclic_prefix_samples; ++i) {
@@ -70,22 +85,21 @@ TEST(Frame, BuildSymbolHasCyclicPrefix) {
   }
 }
 
-TEST(Frame, BuildSymbolIsReal) {
+TEST(Frame, WriteSymbolIsReal) {
   const FrameSpec spec = DefaultSpec();
-  std::map<std::size_t, dsp::Complex> loads{{20, {0.3, 0.8}}};
-  const auto symbol = BuildSymbol(spec, loads);
+  const auto symbol = MakeSymbol(spec, {{20, {0.3, 0.8}}});
   // Spectrum of the body must be Hermitian (it came out real), and the
   // loaded bin must carry the value.
   audio::Samples body(symbol.begin() + 128, symbol.end());
-  const auto spec_out = SymbolSpectrum(spec, body);
+  const auto spec_out = dsp::FftReal(body);
   EXPECT_NEAR(spec_out[20].real(), 0.3, 1e-9);
   EXPECT_NEAR(spec_out[20].imag(), 0.8, 1e-9);
 }
 
-TEST(Frame, BuildSymbolRejectsBadBins) {
+TEST(Frame, WriteSymbolRejectsBadBins) {
   const FrameSpec spec = DefaultSpec();
-  EXPECT_THROW(BuildSymbol(spec, {{0, {1.0, 0.0}}}), std::invalid_argument);
-  EXPECT_THROW(BuildSymbol(spec, {{128, {1.0, 0.0}}}), std::invalid_argument);
+  EXPECT_THROW(MakeSymbol(spec, {{0, {1.0, 0.0}}}), std::invalid_argument);
+  EXPECT_THROW(MakeSymbol(spec, {{128, {1.0, 0.0}}}), std::invalid_argument);
 }
 
 TEST(Frame, NormalizeFrameHitsPeak) {
@@ -134,7 +148,7 @@ TEST(Modulator, ProbeFrameLoadsAllDataAndPilotBins) {
   audio::Samples body(tx.samples.begin() + static_cast<long>(body_start),
                       tx.samples.begin() +
                           static_cast<long>(body_start + spec.fft_size()));
-  const auto spectrum = SymbolSpectrum(spec, body);
+  const auto spectrum = dsp::FftReal(body);
   double data_power = 0.0, null_power = 0.0;
   for (std::size_t b : spec.plan.data) data_power += std::norm(spectrum[b]);
   for (std::size_t b : spec.plan.nulls) null_power += std::norm(spectrum[b]);
@@ -218,12 +232,11 @@ TEST(Sync, OutOfBoundsHandled) {
 // ------------------------------------------------------------- equalizer
 TEST(Equalizer, RecoversFlatChannel) {
   const FrameSpec spec = DefaultSpec();
-  std::map<std::size_t, dsp::Complex> loads;
-  for (std::size_t b : spec.plan.pilots) loads[b] = PilotValue(b);
-  const auto symbol = BuildSymbol(spec, loads);
+  const auto symbol = MakeSymbol(spec, PilotLoads(spec));
   audio::Samples body(symbol.begin() + 128, symbol.end());
-  const auto spectrum = SymbolSpectrum(spec, body);
-  const auto est = EstimateChannel(spec, spectrum);
+  const auto spectrum = dsp::FftReal(body);
+  dsp::Workspace ws;
+  const auto est = EstimateChannelInto(PilotGeometry(spec), spectrum, ws);
   // Flat unit channel: |H| ~ 1 across the band.
   for (std::size_t b : spec.plan.data) {
     EXPECT_NEAR(std::abs(est.At(b)), 1.0, 0.05) << b;
@@ -232,26 +245,28 @@ TEST(Equalizer, RecoversFlatChannel) {
 
 TEST(Equalizer, TracksAttenuationAndPhase) {
   const FrameSpec spec = DefaultSpec();
-  std::map<std::size_t, dsp::Complex> loads;
-  for (std::size_t b : spec.plan.pilots) loads[b] = PilotValue(b);
-  loads[20] = dsp::Complex(1.0, 0.0);
-  auto symbol = BuildSymbol(spec, loads);
+  std::vector<BinLoad> loads = PilotLoads(spec);
+  loads.push_back({20, dsp::Complex(1.0, 0.0)});
+  const auto symbol = MakeSymbol(spec, loads);
   // Apply a one-sample delay = linear phase across frequency + gain 0.5.
   audio::Samples degraded = dsp::DelayInteger(symbol, 1);
   for (auto& v : degraded) v *= 0.5;
   audio::Samples body(degraded.begin() + 129,
                       degraded.begin() + 129 + 256);
-  const auto spectrum = SymbolSpectrum(spec, body);
-  const auto est = EstimateChannel(spec, spectrum);
-  const auto eq = Equalize(est, spectrum, {20});
+  const auto spectrum = dsp::FftReal(body);
+  dsp::Workspace ws;
+  const auto est = EstimateChannelInto(PilotGeometry(spec), spectrum, ws);
+  const auto eq = EqualizeInto(est, spectrum, std::vector<std::size_t>{20}, ws);
   EXPECT_NEAR(eq[0].real(), 1.0, 0.05);
   EXPECT_NEAR(eq[0].imag(), 0.0, 0.05);
 }
 
 TEST(Equalizer, DeepFadeDoesNotBlowUp) {
-  ChannelEstimate est(7, dsp::ComplexVec(29, dsp::Complex(0.0, 0.0)));
+  const dsp::ComplexVec faded(29, dsp::Complex(0.0, 0.0));
+  const ChannelView est{7, faded};
   dsp::ComplexVec spectrum(256, dsp::Complex(1.0, 0.0));
-  const auto eq = Equalize(est, spectrum, {16});
+  dsp::Workspace ws;
+  const auto eq = EqualizeInto(est, spectrum, std::vector<std::size_t>{16}, ws);
   EXPECT_TRUE(std::isfinite(eq[0].real()));
 }
 
@@ -260,23 +275,33 @@ TEST(Equalizer, UnequalPilotSpacingThrows) {
   spec.plan.pilots = {7, 11, 16, 19, 23, 27, 31, 35};  // 11->16 gap differs
   spec.plan.nulls.clear();
   dsp::ComplexVec spectrum(256, dsp::Complex(1.0, 0.0));
-  EXPECT_THROW(EstimateChannel(spec, spectrum), std::invalid_argument);
+  dsp::Workspace ws;
+  EXPECT_THROW(EstimateChannelInto(PilotGeometry(spec), spectrum, ws),
+               std::invalid_argument);
+}
+
+// ----------------------------------------------------------- demodulator
+TEST(Demodulator, NonPowerOfTwoFftSizeThrowsAtConstruction) {
+  // Every symbol spectrum runs the cached FFT plan, so a size no plan
+  // covers is refused when the receiver is built, not at the first frame.
+  FrameSpec spec = DefaultSpec();
+  spec.plan.fft_size = 250;
+  EXPECT_THROW(Demodulator{spec}, std::invalid_argument);
+  EXPECT_NO_THROW(Demodulator{DefaultSpec()});
 }
 
 // ------------------------------------------------------------------- snr
 TEST(Snr, PilotSnrSeparatesCleanFromNoisy) {
   const FrameSpec spec = DefaultSpec();
-  std::map<std::size_t, dsp::Complex> loads;
-  for (std::size_t b : spec.plan.pilots) loads[b] = PilotValue(b);
-  const auto symbol = BuildSymbol(spec, loads);
+  const auto symbol = MakeSymbol(spec, PilotLoads(spec));
   audio::Samples body(symbol.begin() + 128, symbol.end());
-  const auto clean = SymbolSpectrum(spec, body);
+  const auto clean = dsp::FftReal(body);
   EXPECT_GT(PilotSnrDb(spec, clean), 40.0);
 
   sim::Rng rng(14);
   audio::Samples noisy = body;
   for (auto& v : noisy) v += 0.02 * rng.Gaussian();
-  const auto snr_noisy = PilotSnrDb(spec, SymbolSpectrum(spec, noisy));
+  const auto snr_noisy = PilotSnrDb(spec, dsp::FftReal(noisy));
   EXPECT_LT(snr_noisy, 40.0);
   EXPECT_GT(snr_noisy, 0.0);
 }

@@ -57,11 +57,12 @@ TEST(MetricsRegistry, GetReturnsStableReferences) {
   EXPECT_EQ(registry.GetCounter("x").value(), 7u);
 }
 
-TEST(MetricsRegistry, FirstSketchAccuracyWins) {
+TEST(MetricsRegistry, GetSketchReturnsTheRegisteredSketch) {
   MetricsRegistry registry;
-  Sketch& h = registry.GetSketch("h", 0.05);
-  EXPECT_EQ(&registry.GetSketch("h", 0.01), &h);
-  EXPECT_EQ(h.relative_accuracy(), 0.05);
+  Sketch& h = registry.GetSketch("h");
+  h.Observe(2.0);
+  EXPECT_EQ(&registry.GetSketch("h"), &h);
+  EXPECT_EQ(registry.GetSketch("h").count(), 1u);
 }
 
 TEST(MetricsRegistry, SeriesValuesWithoutRegistering) {

@@ -169,16 +169,16 @@ TEST(SketchTest, QuantilesHonourTheRelativeErrorBound) {
     const double estimate = sketch.Quantile(q);
     // One bucket boundary of slack on top of alpha: the exact order
     // statistic may sit at the far edge of the estimate's bucket.
-    const double bound = 2.0 * sketch.relative_accuracy() * exact;
+    const double bound = 2.0 * Sketch::kAccuracy * exact;
     EXPECT_NEAR(estimate, exact, bound)
         << "q=" << q << " exact=" << exact << " est=" << estimate;
   }
   // The extremes return a bucket representative clamped to [min, max],
   // so they obey the same relative bound rather than exact equality.
   EXPECT_NEAR(sketch.Quantile(0.0), sketch.min(),
-              2.0 * sketch.relative_accuracy() * sketch.min());
+              2.0 * Sketch::kAccuracy * sketch.min());
   EXPECT_NEAR(sketch.Quantile(1.0), sketch.max(),
-              2.0 * sketch.relative_accuracy() * sketch.max());
+              2.0 * Sketch::kAccuracy * sketch.max());
 }
 
 TEST(SketchTest, ExactFieldsAreExact) {
@@ -209,11 +209,15 @@ TEST(SketchTest, JsonRoundTripIsByteStable) {
   EXPECT_EQ(rebuilt->max(), sketch.max());
 }
 
-TEST(SketchTest, AccuracyMismatchRefusesToMerge) {
-  Sketch fine(0.01), coarse(0.05);
-  fine.Observe(1.0);
-  coarse.Observe(1.0);
-  EXPECT_THROW(fine.Merge(coarse), std::invalid_argument);
+TEST(SketchTest, FromJsonRejectsAnotherAccuracy) {
+  // Every sketch has kAccuracy, so any two merge; a serialized sketch
+  // claiming another accuracy has buckets that would not align.
+  std::string error;
+  const auto parsed =
+      JsonParse(R"({"a":0.05,"count":0,"zero":0,"pos":[],"neg":[]})", &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_FALSE(Sketch::FromJson(*parsed, &error).has_value());
+  EXPECT_NE(error.find("relative accuracy"), std::string::npos) << error;
 }
 
 TEST(SketchTest, EmptySketchEdgeCases) {

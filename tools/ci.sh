@@ -6,10 +6,11 @@
 # test TIMEOUT, and its --threads 1 vs 8 byte-identity). Modeled time is
 # a function of the seed alone, so no step pins host timing. This
 # script adds the rest:
-#   1. plain build (warnings-as-errors) + full ctest
+#   1. plain build (warnings-as-errors) + full ctest (its
+#      bench_smoke_fig5_ber_ebn0 runs fig5 at one thread, the
+#      zero-allocation steady-state gate; docs/perf.md)
 #   2. bench report: fig5 --json at 1 and 8 threads collected into
-#      BENCH_dsp_core.json; the serial run is also the zero-allocation
-#      steady-state gate (docs/perf.md)
+#      BENCH_dsp_core.json
 #   3. bench report: fleet throughput (BENCH_fleet.json)
 #   4. contention campaign: a >=10k-session rollup that must byte-match
 #      across --threads 1/2/8 and shard sizes, and BENCH_channel.json
@@ -43,10 +44,8 @@ ctest --test-dir build --output-on-failure
 banner "bench report: fig5 timing JSON (BENCH_dsp_core.json)"
 # One timed quick sweep per thread count, each writing the schema
 # checked by bench_json_test; the two reports are collected side by side
-# so the committed artifact records serial and parallel wall time. The
-# --threads 1 run doubles as the zero-allocation gate: fig5 exits
-# non-zero if the warmed sweep misses the plan cache or grows a
-# workspace slot.
+# so the committed artifact records serial and parallel wall time. (The
+# zero-allocation gate is Tier-1's bench_smoke_fig5_ber_ebn0.)
 build/bench/fig5_ber_ebn0 --quick --threads 1 \
     --json build/fig5-t1.json >/dev/null
 build/bench/fig5_ber_ebn0 --quick --threads 8 \

@@ -116,7 +116,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       if (!ParseU64(next(), &spec.seed)) return Usage();
     } else if (arg == "--threads") {
-      if (!ParseU64(next(), &u)) return Usage();
+      if (!ParseU64(next(), &u) || u > sim::ParallelExecutor::kMaxThreads) {
+        return Usage();
+      }
       threads = static_cast<std::size_t>(u);
     } else if (arg == "--retries") {
       if (!ParseU64(next(), &u)) return Usage();

@@ -117,7 +117,10 @@ int main(int argc, char** argv) {
       const char* v = i + 1 < argc ? argv[++i] : "";
       const char* end = v + std::strlen(v);
       const auto result = std::from_chars(v, end, threads);
-      if (result.ec != std::errc() || result.ptr != end) return Usage();
+      if (result.ec != std::errc() || result.ptr != end ||
+          threads > sim::ParallelExecutor::kMaxThreads) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--regen-golden") == 0) {
       regen_golden = true;
     } else {
