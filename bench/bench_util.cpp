@@ -168,7 +168,7 @@ void SweepRunner::PrintTiming(const std::string& sweep_name) const {
   std::fprintf(stderr,
                "[sweep] %s: %zu points on %zu threads, total %.1f ms "
                "(mean point %.2f ms)\n",
-               sweep_name.c_str(), points.size(), thread_count(), total_ms,
+               sweep_name.c_str(), points.size(), reported_threads(), total_ms,
                point_summary.mean);
   if (!options_.json_path.empty()) {
     WriteJsonReport(sweep_name, options_.json_path);
@@ -190,7 +190,7 @@ bool SweepRunner::WriteJsonReport(const std::string& bench_name,
   double wall_ms = 0.0;
   for (double t : totals) wall_ms += t;
   std::fprintf(out, "{\"bench\":\"%s\",\"threads\":%zu,\"seed\":%llu,",
-               bench_name.c_str(), thread_count(),
+               bench_name.c_str(), reported_threads(),
                static_cast<unsigned long long>(options_.base_seed));
   // Provenance: enough context to interpret (or distrust) a BENCH_*.json
   // pulled out of CI weeks later - which commit, how parallel the host

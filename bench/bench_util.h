@@ -131,7 +131,8 @@ class SweepRunner {
   void PrintTiming(const std::string& sweep_name) const;
 
   /// Write `{"bench":name,"threads":T,"seed":S,"provenance":{...},
-  /// "wall_ms":X,"per_point_ms":[...]}` to `path`. The provenance object
+  /// "wall_ms":X,"per_point_ms":[...]}` to `path`, where T is
+  /// reported_threads(). The provenance object
   /// stamps git_sha (configure-time), hardware_concurrency, the
   /// WEARLOCK_THREADS env value (null when unset) and the --quick flag,
   /// so archived BENCH_*.json stay interpretable. Timing goes to a side
@@ -142,6 +143,16 @@ class SweepRunner {
                        const std::string& path) const;
 
   std::size_t thread_count() const { return executor_.thread_count(); }
+
+  /// The thread count PrintTiming() and WriteJsonReport() stamp: the
+  /// runner's worker count unless set. A bench whose points each fan out
+  /// on their own (fleet_throughput times one --threads campaign per
+  /// point on a one-worker runner) stamps that fan-out instead.
+  std::size_t reported_threads() const {
+    return reported_threads_ != 0 ? reported_threads_ : thread_count();
+  }
+  void set_reported_threads(std::size_t threads) { reported_threads_ = threads; }
+
   const BenchOptions& options() const { return options_; }
   obs::MetricsRegistry& metrics() { return *registry_; }
   sim::ParallelExecutor& executor() { return executor_; }
@@ -171,6 +182,7 @@ class SweepRunner {
   sim::ParallelExecutor executor_;
   double batch_start_ms_ = 0.0;
   std::size_t batch_points_ = 0;
+  std::size_t reported_threads_ = 0;  // 0: thread_count()
 };
 
 }  // namespace wearlock::bench

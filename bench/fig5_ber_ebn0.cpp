@@ -17,6 +17,7 @@
 
 #include "audio/medium.h"
 #include "bench_util.h"
+#include "dsp/correlate.h"
 #include "dsp/fft_plan.h"
 #include "dsp/stats.h"
 #include "dsp/workspace.h"
@@ -91,11 +92,11 @@ int main(int argc, char** argv) {
   bench::SweepRunner runner(options);
 
   // Untimed warm-up: one point per modulation primes every worker
-  // thread's dsp::Workspace slots and the shared FFT plan cache. The
-  // timed sweep below must then hold both counters flat - at
-  // --threads 1 (where one worker runs every point, so warm-up
-  // coverage is exact) any delta is a hot-path allocation regression
-  // and fails the bench.
+  // thread's dsp::Workspace slots, the shared FFT plan cache and the
+  // preamble spectrum cache. The timed sweep below must then hold all
+  // three counters flat - at --threads 1 (where one worker runs every
+  // point, so warm-up coverage is exact) any delta is a hot-path
+  // allocation regression and fails the bench.
   runner.WarmUp(modulations.size(), [&](sim::TaskContext& ctx) {
     return MeasurePoint(modulations[ctx.index], noise_spls.front(),
                         /*rounds=*/1, ctx.rng)
@@ -103,6 +104,7 @@ int main(int argc, char** argv) {
   });
   const std::uint64_t misses_before = dsp::PlanCache::Shared().misses();
   const std::uint64_t growths_before = dsp::Workspace::TotalGrowths();
+  const std::uint64_t spectra_before = dsp::SpectrumCache::Shared().misses();
 
   const auto cells = runner.RunGrid(
       modulations.size(), noise_spls.size(),
@@ -116,15 +118,20 @@ int main(int argc, char** argv) {
       dsp::PlanCache::Shared().misses() - misses_before;
   const std::uint64_t growth_delta =
       dsp::Workspace::TotalGrowths() - growths_before;
+  const std::uint64_t spectrum_delta =
+      dsp::SpectrumCache::Shared().misses() - spectra_before;
   std::fprintf(stderr,
                "[alloc] steady-state sweep: %llu plan-cache misses, %llu "
-               "workspace growths (cache: %llu hits / %llu misses lifetime)\n",
+               "workspace growths, %llu spectrum-cache misses (plan cache: "
+               "%llu hits / %llu misses lifetime)\n",
                static_cast<unsigned long long>(miss_delta),
                static_cast<unsigned long long>(growth_delta),
+               static_cast<unsigned long long>(spectrum_delta),
                static_cast<unsigned long long>(dsp::PlanCache::Shared().hits()),
                static_cast<unsigned long long>(
                    dsp::PlanCache::Shared().misses()));
-  if (runner.thread_count() == 1 && (miss_delta != 0 || growth_delta != 0)) {
+  if (runner.thread_count() == 1 &&
+      (miss_delta != 0 || growth_delta != 0 || spectrum_delta != 0)) {
     std::fprintf(stderr,
                  "[alloc] FAIL: hot path allocated after warm-up "
                  "(zero-allocation steady state violated)\n");

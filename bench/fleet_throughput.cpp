@@ -40,10 +40,14 @@ int main(int argc, char** argv) {
   const int rounds = options.Rounds(3);
 
   // One worker for the round loop: rounds are timed back to back, and
-  // RunCampaign supplies its own shard-level parallelism at --threads.
+  // RunCampaign supplies its own shard-level parallelism at --threads,
+  // which is the thread count the timing report stamps.
   bench::BenchOptions serial = options;
   serial.threads = 1;
   bench::SweepRunner runner(serial);
+  runner.set_reported_threads(
+      options.threads > 0 ? options.threads
+                          : sim::ParallelExecutor::DefaultThreadCount());
   const auto results = runner.Run(
       static_cast<std::size_t>(rounds), [&](sim::TaskContext&) {
         const protocol::CampaignResult result =
@@ -52,13 +56,7 @@ int main(int argc, char** argv) {
         result.sink.WriteJson(rollup);
         return rollup.str();
       });
-  // The runner is pinned to one worker, so its report would stamp
-  // "threads":1 regardless of the campaign fan-out; carry the real
-  // campaign thread count in the bench name instead.
-  const std::size_t campaign_threads =
-      options.threads > 0 ? options.threads
-                          : sim::ParallelExecutor::DefaultThreadCount();
-  runner.PrintTiming("fleet_throughput_t" + std::to_string(campaign_threads));
+  runner.PrintTiming("fleet_throughput");
 
   for (std::size_t round = 1; round < results.size(); ++round) {
     if (results[round] != results[0]) {

@@ -4,9 +4,13 @@
 // kernel times by device profiles, so kernel regressions shift them).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "audio/medium.h"
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
+#include "dsp/resample.h"
+#include "modem/detector.h"
 #include "modem/modem.h"
 #include "sensors/dtw.h"
 #include "sensors/motion_sim.h"
@@ -40,6 +44,55 @@ void BM_PreambleCorrelation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreambleCorrelation)->Arg(8192)->Arg(16384);
+
+void BM_PreambleDetect(benchmark::State& state) {
+  // PreambleDetector::Detect on a recording with the preamble after a
+  // quiet lead-in: the energy gate, then the correlation against the
+  // cached preamble spectrum (BM_PreambleCorrelation transforms the
+  // template on every call).
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(7);
+  auto recording = rng.GaussianVector(n, 1e-4);
+  const modem::FrameSpec spec;
+  const auto preamble = modem::MakePreamble(spec);
+  for (std::size_t i = 0; i < preamble.size(); ++i) {
+    recording[n / 3 + i] += 0.1 * preamble[i];
+  }
+  const modem::PreambleDetector detector(spec);
+  for (auto _ : state) {
+    auto detection = detector.Detect(recording);
+    benchmark::DoNotOptimize(detection);
+  }
+}
+BENCHMARK(BM_PreambleDetect)->Arg(9000);
+
+void BM_GaussianVector(benchmark::State& state) {
+  // Bulk normal draws: every noise source, mic self-noise and phase
+  // jitter render of the simulated world.
+  sim::Rng rng(8);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    auto v = rng.GaussianVector(n, 0.5);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GaussianVector)->Arg(8192);
+
+void BM_DelayFractional(benchmark::State& state) {
+  // One propagation path: a 38.55-sample windowed-sinc delay (33 taps)
+  // of a signal that starts with a silent lead-in.
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(9);
+  std::vector<double> x = rng.GaussianVector(n);
+  std::fill(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n / 8), 0.0);
+  for (auto _ : state) {
+    auto y = dsp::DelayFractional(x, 38.55, 33);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DelayFractional)->Arg(8192);
 
 void BM_FullDemodulation(benchmark::State& state) {
   sim::Rng rng(3);

@@ -8,15 +8,25 @@
 // The *Into variants are the hot path: they run on a dsp::Workspace and
 // write into caller-sized output, so steady-state calls allocate
 // nothing. The vector-returning signatures are compatibility shims over
-// the same code (identical values).
+// the same code (identical values). Every FFT correlation runs one body
+// that takes the template's zero-padded spectrum as input: a template
+// that recurs across calls (the preamble) gets it from SpectrumCache,
+// any other template has it transformed per call.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
+#include "dsp/fft.h"
+
 namespace wearlock::dsp {
 
+class FftPlan;    // dsp/fft_plan.h
 class Workspace;  // dsp/workspace.h
 
 /// Linear cross-correlation r[k] = sum_n x[n+k] * y[n] for
@@ -32,7 +42,8 @@ std::vector<double> CrossCorrelateFft(std::span<const double> x,
 
 /// Workspace CrossCorrelateFft: identical values written into `out`,
 /// which the caller must size to the lag count x.size() - y.size() + 1.
-/// Scratch lives in ws slots CSlot::kCorrX/kCorrY.
+/// y's spectrum is transformed into ws slot CSlot::kCorrY, and the
+/// correlation body's scratch is CSlot::kCorrX.
 void CrossCorrelateFftInto(std::span<const double> x,
                            std::span<const double> y, Workspace& ws,
                            std::span<double> out);
@@ -43,11 +54,46 @@ void CrossCorrelateFftInto(std::span<const double> x,
 std::vector<double> NormalizedCrossCorrelate(std::span<const double> x,
                                              std::span<const double> y);
 
-/// Workspace NormalizedCrossCorrelate: identical values into `out`
-/// (caller-sized to the lag count, may be a Workspace real slot).
-void NormalizedCrossCorrelateInto(std::span<const double> x,
-                                  std::span<const double> y, Workspace& ws,
-                                  std::span<double> out);
+/// Workspace NormalizedCrossCorrelate for a template that recurs across
+/// calls, such as a preamble: identical values into `out` (caller-sized
+/// to the lag count, may be a Workspace real slot), with y's spectrum
+/// from SpectrumCache::Shared() instead of a transform per call.
+void NormalizedCrossCorrelateCachedInto(std::span<const double> x,
+                                        std::span<const double> y,
+                                        Workspace& ws, std::span<double> out);
+
+/// Thread-safe, process-wide map of template spectra, keyed by the
+/// template's exact sample bits and the FFT size. Entries are immutable
+/// and never evicted, so a returned span stays valid for the life of
+/// the process; only the first request for a key allocates.
+class SpectrumCache {
+ public:
+  /// The forward transform of `samples` zero-padded to plan.size(),
+  /// built with `plan` on first request (bit-identical to transforming
+  /// it on every call).
+  std::span<const Complex> Get(std::span<const double> samples,
+                               const FftPlan& plan);
+
+  /// Lifetime lookup counters. Steady state is all hits: one miss per
+  /// (template, size) key.
+  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::uint64_t misses() const {
+    return misses_.load(std::memory_order_relaxed);
+  }
+
+  /// The process-wide cache the preamble detector uses.
+  static SpectrumCache& Shared();
+
+ private:
+  struct Entry {
+    RealVec samples;
+    ComplexVec spectrum;
+  };
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<const Entry>> entries_;  // guarded by mu_
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+};
 
 struct PeakResult {
   std::size_t index = 0;  ///< lag of the maximum score

@@ -1,6 +1,8 @@
 #include "dsp/resample.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 
@@ -10,6 +12,16 @@ namespace wearlock::dsp {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
+
+// Two doubles per operation: GCC/Clang vector extensions, which lower to
+// SSE2 on x86-64 and to scalar code where the target has no such unit.
+using F64x2 = double __attribute__((vector_size(16)));
+
+F64x2 Load2(const double* p) {
+  F64x2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 double Sinc(double x) {
   if (std::abs(x) < 1e-12) return 1.0;
@@ -38,7 +50,7 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
   if (frac < 1e-12) return DelayInteger(x, whole);
 
   // Windowed-sinc interpolation of the fractional part. Taps and the
-  // shifted copy live in this thread's workspace: channel simulation
+  // padded input live in this thread's workspace: channel simulation
   // delays every path of every frame, so steady state reuses them.
   Workspace& ws = Workspace::PerThread();
   const std::size_t half = taps / 2;
@@ -58,21 +70,54 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
     for (double& v : h) v /= norm;
   }
 
-  RealVec& frac_delayed = ws.RealZeroed(RSlot::kResampleShift, x.size() + taps - 1);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    // Exact zero-skip (see Convolve): guard intervals and lead-in
-    // silence are long runs of +0.0 whose products are additive no-ops.
-    if (x[i] == 0.0) continue;
-    for (std::size_t j = 0; j < taps; ++j) frac_delayed[i + j] += x[i] * h[j];
-  }
-  // The filter centre sits `half` samples in; compensate so total delay is
-  // exactly whole + frac.
-  std::vector<double> y(x.size() + whole + 1, 0.0);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    const std::size_t src = i + half;
-    const long long shifted = static_cast<long long>(src) - static_cast<long long>(whole);
-    if (shifted >= 0 && static_cast<std::size_t>(shifted) < frac_delayed.size()) {
-      y[i] = frac_delayed[static_cast<std::size_t>(shifted)];
+  // Output i is the filtered sample m = i + half - whole (the filter
+  // centre sits `half` samples in, so the total delay is exactly
+  // whole + frac): the taps reversed against the input zero-padded by
+  // taps - 1 on each side, summed in ascending input index from +0.0.
+  // That is the order in which adding each input's products to every
+  // output it reaches would accumulate them; a zero input's products
+  // are additive no-ops on an accumulator that starts at +0.0 (it can
+  // never become -0.0), so the padding and the guard-interval and
+  // lead-in silence change no bit, and an output whose whole window is
+  // zero stays +0.0 without being computed.
+  std::reverse(h.begin(), h.end());
+  const std::size_t n = x.size();
+  const std::size_t pad = taps - 1;
+  RealVec& xp = ws.RealZeroed(RSlot::kResampleShift, n + 2 * pad);
+  std::copy(x.begin(), x.end(), xp.begin() + static_cast<std::ptrdiff_t>(pad));
+  std::vector<double> y(n + whole + 1, 0.0);
+  const std::size_t begin = whole > half ? whole - half : 0;
+  const std::size_t end = std::min(y.size(), n + pad + whole - half);
+  const double* hr = h.data();
+  std::size_t live = 0;  // first nonzero input at or after the window start
+  for (std::size_t i = begin; i < end;) {
+    const std::size_t m = i + half - whole;  // window xp[m, m + taps)
+    live = std::max(live, m);
+    while (live < xp.size() && xp[live] == 0.0) ++live;
+    if (live == xp.size()) break;
+    if (live >= m + taps) {  // silent window: jump to the first live one
+      i += live - (m + taps) + 1;
+      continue;
+    }
+    const double* w = xp.data() + m;
+    if (i + 8 <= end) {
+      // Eight outputs, one accumulator lane each.
+      F64x2 a0 = {}, a1 = {}, a2 = {}, a3 = {};
+      for (std::size_t k = 0; k < taps; ++k) {
+        a0 += Load2(w + k) * hr[k];
+        a1 += Load2(w + k + 2) * hr[k];
+        a2 += Load2(w + k + 4) * hr[k];
+        a3 += Load2(w + k + 6) * hr[k];
+      }
+      std::memcpy(&y[i], &a0, sizeof a0);
+      std::memcpy(&y[i + 2], &a1, sizeof a1);
+      std::memcpy(&y[i + 4], &a2, sizeof a2);
+      std::memcpy(&y[i + 6], &a3, sizeof a3);
+      i += 8;
+    } else {
+      double a = 0.0;
+      for (std::size_t k = 0; k < taps; ++k) a += w[k] * hr[k];
+      y[i++] = a;
     }
   }
   return y;

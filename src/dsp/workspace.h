@@ -24,8 +24,8 @@ enum class CSlot : std::size_t {
   kFftScratch,      // AnalyticSignal: zero-padded transform buffer
   kInterpSpec,      // FftInterpolateInto: forward spectrum of the points
   kInterpPadded,    // FftInterpolateInto: padded spectrum, then result
-  kCorrX,           // CrossCorrelateFftInto: padded signal spectrum
-  kCorrY,           // CrossCorrelateFftInto: padded template spectrum
+  kCorrX,           // CorrelateWithSpectrum: padded signal spectrum
+  kCorrY,           // CrossCorrelateFftInto: uncached template spectrum
   kConvX,           // Convolve (FFT path): padded signal spectrum
   kConvH,           // Convolve (FFT path): padded kernel spectrum
   kSymbolSpectrum,  // Demodulator::SymbolSpectrumInto per-symbol FFT
@@ -43,8 +43,8 @@ enum class RSlot : std::size_t {
   kDetectorScores,  // PreambleDetector::ScoresInto correlation output
   kOnsetRms,        // FindSignalOnset window RMS series
   kOnsetSorted,     // FindSignalOnset noise-floor order statistic
-  kResampleTaps,    // DelayFractional windowed-sinc taps
-  kResampleShift,   // DelayFractional fractional-shifted copy
+  kResampleTaps,    // DelayFractional windowed-sinc taps, reversed
+  kResampleShift,   // DelayFractional zero-padded input copy
   kSpectroFrame,    // ComputeSpectrogram windowed frame
   kCount
 };

@@ -16,7 +16,10 @@ PreambleDetector::PreambleDetector(FrameSpec spec, DetectorConfig config)
 std::vector<double> PreambleDetector::Scores(
     std::span<const double> recording) const {
   if (recording.size() < preamble_.size()) return {};
-  return dsp::NormalizedCrossCorrelate(recording, preamble_);
+  std::vector<double> scores(recording.size() - preamble_.size() + 1);
+  dsp::NormalizedCrossCorrelateCachedInto(recording, preamble_,
+                                          dsp::Workspace::PerThread(), scores);
+  return scores;
 }
 
 // lint: hot-path
@@ -70,7 +73,7 @@ std::optional<Detection> PreambleDetector::Detect(
   dsp::Workspace& ws = dsp::Workspace::PerThread();
   dsp::RealVec& scores = ws.RealBuf(dsp::RSlot::kDetectorScores,
                                     region.size() - preamble_.size() + 1);
-  dsp::NormalizedCrossCorrelateInto(region, preamble_, ws, scores);
+  dsp::NormalizedCrossCorrelateCachedInto(region, preamble_, ws, scores);
   const dsp::PeakResult peak = dsp::FindPeak(scores);
   if (peak.score < config_.score_threshold) {
     WL_COUNT("modem.sync.no_preamble");

@@ -39,7 +39,8 @@ class PreambleDetector {
   /// Find the preamble in a recording. Returns nullopt if the energy
   /// gate never opens or the correlation peak is under threshold.
   /// Runs entirely on this thread's dsp::Workspace - no region copies,
-  /// no per-call score vectors.
+  /// no per-call score vectors - and, like Scores(), takes the
+  /// preamble's spectrum from dsp::SpectrumCache::Shared().
   std::optional<Detection> Detect(std::span<const double> recording) const;
 
   /// Raw normalized correlation scores against the preamble template

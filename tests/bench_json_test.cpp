@@ -78,6 +78,28 @@ TEST(BenchJsonTest, WriteJsonReportIsWellFormedAndCarriesTheSchema) {
   EXPECT_NE(text.find("\"quick\":true"), std::string::npos);
 }
 
+TEST(BenchJsonTest, ReportStampsTheReportedThreadCount) {
+  // fleet_throughput times one 8-thread campaign per point on a
+  // one-worker runner: the report must say 8, not the runner's 1.
+  BenchOptions options;
+  options.threads = 1;
+  SweepRunner runner(options);
+  runner.Run(2, [](sim::TaskContext& ctx) { return ctx.index; });
+  EXPECT_EQ(runner.reported_threads(), 1u);
+  runner.set_reported_threads(8);
+  EXPECT_EQ(runner.thread_count(), 1u);
+  EXPECT_EQ(runner.reported_threads(), 8u);
+
+  const std::string path =
+      ::testing::TempDir() + "bench_json_test_threads.json";
+  ASSERT_TRUE(runner.WriteJsonReport("fleet_throughput", path));
+  const std::string text = ReadFile(path);
+  std::remove(path.c_str());
+  EXPECT_NE(text.find("\"bench\":\"fleet_throughput\",\"threads\":8,"),
+            std::string::npos)
+      << text;
+}
+
 TEST(BenchJsonTest, WriteJsonReportFailsOnUnwritablePath) {
   SweepRunner runner(BenchOptions{});
   EXPECT_FALSE(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "dsp/chirp.h"
@@ -232,6 +233,83 @@ TEST(Resample, FractionalDelayPreservesEnergy) {
   EXPECT_NEAR(Rms(y) * std::sqrt(static_cast<double>(y.size())),
               Rms(x) * std::sqrt(static_cast<double>(x.size())),
               0.05 * Rms(x) * std::sqrt(static_cast<double>(x.size())));
+}
+
+// DelayFractional as an input-stationary scatter: each nonzero input adds
+// its products to the `taps` outputs it reaches. The library computes
+// the same sums output by output; this is the reference it must match
+// bit for bit.
+std::vector<double> ScatterDelayFractional(const std::vector<double>& x,
+                                           double delay_samples,
+                                           std::size_t taps) {
+  const std::size_t whole = static_cast<std::size_t>(delay_samples);
+  const double frac = delay_samples - static_cast<double>(whole);
+  if (frac < 1e-12) {
+    std::vector<double> y(x.size() + whole, 0.0);
+    for (std::size_t i = 0; i < x.size(); ++i) y[i + whole] = x[i];
+    return y;
+  }
+  const double pi = std::numbers::pi;
+  const std::size_t half = taps / 2;
+  std::vector<double> h(taps);
+  double norm = 0.0;
+  for (std::size_t i = 0; i < taps; ++i) {
+    const double n = static_cast<double>(i) - static_cast<double>(half) - frac;
+    const double w =
+        0.5 - 0.5 * std::cos(2.0 * pi * (static_cast<double>(i) + 0.5) /
+                             static_cast<double>(taps));
+    const double sinc =
+        std::abs(n) < 1e-12 ? 1.0 : std::sin(pi * n) / (pi * n);
+    h[i] = sinc * w;
+    norm += h[i];
+  }
+  if (std::abs(norm) > 1e-12) {
+    for (double& v : h) v /= norm;
+  }
+  std::vector<double> shifted(x.size() + taps - 1, 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 0.0) continue;
+    for (std::size_t j = 0; j < taps; ++j) shifted[i + j] += x[i] * h[j];
+  }
+  std::vector<double> y(x.size() + whole + 1, 0.0);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    const long long src = static_cast<long long>(i + half) -
+                          static_cast<long long>(whole);
+    if (src >= 0 && static_cast<std::size_t>(src) < shifted.size()) {
+      y[i] = shifted[static_cast<std::size_t>(src)];
+    }
+  }
+  return y;
+}
+
+TEST(Resample, FractionalDelayMatchesTheScatterFormBitForBit) {
+  sim::Rng rng(29);
+  // Random signals with zero runs: a silent lead-in, guard-interval
+  // gaps, isolated zeros (some -0.0) and a silent tail.
+  auto signal = [&rng](std::size_t n) {
+    std::vector<double> x = rng.GaussianVector(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i < n / 5 || (i / 37) % 4 == 1 || i + n / 10 >= n) x[i] = 0.0;
+      if (i % 53 == 0) x[i] = -0.0;
+    }
+    return x;
+  };
+  const double delays[] = {0.0,  7.0,         38.55, 0.25, 3.999999,
+                           12.5, 5.0 + 1e-13, 1.0 - 1e-13, 200.75};
+  for (const std::size_t taps : {1u, 3u, 33u}) {
+    for (const std::size_t n : {1u, 7u, 40u, 1000u}) {
+      const std::vector<double> x = signal(n);
+      for (const double delay : delays) {
+        const std::vector<double> got = DelayFractional(x, delay, taps);
+        const std::vector<double> want = ScatterDelayFractional(x, delay, taps);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "taps=" << taps << " n=" << n << " delay=" << delay;
+      }
+    }
+  }
 }
 
 TEST(Resample, Validation) {

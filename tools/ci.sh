@@ -17,9 +17,9 @@
 #      (min-of-3 per thread count) (docs/channels.md)
 #   5. one build+test leg per sanitizer: ASan, UBSan, TSan (the TSan
 #      leg gets real cross-thread traffic from concurrency_stress_test,
-#      executor_test, fft_plan_test, fault_matrix_test,
-#      security_matrix_test, channel_matrix_test - the shared-scene
-#      mixer under contention - and the fleet multiplexer at
+#      executor_test, fft_plan_test, spectrum_cache_test,
+#      fault_matrix_test, security_matrix_test, channel_matrix_test -
+#      the shared-scene mixer under contention - and the fleet multiplexer at
 #      WEARLOCK_THREADS=8, and a parallel bench sweep)
 #
 # Usage: tools/ci.sh [--skip-sanitizers]
@@ -144,6 +144,9 @@ for san in "${SANITIZERS[@]}"; do
     # PlanCache::Get under real contention (8 threads x shared plans).
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/fft_plan_test"
+    # SpectrumCache::Get likewise (8 threads x two preambles x two sizes).
+    TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
+        "build-$san/tests/spectrum_cache_test"
     # The fault matrix's cross-thread determinism leg on a wide pool.
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/fault_matrix_test"

@@ -122,6 +122,55 @@ TEST(DeterminismTest, NolintSuppressesOnSameLine) {
   EXPECT_FALSE(HasRule(diags, "determinism"));
 }
 
+TEST(DeterminismTest, FlagsStdEnginesAndDistributionsInLibraryCode) {
+  const char* positives[] = {
+      "std::normal_distribution<double> d(0.0, 1.0);",
+      "std::uniform_int_distribution<int> d(0, 9);",
+      "std::mt19937 e(1);",
+      "std::mt19937_64 e(1);",
+      "std::minstd_rand0 e(1);",
+      "std::ranlux48 e(1);",
+      "std::knuth_b e(1);",
+      "std::default_random_engine e;",
+      "double u = std::generate_canonical<double, 53>(e);",
+  };
+  for (const char* snippet : positives) {
+    const auto diags =
+        RunAllOn("src/audio/noise.cpp",
+                 std::string("void f() { ") + snippet + " (void)0; }\n");
+    EXPECT_TRUE(HasRule(diags, "determinism")) << snippet;
+  }
+}
+
+TEST(DeterminismTest, StdRandomIsAllowedInRngAndOutsideTheLibrary) {
+  // sim::Rng is the one generator; tests and benches keep std:: engines
+  // as oracles. The in-repo engine's own name is not a std:: engine.
+  const std::string code =
+      "void f() {\n"
+      "  std::mt19937_64 oracle(1);\n"
+      "  std::normal_distribution<double> dist(0.0, 1.0);\n"
+      "  (void)dist(oracle);\n"
+      "}\n";
+  for (const char* path : {"src/sim/rng.cpp", "src/sim/rng.h",
+                           "tests/rng_test.cpp", "bench/perf_kernels.cpp"}) {
+    EXPECT_FALSE(HasRule(RunAllOn(path, code), "determinism")) << path;
+  }
+  EXPECT_FALSE(HasRule(RunAllOn("src/sim/x.cpp",
+                                "void f() { sim::Mt19937_64 e(1); "
+                                "auto my_distribution_count = 0; }\n"),
+                       "determinism"));
+}
+
+TEST(DeterminismTest, NolintSuppressesAStdDistribution) {
+  const auto diags = RunAllOn(
+      "src/audio/noise.cpp",
+      "void f(E& e) {\n"
+      "  std::normal_distribution<double> d;  // NOLINT(determinism): probe\n"
+      "  (void)d(e);\n"
+      "}\n");
+  EXPECT_FALSE(HasRule(diags, "determinism"));
+}
+
 // -- banned-api -------------------------------------------------------
 
 TEST(BannedApiTest, FlagsStdioAndUnsafeCalls) {

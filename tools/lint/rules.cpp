@@ -61,6 +61,13 @@ bool ContainsWord(const std::string& text, const std::string& word) {
   return !FindWord(text, word).empty();
 }
 
+/// True when the file lives under a src/ component (library code, as
+/// opposed to tests/, bench/ and tools/ whose CLIs print by contract).
+bool IsLibraryFile(const SourceFile& file) {
+  const std::string& p = file.path();
+  return p.rfind("src/", 0) == 0 || p.find("/src/") != std::string::npos;
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& AllRules() {
@@ -72,7 +79,10 @@ const std::vector<RuleInfo>& AllRules() {
       {"determinism",
        "no wall-clock or ambient randomness in library code: "
        "system_clock/steady_clock/rand/srand/time()/random_device are "
-       "banned; use sim::VirtualClock and sim::Rng"},
+       "banned; use sim::VirtualClock and sim::Rng. Outside "
+       "src/sim/rng.{h,cpp}, src/ also uses no <random> engine "
+       "(mt19937*, minstd_rand*, ranlux*, knuth_b, "
+       "default_random_engine), *_distribution or generate_canonical"},
       {"banned-api",
        "no stdio writes outside src/obs/log.cpp, no "
        "sprintf/strcpy/strcat/gets/atoi, no raw new/delete"},
@@ -138,20 +148,45 @@ void CheckDeterminism(const SourceFile& file, std::vector<Diagnostic>* out) {
            out);
     }
   }
+
+  // One generator in the library: sim::Rng owns the engine and the
+  // normal draws, so a std:: engine or distribution anywhere else in
+  // src/ would be a second stream whose values the standard library,
+  // not this code, defines. Tests and benches keep them as oracles.
+  const std::string rel = file.SrcRelativePath();
+  if (!IsLibraryFile(file) || rel == "sim/rng.h" || rel == "sim/rng.cpp") {
+    return;
+  }
+  static const std::set<std::string> kEngines = {
+      "mt19937",      "mt19937_64", "minstd_rand",           "minstd_rand0",
+      "knuth_b",      "default_random_engine", "generate_canonical"};
+  const std::string kDistribution = "_distribution";
+  for (std::size_t pos = 0; pos < code.size();) {
+    if (!IsIdentChar(code[pos]) ||
+        std::isdigit(static_cast<unsigned char>(code[pos]))) {
+      ++pos;
+      continue;
+    }
+    std::size_t end = pos;
+    while (end < code.size() && IsIdentChar(code[end])) ++end;
+    const std::string word = code.substr(pos, end - pos);
+    const bool is_distribution =
+        word.size() > kDistribution.size() &&
+        word.compare(word.size() - kDistribution.size(), kDistribution.size(),
+                     kDistribution) == 0;
+    if (kEngines.count(word) || word.rfind("ranlux", 0) == 0 ||
+        is_distribution) {
+      Emit(file, pos, "determinism",
+           "'" + word +
+               "' is a second random stream pinned to the standard "
+               "library; draw through sim::Rng (src/sim/rng.h)",
+           out);
+    }
+    pos = end;
+  }
 }
 
 // -- banned-api -------------------------------------------------------
-
-namespace {
-
-/// True when the file lives under a src/ component (library code, as
-/// opposed to tests/, bench/ and tools/ whose CLIs print by contract).
-bool IsLibraryFile(const SourceFile& file) {
-  const std::string& p = file.path();
-  return p.rfind("src/", 0) == 0 || p.find("/src/") != std::string::npos;
-}
-
-}  // namespace
 
 void CheckBannedApi(const SourceFile& file, std::vector<Diagnostic>* out) {
   const std::string& code = file.code();
