@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "obs/json.h"
+#include "wearlock_git_sha.h"
 
 namespace wearlock::bench {
 
@@ -67,15 +68,10 @@ void Banner(const std::string& title) {
 
 namespace {
 
-/// Commit the binary was configured from ("unknown" outside git — the
-/// define comes from bench/CMakeLists.txt at configure time).
-const char* WearlockGitSha() {
-#ifdef WEARLOCK_GIT_SHA
-  return WEARLOCK_GIT_SHA;
-#else
-  return "unknown";
-#endif
-}
+/// Commit the binary was built from, "-dirty" when tracked files
+/// differed from it ("unknown" outside git; bench/git_sha.cmake writes
+/// the header at build time).
+const char* WearlockGitSha() { return WEARLOCK_GIT_SHA; }
 
 std::size_t ParseCount(const char* s) {
   std::size_t parsed = 0;

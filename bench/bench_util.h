@@ -132,8 +132,9 @@ class SweepRunner {
 
   /// Write `{"bench":name,"threads":T,"seed":S,"provenance":{...},
   /// "wall_ms":X,"per_point_ms":[...]}` to `path`, where T is
-  /// reported_threads(). The provenance object
-  /// stamps git_sha (configure-time), hardware_concurrency, the
+  /// reported_threads(). The provenance object stamps git_sha
+  /// (resolved at build time: the short HEAD sha, with "-dirty" when
+  /// tracked files differed from it), hardware_concurrency, the
   /// WEARLOCK_THREADS env value (null when unset) and the --quick flag,
   /// so archived BENCH_*.json stay interpretable. Timing goes to a side
   /// file, never stdout: table output must stay byte-identical across

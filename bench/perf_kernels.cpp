@@ -7,8 +7,10 @@
 #include <algorithm>
 
 #include "audio/medium.h"
+#include "audio/speaker.h"
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "dsp/resample.h"
 #include "modem/detector.h"
 #include "modem/modem.h"
@@ -19,17 +21,55 @@
 namespace {
 using namespace wearlock;
 
-void BM_Fft256(benchmark::State& state) {
+void BM_Fft(benchmark::State& state) {
+  // One planned transform of size range(0); range(1) = 1 runs Inverse()
+  // (with its 1/N). Each iteration restores the input first, so values
+  // never drift into overflow or subnormals.
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const bool inverse = state.range(1) != 0;
   sim::Rng rng(1);
-  dsp::ComplexVec x(256);
+  dsp::ComplexVec x(n);
   for (auto& c : x) c = dsp::Complex(rng.Gaussian(), rng.Gaussian());
+  dsp::ComplexVec buf(n);
+  const auto plan = dsp::PlanCache::Shared().Get(n);
   for (auto _ : state) {
-    dsp::ComplexVec copy = x;
-    dsp::Fft(copy);
-    benchmark::DoNotOptimize(copy.data());
+    std::copy(x.begin(), x.end(), buf.begin());
+    if (inverse) {
+      plan->Inverse(buf.data());
+    } else {
+      plan->Forward(buf.data());
+    }
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+void FftArgs(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t n : {256, 4096, 8192, 16384, 65536}) {
+    b->Args({n, 0});
+    b->Args({n, 1});
   }
 }
-BENCHMARK(BM_Fft256);
+BENCHMARK(BM_Fft)->Apply(FftArgs);
+
+void BM_SpeakerEmit(benchmark::State& state) {
+  // SpeakerModel::Emit on a drive shaped like the fleet's 1 664- and
+  // 2 432-sample frames (256 samples, a 1 024-sample silent guard, then
+  // the rest): rise envelope, the 663-tap ringing convolution (direct
+  // form below 2 048 samples, the transform path from there) and the
+  // phase ripple at n = 4 096.
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(10);
+  std::vector<double> x = rng.GaussianVector(n, 0.3);
+  std::fill(x.begin() + 256, x.begin() + 1280, 0.0);
+  const audio::SpeakerModel speaker;
+  for (auto _ : state) {
+    auto y = speaker.Emit(x, 0.5);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SpeakerEmit)->Arg(1664)->Arg(2432);
 
 void BM_PreambleCorrelation(benchmark::State& state) {
   // The sliding normalized correlator over a typical recording length -

@@ -1,8 +1,9 @@
 #include "audio/speaker.h"
-#include <numbers>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
 
 #include "dsp/fft.h"
@@ -19,6 +20,50 @@ double FullScaleSineSpl() {
 }
 
 }  // namespace
+
+std::span<const wearlock::dsp::Complex> PhaseRippleTable::Get(
+    const SpeakerSpec& spec, std::size_t n) {
+  const std::array<std::uint64_t, 5> key = {
+      std::bit_cast<std::uint64_t>(spec.phase_ripple_rad),
+      std::bit_cast<std::uint64_t>(spec.ripple_period1_hz),
+      std::bit_cast<std::uint64_t>(spec.ripple_phase1_rad),
+      std::bit_cast<std::uint64_t>(spec.ripple_period2_hz),
+      std::bit_cast<std::uint64_t>(spec.ripple_phase2_rad)};
+  // Find or build under one lock, as dsp::SpectrumCache::Get does: each
+  // key is built (and counted as a miss) exactly once.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& entry : entries_) {
+    if (entry->n == n && entry->key == key) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return entry->rot;
+    }
+  }
+  auto entry = std::make_unique<Entry>();
+  entry->n = n;
+  entry->key = key;
+  entry->rot.assign(n / 2, wearlock::dsp::Complex(1.0, 0.0));
+  const double fs = kSampleRate;
+  for (std::size_t k = 1; k < n / 2; ++k) {
+    const double f = static_cast<double>(k) * fs / static_cast<double>(n);
+    const double phi =
+        spec.phase_ripple_rad *
+        (0.65 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period1_hz +
+                         spec.ripple_phase1_rad) +
+         0.45 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period2_hz +
+                         spec.ripple_phase2_rad));
+    entry->rot[k] = std::polar(1.0, phi);
+  }
+  entries_.push_back(std::move(entry));
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return entries_.back()->rot;
+}
+
+PhaseRippleTable& PhaseRippleTable::Shared() {
+  // Leaked on purpose, like dsp::SpectrumCache::Shared: spans into the
+  // entries must outlive every worker thread.
+  static PhaseRippleTable* const table = new PhaseRippleTable();  // NOLINT(banned-api): intentional leak
+  return *table;
+}
 
 SpeakerModel::SpeakerModel(SpeakerSpec spec) : spec_(spec) {
   // Impulse response: unit direct path followed by an exponentially
@@ -64,18 +109,11 @@ Samples SpeakerModel::Emit(const Samples& input, double volume) const {
       spec[i] = wearlock::dsp::Complex(out[i], 0.0);
     }
     wearlock::dsp::Fft(spec);
-    const double fs = kSampleRate;
+    const std::span<const wearlock::dsp::Complex> rot =
+        PhaseRippleTable::Shared().Get(spec_, n);
     for (std::size_t k = 1; k < n / 2; ++k) {
-      const double f = static_cast<double>(k) * fs / static_cast<double>(n);
-      const double phi =
-          spec_.phase_ripple_rad *
-          (0.65 * std::sin(2.0 * std::numbers::pi * f / spec_.ripple_period1_hz +
-                           spec_.ripple_phase1_rad) +
-           0.45 * std::sin(2.0 * std::numbers::pi * f / spec_.ripple_period2_hz +
-                           spec_.ripple_phase2_rad));
-      const auto rot = std::polar(1.0, phi);
-      spec[k] *= rot;
-      spec[n - k] *= std::conj(rot);  // keep the signal real
+      spec[k] *= rot[k];
+      spec[n - k] *= std::conj(rot[k]);  // keep the signal real
     }
     wearlock::dsp::Ifft(spec);
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = spec[i].real();

@@ -11,9 +11,17 @@
 // and hard clipping at full scale.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <vector>
 
 #include "audio/signal.h"
+#include "dsp/fft.h"
 
 namespace wearlock::audio {
 
@@ -49,6 +57,44 @@ struct SpeakerSpec {
   /// the basis of the hardware-fingerprinting relay defense (paper §IV).
   double ripple_phase1_rad = 0.0;
   double ripple_phase2_rad = 1.3;
+};
+
+/// Thread-safe, process-wide table of the static phase-ripple rotations
+/// SpeakerModel::Emit applies to its output spectrum. They depend only on
+/// the transform size and the spec's ripple fields, so each (n,
+/// phase_ripple_rad, ripple_period1_hz, ripple_phase1_rad,
+/// ripple_period2_hz, ripple_phase2_rad) key - the doubles compared by
+/// their exact bits - is computed once. Entries are immutable and never
+/// evicted, so a returned span stays valid for the life of the process;
+/// only the first request for a key allocates.
+class PhaseRippleTable {
+ public:
+  /// rot[k] for 1 <= k < n/2 (rot[0] is unused): the unit rotation by
+  /// the ripple phase at bin k's frequency k * fs / n, bit-identical to
+  /// evaluating it on every call.
+  std::span<const wearlock::dsp::Complex> Get(const SpeakerSpec& spec,
+                                              std::size_t n);
+
+  /// Lifetime lookup counters. Steady state is all hits: one miss per
+  /// key.
+  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::uint64_t misses() const {
+    return misses_.load(std::memory_order_relaxed);
+  }
+
+  /// The process-wide table every SpeakerModel uses.
+  static PhaseRippleTable& Shared();
+
+ private:
+  struct Entry {
+    std::size_t n = 0;
+    std::array<std::uint64_t, 5> key{};  // the ripple fields' bits
+    wearlock::dsp::ComplexVec rot;
+  };
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<const Entry>> entries_;  // guarded by mu_
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
 };
 
 class SpeakerModel {

@@ -1,12 +1,22 @@
-// Cached FFT plans: precomputed bit-reversal pairs + twiddle tables.
+// Cached FFT plans: a bit-reversed gather table plus shared per-stage
+// twiddle tables.
 //
-// dsp::FftPlan is an immutable, size-keyed execution plan for the same
-// radix-2 decimation-in-time transform as dsp::Fft. The permutation
-// pairs and per-stage twiddles are computed once at construction, so
-// Execute() is pure butterfly arithmetic over a caller-provided buffer.
-// Outputs are bit-identical to dsp::Fft/dsp::Ifft by construction: the
-// tables are generated with the exact `w *= wlen` recurrence the legacy
-// transform evaluates inline, floating-point rounding included.
+// dsp::FftPlan is an immutable, size-keyed execution plan for one
+// radix-2 decimation-in-time transform. Execute() runs it in split
+// layout (real and imaginary parts in separate arrays of this thread's
+// dsp::Workspace) on two-lane vectors: one gather in bit-reversed order
+// fused with the length-2 stage, then the remaining stages two per
+// pass, then one pass that interleaves the result back into the
+// caller's buffer (and, for Inverse(), applies the 1/N). Every element
+// gets the textbook butterfly's IEEE operations in its order,
+// v = (xr*wr - xi*wi, xr*wi + xi*wr), lo = u + v, hi = u - v, so the
+// output is bit-identical to the interleaved scalar loop
+// (tests/fft_plan_test.cpp keeps that loop as the reference).
+//
+// The twiddles of stage `len` come from the `w *= wlen` recurrence,
+// which restarts at every stage, so the table for `len` is the same in
+// every plan of size >= len. dsp::TwiddleTables builds each stage once
+// per process and plans point into it.
 //
 // dsp::PlanCache shares immutable plans across threads: Get() takes a
 // mutex for the map lookup, but the returned plan is const and
@@ -14,11 +24,13 @@
 // construction or first use) and never touch the cache per symbol.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "dsp/fft.h"
 
@@ -41,10 +53,43 @@ class FftPlan {
   /// Inverse transform including the 1/N normalization (same as dsp::Ifft).
   void Inverse(Complex* data) const;
 
+  /// Stage `len`'s twiddles (2 <= len <= size(), a power of two) as this
+  /// plan uses them: the shared TwiddleTables entry.
+  std::span<const double> StageTwiddles(std::size_t len, bool inverse) const;
+
  private:
+  /// The one kernel body behind Execute() and Inverse(); `scale`
+  /// multiplies every output by 1/N in the interleave pass.
+  void SplitTransform(Complex* data, bool inverse, bool scale) const;
+
   std::size_t n_ = 0;
-  std::vector<std::uint32_t> swap_a_, swap_b_;  // bit-reversal pairs, i < j
-  ComplexVec fwd_, inv_;  // concatenated per-stage twiddle tables
+  // Bit-reversed source index of each length-2 butterfly's first input;
+  // its second input is that index + n/2.
+  std::vector<std::uint32_t> gather_;
+  // Per stage (length 2, 4, ..., n): the shared twiddle tables.
+  std::vector<const double*> fwd_, inv_;
+};
+
+/// Process-wide, thread-safe store of per-stage twiddle tables. Stage
+/// `len` holds w_k for k < len/2 in split layout: len/2 real parts, then
+/// len/2 imaginary parts, each from the `w *= wlen` recurrence (w_0 =
+/// 1). Entries are immutable and never freed, so a returned span stays
+/// valid for the life of the process; only the first request for a
+/// stage allocates.
+class TwiddleTables {
+ public:
+  /// @throws std::invalid_argument unless `len` is a power of two >= 2.
+  std::span<const double> Get(std::size_t len, bool inverse);
+
+  /// The store every FftPlan points into.
+  static TwiddleTables& Shared();
+
+ private:
+  struct Stage {
+    RealVec fwd, inv;
+  };
+  std::mutex mu_;
+  std::array<std::unique_ptr<const Stage>, 64> stages_;  // by log2(len), guarded by mu_
 };
 
 /// Thread-safe map of shared immutable plans, keyed by FFT size.

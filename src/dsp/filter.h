@@ -62,9 +62,11 @@ class BiquadCascade {
   std::vector<Biquad> sections_;
 };
 
-/// Full linear convolution y = x * h (length |x|+|h|-1). Direct form
-/// (exact arithmetic) for short inputs; long signal x long kernel pairs
-/// take an FFT overlap-free path through the shared plan cache and the
+/// Full linear convolution y = x * h (length |x|+|h|-1). Short inputs or
+/// kernels run the direct form, as a gather loop over the per-thread
+/// workspace whose every output equals the textbook scatter loop's bit
+/// for bit (for a finite kernel); long signal x long kernel pairs take
+/// an FFT overlap-free path through the shared plan cache and the
 /// per-thread workspace.
 std::vector<double> Convolve(const std::vector<double>& x,
                              const std::vector<double>& h);

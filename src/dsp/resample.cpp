@@ -2,26 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numbers>
 #include <stdexcept>
 
+#include "dsp/simd.h"
 #include "dsp/workspace.h"
 
 namespace wearlock::dsp {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
-
-// Two doubles per operation: GCC/Clang vector extensions, which lower to
-// SSE2 on x86-64 and to scalar code where the target has no such unit.
-using F64x2 = double __attribute__((vector_size(16)));
-
-F64x2 Load2(const double* p) {
-  F64x2 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
 
 double Sinc(double x) {
   if (std::abs(x) < 1e-12) return 1.0;
@@ -109,10 +99,10 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
         a2 += Load2(w + k + 4) * hr[k];
         a3 += Load2(w + k + 6) * hr[k];
       }
-      std::memcpy(&y[i], &a0, sizeof a0);
-      std::memcpy(&y[i + 2], &a1, sizeof a1);
-      std::memcpy(&y[i + 4], &a2, sizeof a2);
-      std::memcpy(&y[i + 6], &a3, sizeof a3);
+      Store2(&y[i], a0);
+      Store2(&y[i + 2], a1);
+      Store2(&y[i + 4], a2);
+      Store2(&y[i + 6], a3);
       i += 8;
     } else {
       double a = 0.0;

@@ -47,6 +47,12 @@ RealVec& Workspace::RealZeroed(RSlot slot, std::size_t n) {
   return v;
 }
 
+std::span<double> Workspace::RealScratch(RSlot slot, std::size_t n) {
+  RealVec& v = real_[static_cast<std::size_t>(slot)];
+  if (v.size() < n) Sized(v, n);
+  return {v.data(), n};
+}
+
 Workspace& Workspace::PerThread() {
   thread_local Workspace ws;
   return ws;

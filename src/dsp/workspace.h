@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "dsp/fft.h"
 
@@ -46,6 +47,9 @@ enum class RSlot : std::size_t {
   kResampleTaps,    // DelayFractional windowed-sinc taps, reversed
   kResampleShift,   // DelayFractional zero-padded input copy
   kSpectroFrame,    // ComputeSpectrogram windowed frame
+  kFftSplit,        // FftPlan::SplitTransform split real/imaginary arrays
+  kConvTaps,        // Convolve (direct form): kernel, reversed
+  kConvShift,       // Convolve (direct form): zero-padded input copy
   kCount
 };
 
@@ -59,6 +63,11 @@ class Workspace {
   /// The slot, sized to `n` elements and zero-filled.
   ComplexVec& ComplexZeroed(CSlot slot, std::size_t n);
   RealVec& RealZeroed(RSlot slot, std::size_t n);
+
+  /// The first `n` elements of the slot (contents unspecified). Unlike
+  /// RealBuf, the slot keeps its size when `n` is smaller, so a kernel
+  /// that alternates sizes writes nothing to re-grow it.
+  std::span<double> RealScratch(RSlot slot, std::size_t n);
 
   /// Bytes currently reserved across all slots of this workspace (also
   /// exported as the obs gauge `dsp.workspace.bytes` on growth).

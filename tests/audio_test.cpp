@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <thread>
+#include <vector>
 
 #include "audio/medium.h"
 #include "audio/scene.h"
+#include "audio/speaker.h"
 #include "dsp/fft.h"
+#include "dsp/filter.h"
 #include "dsp/spl.h"
 #include "sim/rng.h"
 
@@ -90,6 +95,133 @@ TEST(Speaker, VolumeOutOfRangeThrows) {
   const SpeakerModel speaker;
   EXPECT_THROW(speaker.Emit({1.0}, -0.1), std::invalid_argument);
   EXPECT_THROW(speaker.Emit({1.0}, 1.1), std::invalid_argument);
+}
+
+// SpeakerModel::Emit as it ran before the phase-ripple table: the same
+// drive, rise envelope, ringing convolution and gain, with the ripple's
+// two sines and std::polar evaluated per bin on every call. Emit must
+// match it bit for bit.
+Samples ReferenceEmit(const SpeakerSpec& spec, const Samples& input,
+                      double volume) {
+  const std::size_t tail_len = SamplesFromSeconds(spec.ringing_tail_s);
+  Samples ir(tail_len + 1, 0.0);
+  ir[0] = 1.0;
+  const double decay_per_sample =
+      std::pow(spec.ringing_decay, 1.0 / static_cast<double>(tail_len));
+  double a = spec.ringing_level;
+  for (std::size_t n = 1; n <= tail_len; ++n) {
+    a *= decay_per_sample;
+    ir[n] = a;
+  }
+  Samples drive = input;
+  Scale(drive, volume);
+  Clip(drive, spec.clip_level);
+  const double tau = std::max(spec.rise_time_s, 1e-6) * kSampleRate;
+  for (std::size_t n = 0; n < drive.size(); ++n) {
+    drive[n] *= 1.0 - std::exp(-static_cast<double>(n + 1) / tau);
+  }
+  Samples out = wearlock::dsp::Convolve(drive, ir);
+  const std::size_t n = wearlock::dsp::NextPowerOfTwo(out.size());
+  wearlock::dsp::ComplexVec x(n, wearlock::dsp::Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < out.size(); ++i) x[i] = {out[i], 0.0};
+  wearlock::dsp::Fft(x);
+  const double fs = kSampleRate;
+  for (std::size_t k = 1; k < n / 2; ++k) {
+    const double f = static_cast<double>(k) * fs / static_cast<double>(n);
+    const double phi =
+        spec.phase_ripple_rad *
+        (0.65 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period1_hz +
+                         spec.ripple_phase1_rad) +
+         0.45 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period2_hz +
+                         spec.ripple_phase2_rad));
+    const auto rot = std::polar(1.0, phi);
+    x[k] *= rot;
+    x[n - k] *= std::conj(rot);
+  }
+  wearlock::dsp::Ifft(x);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = x[i].real();
+  const double full_scale = wearlock::dsp::SplFromRms(1.0 / std::sqrt(2.0));
+  Scale(out, std::pow(10.0, (spec.max_spl_at_d0 - full_scale) / 20.0));
+  return out;
+}
+
+bool SameBits(const Samples& a, const Samples& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A frame-like drive: noise with a silent lead-in and guard gaps.
+Samples Drive(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  Samples x = rng.GaussianVector(n, 0.4);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i < n / 10 || (i / 97) % 6 == 5) x[i] = 0.0;
+  }
+  return x;
+}
+
+TEST(Speaker, EmitMatchesTheRecomputedRippleBitForBit) {
+  SpeakerSpec unit;  // a second speaker unit's ripple phases
+  unit.ripple_phase1_rad = 2.1;
+  unit.ripple_phase2_rad = 4.0;
+  for (const SpeakerSpec& spec : {SpeakerSpec{}, unit}) {
+    const SpeakerModel speaker(spec);
+    // 1 664 samples convolve in the direct form, 2 048 and 2 432 through
+    // the transform; all three ripple at n = 4 096, and 4 000 at 8 192.
+    for (const std::size_t n : {1664u, 2048u, 2432u, 4000u}) {
+      const Samples x = Drive(n, n);
+      for (const double volume : {0.5, 1.0}) {
+        EXPECT_TRUE(SameBits(speaker.Emit(x, volume),
+                             ReferenceEmit(spec, x, volume)))
+            << "n=" << n << " volume=" << volume;
+      }
+    }
+  }
+}
+
+TEST(PhaseRippleTable, ConcurrentFirstUseBuildsEachKeyOnce) {
+  // 8 threads race on keys no other test uses: a private table's Get,
+  // and Emit through the shared table. Each key is built once and every
+  // result keeps the recomputed ripple's bits.
+  SpeakerSpec spec;
+  spec.ripple_phase1_rad = 0.77;
+  spec.ripple_period2_hz = 611.0;
+  const SpeakerModel speaker(spec);
+  const Samples x = Drive(2432, 5);
+  const Samples want = ReferenceEmit(spec, x, 0.5);
+  PhaseRippleTable table;
+  const std::uint64_t shared_misses = PhaseRippleTable::Shared().misses();
+  constexpr std::size_t kThreads = 8;
+  constexpr int kRounds = 4;
+  std::vector<const wearlock::dsp::Complex*> seen(kThreads);
+  std::vector<int> same(kThreads, 1);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        seen[t] = table.Get(spec, 4096).data();
+        same[t] &= SameBits(speaker.Emit(x, 0.5), want);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_TRUE(same[t]) << "thread " << t;
+  }
+  EXPECT_EQ(table.misses(), 1u);
+  EXPECT_EQ(table.hits(), kThreads * kRounds - 1);
+  EXPECT_EQ(PhaseRippleTable::Shared().misses(), shared_misses + 1);
+  // The key is the bits: -0.0 is not +0.0, and n is part of it.
+  SpeakerSpec negative_zero = spec;
+  negative_zero.ripple_phase2_rad = -0.0;
+  SpeakerSpec positive_zero = spec;
+  positive_zero.ripple_phase2_rad = 0.0;
+  EXPECT_NE(table.Get(negative_zero, 4096).data(),
+            table.Get(positive_zero, 4096).data());
+  EXPECT_EQ(table.Get(spec, 8192).size(), 4096u);
+  EXPECT_EQ(table.misses(), 4u);
 }
 
 // ------------------------------------------------------------ microphone

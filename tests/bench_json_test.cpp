@@ -3,7 +3,9 @@
 // telemetry-export tests trust). tools/ci.sh collects these reports
 // into BENCH_dsp_core.json, so the shape checked here is load-bearing.
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,7 +74,14 @@ TEST(BenchJsonTest, WriteJsonReportIsWellFormedAndCarriesTheSchema) {
   EXPECT_NE(text.find("\"per_point_ms\":["), std::string::npos);
   // Provenance stamp: git SHA (or "unknown"), host width, env, quick.
   EXPECT_NE(text.find("\"provenance\":{"), std::string::npos);
-  EXPECT_NE(text.find("\"git_sha\":\""), std::string::npos);
+  const std::size_t sha_at = text.find("\"git_sha\":\"");
+  ASSERT_NE(sha_at, std::string::npos);
+  const std::size_t sha_begin = sha_at + std::strlen("\"git_sha\":\"");
+  const std::string sha =
+      text.substr(sha_begin, text.find('"', sha_begin) - sha_begin);
+  EXPECT_TRUE(std::regex_match(
+      sha, std::regex("([0-9a-f]{7,40}(-dirty)?|unknown)")))
+      << sha;
   EXPECT_NE(text.find("\"hardware_concurrency\":"), std::string::npos);
   EXPECT_NE(text.find("\"wearlock_threads_env\":"), std::string::npos);
   EXPECT_NE(text.find("\"quick\":true"), std::string::npos);

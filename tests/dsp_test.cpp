@@ -201,6 +201,78 @@ TEST(Filter, ConvolveLengthsAndIdentity) {
   EXPECT_TRUE(Convolve({}, x).empty());
 }
 
+// The direct form as an input-stationary scatter: each nonzero input
+// adds its products to every output it reaches. Convolve's direct path
+// computes the same sums output by output; this is the reference it must
+// match bit for bit.
+std::vector<double> ScatterConvolve(const std::vector<double>& x,
+                                    const std::vector<double>& h) {
+  std::vector<double> y(x.size() + h.size() - 1, 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 0.0) continue;
+    for (std::size_t j = 0; j < h.size(); ++j) y[i + j] += x[i] * h[j];
+  }
+  return y;
+}
+
+TEST(Filter, DirectConvolutionMatchesTheScatterFormBitForBit) {
+  sim::Rng rng(31);
+  // Random values with zero runs: a silent lead-in, gaps, isolated zeros
+  // (some -0.0, which the scatter form skips like +0.0) and a silent tail.
+  auto signal = [&rng](std::size_t n) {
+    std::vector<double> x = rng.GaussianVector(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i < n / 6 || (i / 29) % 5 == 2 || i + n / 9 >= n) x[i] = 0.0;
+      if (i % 41 == 0) x[i] = -0.0;
+    }
+    return x;
+  };
+  auto check = [](const std::vector<double>& x, const std::vector<double>& h) {
+    const std::vector<double> got = Convolve(x, h);
+    const std::vector<double> want = ScatterConvolve(x, h);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0)
+        << "signal " << x.size() << " kernel " << h.size();
+  };
+  // Every kernel length 1..700 against a short signal, whose outputs take
+  // both the sixteen-wide step and the scalar tail.
+  const std::vector<double> short_x = signal(45);
+  for (std::size_t taps = 1; taps <= 700; ++taps) {
+    std::vector<double> h = rng.GaussianVector(taps);
+    if (taps > 2) h[taps / 2] = -0.0;
+    check(short_x, h);
+  }
+  // Longer signals up to the transform threshold (2 047 samples with any
+  // kernel; longer ones with kernels under 64 taps), including the
+  // speaker's 663-tap ringing tail against a 1 664-sample frame.
+  for (const std::size_t n : {1u, 2u, 16u, 17u, 300u, 1664u, 2047u}) {
+    for (const std::size_t taps : {1u, 15u, 63u, 64u, 333u, 663u}) {
+      check(signal(n), rng.GaussianVector(taps, 0.1));
+    }
+  }
+  for (const std::size_t taps : {1u, 2u, 31u, 63u}) {
+    check(signal(5000), rng.GaussianVector(taps));
+  }
+  check(std::vector<double>(900, 0.0), rng.GaussianVector(40));
+  check(std::vector<double>(900, -0.0), rng.GaussianVector(40));
+  // A probe-shaped frame (256 samples, a 1 024-sample guard, 384 more)
+  // against the ringing-length kernel, and gaps of 15, 16 and 17 zeros
+  // every 40 samples: more stretches than the kernel tracks one by one.
+  std::vector<double> frame = rng.GaussianVector(1664);
+  std::fill(frame.begin() + 256, frame.begin() + 1280, 0.0);
+  check(frame, rng.GaussianVector(663));
+  for (const std::size_t gap : {15u, 16u, 17u}) {
+    std::vector<double> gappy = rng.GaussianVector(2000);
+    for (std::size_t i = 0; i < gappy.size(); ++i) {
+      if (i % 40 < gap) gappy[i] = i % 3 == 0 ? -0.0 : 0.0;
+    }
+    for (const std::size_t taps : {1u, 16u, 17u, 100u, 700u}) {
+      check(gappy, rng.GaussianVector(taps));
+    }
+  }
+}
+
 // -------------------------------------------------------------- resample
 TEST(Resample, IntegerDelayShifts) {
   const std::vector<double> x = {1.0, -1.0, 0.5};

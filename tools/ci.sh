@@ -17,8 +17,9 @@
 #      (min-of-3 per thread count) (docs/channels.md)
 #   5. one build+test leg per sanitizer: ASan, UBSan, TSan (the TSan
 #      leg gets real cross-thread traffic from concurrency_stress_test,
-#      executor_test, fft_plan_test, spectrum_cache_test,
-#      fault_matrix_test, security_matrix_test, channel_matrix_test -
+#      executor_test, fft_plan_test, spectrum_cache_test, audio_test's
+#      phase-ripple table race, fault_matrix_test, security_matrix_test,
+#      channel_matrix_test -
 #      the shared-scene mixer under contention - and the fleet multiplexer at
 #      WEARLOCK_THREADS=8, and a parallel bench sweep)
 #
@@ -141,12 +142,18 @@ for san in "${SANITIZERS[@]}"; do
     banner "TSan: executor under WEARLOCK_THREADS=8"
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/executor_test"
-    # PlanCache::Get under real contention (8 threads x shared plans).
+    # PlanCache::Get under real contention (8 threads x shared plans),
+    # and 8 threads racing on the first builds of the shared stage
+    # twiddle tables.
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/fft_plan_test"
     # SpectrumCache::Get likewise (8 threads x two preambles x two sizes).
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/spectrum_cache_test"
+    # The speaker's PhaseRippleTable: 8 threads on a key's first use.
+    TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
+        "build-$san/tests/audio_test" \
+        --gtest_filter='PhaseRippleTable.*:Speaker.EmitMatches*'
     # The fault matrix's cross-thread determinism leg on a wide pool.
     TSAN_OPTIONS="halt_on_error=1" WEARLOCK_THREADS=8 \
         "build-$san/tests/fault_matrix_test"
