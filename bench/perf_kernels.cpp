@@ -119,6 +119,20 @@ void BM_GaussianVector(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianVector)->Arg(8192);
 
+void BM_SkipGaussians(benchmark::State& state) {
+  // The same draws consumed without their values: the phone mic's
+  // self-noise under an emission, and white noise's zero-weight shaped
+  // component.
+  sim::Rng rng(8);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    rng.SkipGaussians(n);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SkipGaussians)->Arg(8192);
+
 void BM_DelayFractional(benchmark::State& state) {
   // One propagation path: a 38.55-sample windowed-sinc delay (33 taps)
   // of a signal that starts with a silent lead-in.

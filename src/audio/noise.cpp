@@ -82,18 +82,6 @@ NoiseSource::NoiseSource(Environment env, sim::Rng rng)
     : NoiseSource(NoiseProfile::For(env), std::move(rng)) {}
 
 Samples NoiseSource::Generate(std::size_t n) {
-  Samples white = rng_.GaussianVector(n);
-
-  // Shaped (low-passed) component carries the bulk of ambient energy.
-  Samples shaped;
-  if (profile_.lowpass_hz > 0.0 && profile_.lowpass_hz < kSampleRate / 2.0) {
-    auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
-        profile_.lowpass_hz, kSampleRate, 2);
-    shaped = lpf.ProcessBlock(white);
-  } else {
-    shaped = white;
-  }
-
   const double tone_mix = profile_.tone_hz.empty() ? 0.0 : profile_.tone_mix;
   const double shaped_mix =
       std::max(0.0, 1.0 - profile_.broadband_mix - tone_mix);
@@ -105,8 +93,23 @@ Samples NoiseSource::Generate(std::size_t n) {
     if (r > 0.0) Scale(s, 1.0 / r);
     return s;
   };
-  Samples out = unit(std::move(shaped));
-  Scale(out, std::sqrt(shaped_mix));
+  Samples out;
+  if (shaped_mix == 0.0 && profile_.broadband_mix > 0.0) {
+    // White noise: the shaped part would add +-0 to a broadband part
+    // that never holds -0.0 (docs/perf.md, "Work no output reads").
+    rng_.SkipGaussians(n);
+    out.assign(n, 0.0);
+  } else {
+    // Shaped (low-passed) component carries the bulk of ambient energy.
+    out = rng_.GaussianVector(n);
+    if (profile_.lowpass_hz > 0.0 && profile_.lowpass_hz < kSampleRate / 2.0) {
+      auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
+          profile_.lowpass_hz, kSampleRate, 2);
+      out = lpf.ProcessBlock(out);
+    }
+    out = unit(std::move(out));
+    Scale(out, std::sqrt(shaped_mix));
+  }
   Samples broad = unit(rng_.GaussianVector(n));
   Scale(broad, std::sqrt(profile_.broadband_mix));
   MixInto(out, broad);

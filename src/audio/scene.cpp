@@ -80,37 +80,26 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
                             config_.lead_out_samples +
                             (impairments_ ? impairments_->rx_guard_samples() : 0);
 
-  Samples shared = SharedAmbient(total);
-  Samples watch_pressure =
-      config_.co_located ? shared : IndependentAmbient(total);
+  // A separated watch hears its own ambience; the shared stream still
+  // advances, as if the phone had recorded it.
+  Samples watch_pressure = SharedAmbient(total);
+  if (!config_.co_located) watch_pressure = IndependentAmbient(total);
   if (jammer_) MixInto(watch_pressure, jammer_->Generate(total));
   MixInto(watch_pressure, MicNoise(total, config_.watch_mic));
-  // Contending neighbors and noise bursts are environmental events:
-  // both co-located mics hear the same waveform (the ambient-similarity
-  // filter must keep working under contention).
-  Samples neighbor;
-  Samples burst;
   if (impairments_) {
     if (impairments_->has_neighbors()) {
-      neighbor = impairments_->NeighborWaveform(total);
-      MixInto(watch_pressure, neighbor);
+      MixInto(watch_pressure, impairments_->NeighborWaveform(total));
     }
-    burst = impairments_->MaybeBurst(total, wearlock::dsp::Rms(watch_pressure));
+    const Samples burst =
+        impairments_->MaybeBurst(total, wearlock::dsp::Rms(watch_pressure));
     if (!burst.empty()) MixInto(watch_pressure, burst);
   }
   const double watch_noise_spl = wearlock::dsp::SplOf(watch_pressure);
   MixIntoAt(watch_pressure, at_watch, config_.lead_in_samples);
-
-  // Phone side: self-recording at the reference distance (its own mic is
-  // d0 from its speaker).
-  Samples at_phone = propagation_.Propagate(
-      emitted, propagation_.spec().reference_distance_m);
-  Samples phone_pressure = std::move(shared);
-  phone_pressure.resize(total, 0.0);
-  MixInto(phone_pressure, MicNoise(total, config_.phone_mic));
-  if (!neighbor.empty()) MixInto(phone_pressure, neighbor);
-  if (!burst.empty()) MixInto(phone_pressure, burst);
-  MixIntoAt(phone_pressure, at_phone, config_.lead_in_samples);
+  // Nothing reads the phone's self-recording of its own emission, so it
+  // is not rendered; its mic-noise draws are still consumed, so every
+  // later capture sees the same stream (docs/channels.md).
+  rng_.SkipGaussians(total);
 
   if (impairments_) {
     // The watch's capture window opened early by the accumulated clock
@@ -124,7 +113,6 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
   r.signal_start = config_.lead_in_samples;
   r.watch_spl_signal = wearlock::dsp::SplOf(at_watch);
   r.watch_spl_noise = watch_noise_spl;
-  r.phone_recording = config_.phone_mic.Capture(phone_pressure);
   r.watch_recording = config_.watch_mic.Capture(watch_pressure);
   return r;
 }

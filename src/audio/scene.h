@@ -3,11 +3,12 @@
 // environment.
 //
 // Unlike AcousticChannel (single TX->RX path, used for modem-level
-// experiments), the scene renders *both* device recordings from one
+// experiments), the scene renders both ambient recordings from one
 // shared ambient-noise waveform when the devices are co-located. That
 // correlation is exactly what the Sound-Proof-style ambient similarity
 // filter keys on; scenes with co_located=false give each mic independent
-// ambience of the same environment class.
+// ambience of the same environment class. Only the watch records the
+// phone's emissions: the protocol decodes the watch's capture alone.
 #pragma once
 
 #include <cstddef>
@@ -48,11 +49,13 @@ struct SceneConfig {
   std::size_t guard_budget_samples = 1024;
 };
 
-/// What both mics captured for one transmission.
+/// What the watch captured of one transmission.
 struct SceneReception {
-  Samples phone_recording;  ///< self-recording (signal at d0, very loud)
+  /// Always empty: nothing reads the phone's self-recording of an
+  /// emission. The field stays while the benchmark reads its size.
+  Samples phone_recording;
   Samples watch_recording;  ///< signal after propagation to distance_m
-  std::size_t signal_start = 0;  ///< ground truth (same for both mics)
+  std::size_t signal_start = 0;  ///< ground truth
   double watch_spl_signal = 0.0;
   double watch_spl_noise = 0.0;
 };
@@ -64,7 +67,8 @@ class TwoMicScene {
   /// bound the paper sizes the guard interval around).
   TwoMicScene(SceneConfig config, sim::Rng rng);
 
-  /// Phone plays `signal` at `volume`; both mics record.
+  /// Phone plays `signal` at `volume`; only the watch records (the
+  /// phone mic's self-noise draws are still consumed).
   SceneReception TransmitFromPhone(const Samples& signal, double volume);
 
   /// Ambient-only recordings (phone, watch) of n samples each.

@@ -256,38 +256,31 @@ class ProbeAgent : public AttackAgent {
   AttackReport Execute(const ScenarioConfig& base) override {
     AttackReport out;
     out.spec = spec_;
-    // Recon pass at the same seed learns the volume the victim's probe
-    // rule will pick (deterministic scenarios make this exact), so the
-    // interference level is calibrated relative to the victim's own
-    // transmit level.
-    UnlockSession recon(base);
-    const UnlockReport recon_rep = recon.Attempt();
-    const double victim_volume =
-        recon_rep.probe_volume > 0.0 ? recon_rep.probe_volume : 1.0;
-
     ScenarioConfig scenario = base;
     scenario.attack = spec_;
     UnlockSession session(scenario);
     sim::AdversaryDevice dev(spec_, AdversaryRng(scenario), &session.clock());
     dev.Record("arm", spec_.distance_m);
-
-    // Chirp train co-channel with the frame preamble, long enough to
-    // blanket the whole Phase-2 capture window.
-    const audio::Samples chirp = modem::MakePreamble(scenario.phone.frame);
-    const std::size_t span = scenario.scene.lead_in_samples +
-                             16 * chirp.size() +
-                             scenario.scene.lead_out_samples;
-    audio::Samples train;
-    train.reserve(span + chirp.size());
-    while (train.size() < span) audio::Append(train, chirp);
-    const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
-        train, AttackerDrive(victim_volume, spec_.level));
-    const audio::PropagationModel path(scenario.scene.propagation);
-    audio::Samples at_watch = path.Propagate(emitted, spec_.distance_m);
     dev.Record("probe-emit", spec_.level);
 
+    // Chirp train co-channel with the frame preamble, long enough to
+    // blanket the whole Phase-2 capture window, calibrated relative to
+    // the volume the victim's own probe rule picked.
     AttackInjection inj;
-    inj.phase2_interference = std::move(at_watch);
+    inj.phase2_interference = [this, &scenario](double victim_volume) {
+      const audio::Samples chirp = modem::MakePreamble(scenario.phone.frame);
+      const std::size_t span = scenario.scene.lead_in_samples +
+                               16 * chirp.size() +
+                               scenario.scene.lead_out_samples;
+      audio::Samples train;
+      train.reserve(span + chirp.size());
+      while (train.size() < span) audio::Append(train, chirp);
+      const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
+          train, AttackerDrive(victim_volume > 0.0 ? victim_volume : 1.0,
+                               spec_.level));
+      const audio::PropagationModel path(scenario.scene.propagation);
+      return path.Propagate(emitted, spec_.distance_m);
+    };
     const UnlockReport rep = session.Attempt(inj);
 
     out.false_unlock = false;  // structurally: the probe forges nothing
@@ -344,7 +337,7 @@ class OvershadowAgent : public AttackAgent {
       audio::Samples interference =
           audio::Silence(scenario.scene.lead_in_samples);
       audio::Append(interference, path.Propagate(emitted, spec_.distance_m));
-      inj.phase2_interference = std::move(interference);
+      inj.phase2_interference = [interference](double) { return interference; };
       dev.Record("overshadow-emit", spec_.level);
     }
     const UnlockReport rep = session.Attempt(inj);

@@ -703,7 +703,10 @@ AttemptMachine::Step AttemptMachine::Phase2Round(
     recording = data_rx.watch_recording;
   }
   if (attack_.phase2_interference) {
-    audio::MixInto(recording, *attack_.phase2_interference);
+    if (!interference_) {
+      interference_ = attack_.phase2_interference(report_.probe_volume);
+    }
+    audio::MixInto(recording, *interference_);
   }
   const sim::Millis round_audio_ms = AudioMs(recording.size());
   report_.timings.phase2_audio_ms += round_audio_ms;

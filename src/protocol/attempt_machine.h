@@ -190,6 +190,7 @@ class AttemptMachine {
   std::optional<modem::ProbeAnalysis> probe_;
   bool skip_phase2_ = false;
   Phase2Config phase2_config_;
+  std::optional<audio::Samples> interference_;  // attack_'s, rendered once
 };
 
 }  // namespace wearlock::protocol

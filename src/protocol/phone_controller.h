@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -277,8 +278,9 @@ struct AttackInjection {
   AcousticSplice channel_splice;
   /// Additive co-channel pressure mixed into the watch's Phase-2
   /// capture, sample 0 aligned with the capture's sample 0 (SonarSnoop
-  /// probe energy, AIC-style overshadowing frame).
-  std::optional<audio::Samples> phase2_interference;
+  /// probe energy, AIC-style overshadowing frame), rendered from the
+  /// probe volume once per attempt; every ARQ round mixes it.
+  std::function<audio::Samples(double probe_volume)> phase2_interference;
   /// Extra arrival latency the attacker's path imposes on the
   /// distance-bounding chirps when no full splice is wired (e.g. the
   /// replayed session's handling delay).

@@ -97,6 +97,46 @@ std::size_t PolarBlock(std::span<const std::uint64_t> words, double* xs,
   return kept;
 }
 
+/// n draws of one std::normal_distribution into `out`, or (null `out`)
+/// only their engine words. It returns y * mult, then the saved x * mult,
+/// per accepted pair, and scales each as v * stddev + mean (mean 0.0
+/// turns -0.0 into +0.0). Pairs are drawn a block of buffered words at a
+/// time: uniforms and r2 for every pair first, then ln, divide and sqrt
+/// for the accepted ones. A block never holds more pairs than the draws
+/// still need, so exactly the words the distribution would read are
+/// consumed, including the pair whose second value an odd n drops.
+void PolarWalk(Mt19937_64& engine, std::size_t n, double stddev,
+               double* out) {
+  double xs[kN / 2], ys[kN / 2], r2s[kN / 2];
+  std::size_t filled = 0;
+  while (filled < n) {
+    const std::span<const std::uint64_t> words = engine.Block();
+    const std::size_t pairs = std::min(words.size() / 2, (n - filled + 1) / 2);
+    std::size_t kept = 1;
+    if (pairs == 0) {
+      // One word left: this pair straddles the refill.
+      const PolarPair p = DrawPair(engine);
+      xs[0] = p.x;
+      ys[0] = p.y;
+      r2s[0] = p.r2;
+    } else {
+      kept = PolarBlock(words.first(2 * pairs), xs, ys, r2s);
+      engine.Advance(2 * pairs);
+    }
+    if (out == nullptr) {
+      filled += 2 * kept;  // may pass n by the one dropped value
+      continue;
+    }
+    // r2s[i] becomes pair i's multiplier; the calls overlap better in a
+    // loop of their own.
+    for (std::size_t i = 0; i < kept; ++i) r2s[i] = PolarMult(r2s[i]);
+    for (std::size_t i = 0; i < kept; ++i) {
+      out[filled++] = ys[i] * r2s[i] * stddev + 0.0;
+      if (filled < n) out[filled++] = xs[i] * r2s[i] * stddev + 0.0;
+    }
+  }
+}
+
 }  // namespace
 
 Mt19937_64::Mt19937_64(result_type seed) {
@@ -130,40 +170,11 @@ double Rng::Gaussian(double stddev) {
 }
 
 std::vector<double> Rng::GaussianVector(std::size_t n, double stddev) {
-  // One std::normal_distribution returns y * mult, then the saved
-  // x * mult, per accepted pair, and scales each as v * stddev + mean
-  // (mean 0.0 turns -0.0 into +0.0). Pairs are drawn a block of
-  // buffered words at a time: uniforms and r2 for every pair first,
-  // then ln, divide and sqrt for the accepted ones. A block never holds
-  // more pairs than the draws still need, so exactly the words the
-  // distribution would read are consumed, including the pair whose
-  // second value an odd n drops.
   std::vector<double> v(n);
-  double xs[kN / 2], ys[kN / 2], r2s[kN / 2];
-  std::size_t filled = 0;
-  while (filled < n) {
-    const std::span<const std::uint64_t> words = engine_.Block();
-    const std::size_t pairs = std::min(words.size() / 2, (n - filled + 1) / 2);
-    std::size_t kept = 1;
-    if (pairs == 0) {
-      // One word left: this pair straddles the refill.
-      const PolarPair p = DrawPair(engine_);
-      xs[0] = p.x;
-      ys[0] = p.y;
-      r2s[0] = p.r2;
-    } else {
-      kept = PolarBlock(words.first(2 * pairs), xs, ys, r2s);
-      engine_.Advance(2 * pairs);
-    }
-    // r2s[i] becomes pair i's multiplier; the calls overlap better in a
-    // loop of their own.
-    for (std::size_t i = 0; i < kept; ++i) r2s[i] = PolarMult(r2s[i]);
-    for (std::size_t i = 0; i < kept; ++i) {
-      v[filled++] = ys[i] * r2s[i] * stddev + 0.0;
-      if (filled < n) v[filled++] = xs[i] * r2s[i] * stddev + 0.0;
-    }
-  }
+  PolarWalk(engine_, n, stddev, v.data());
   return v;
 }
+
+void Rng::SkipGaussians(std::size_t n) { PolarWalk(engine_, n, 1.0, nullptr); }
 
 }  // namespace wearlock::sim

@@ -90,6 +90,11 @@ class Rng {
   /// of n draws from one std::normal_distribution<double>(0, stddev).
   std::vector<double> GaussianVector(std::size_t n, double stddev = 1.0);
 
+  /// Consumes exactly the engine words GaussianVector(n) would, without
+  /// their values: an unread capture still advances its stream. ROADMAP
+  /// item 3's counter-based generator would make skipping free and delete it.
+  void SkipGaussians(std::size_t n);
+
   /// Derive an independent child stream (for giving each subsystem its
   /// own deterministic sequence).
   Rng Fork() { return Rng(engine_()); }

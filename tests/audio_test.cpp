@@ -2,12 +2,19 @@
 // microphone, propagation, noise sources, jammer, channel, scene.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numbers>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "audio/impairments.h"
 #include "audio/medium.h"
 #include "audio/scene.h"
 #include "audio/speaker.h"
@@ -317,6 +324,99 @@ TEST(Noise, EnvironmentOrdering) {
             NoiseProfile::For(Environment::kOffice).spl_db);
 }
 
+/// NoiseSource as it generated before zero-weight components were
+/// skipped: every component is drawn, normalised and scaled, whatever
+/// its weight.
+class ReferenceNoise {
+ public:
+  ReferenceNoise(NoiseProfile profile, sim::Rng rng)
+      : profile_(std::move(profile)), rng_(std::move(rng)) {
+    tone_phase_seed_ = rng_.Uniform(0.0, 2.0 * std::numbers::pi);
+  }
+
+  Samples Generate(std::size_t n) {
+    Samples white = rng_.GaussianVector(n);
+    Samples shaped;
+    if (profile_.lowpass_hz > 0.0 && profile_.lowpass_hz < kSampleRate / 2.0) {
+      auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
+          profile_.lowpass_hz, kSampleRate, 2);
+      shaped = lpf.ProcessBlock(white);
+    } else {
+      shaped = white;
+    }
+    const double tone_mix = profile_.tone_hz.empty() ? 0.0 : profile_.tone_mix;
+    const double shaped_mix =
+        std::max(0.0, 1.0 - profile_.broadband_mix - tone_mix);
+    auto unit = [](Samples s) {
+      const double r = wearlock::dsp::Rms(s);
+      if (r > 0.0) Scale(s, 1.0 / r);
+      return s;
+    };
+    Samples out = unit(std::move(shaped));
+    Scale(out, std::sqrt(shaped_mix));
+    Samples broad = unit(rng_.GaussianVector(n));
+    Scale(broad, std::sqrt(profile_.broadband_mix));
+    MixInto(out, broad);
+    if (tone_mix > 0.0) {
+      Samples tones(n, 0.0);
+      const double per_tone =
+          std::sqrt(tone_mix / static_cast<double>(profile_.tone_hz.size()));
+      for (std::size_t t = 0; t < profile_.tone_hz.size(); ++t) {
+        const double phase0 = tone_phase_seed_ + static_cast<double>(t) * 1.234;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double time =
+              static_cast<double>(generated_ + i) / kSampleRate;
+          tones[i] += per_tone * std::sqrt(2.0) *
+                      std::sin(2.0 * std::numbers::pi * profile_.tone_hz[t] *
+                                   time +
+                               phase0);
+        }
+      }
+      MixInto(out, tones);
+    }
+    generated_ += n;
+    const double rms = wearlock::dsp::Rms(out);
+    if (rms > 0.0) Scale(out, wearlock::dsp::RmsFromSpl(profile_.spl_db) / rms);
+    return out;
+  }
+
+ private:
+  NoiseProfile profile_;
+  sim::Rng rng_;
+  double tone_phase_seed_ = 0.0;
+  std::size_t generated_ = 0;
+};
+
+TEST(Noise, SkippedZeroWeightComponentChangesNoBit) {
+  // Fig. 5's white profile skips its zero-weight shaped draw; white
+  // plus tones skips it too; a tone-only profile (both Gaussian
+  // components at weight 0) keeps the full path, where -0 + -0 would
+  // otherwise turn +0.
+  NoiseProfile white{.spl_db = 40.0,
+                     .lowpass_hz = 0.0,
+                     .broadband_mix = 1.0,
+                     .tone_hz = {},
+                     .tone_mix = 0.0};
+  NoiseProfile white_tones{.spl_db = 45.0,
+                           .lowpass_hz = 1500.0,
+                           .broadband_mix = 0.8,
+                           .tone_hz = {1500.0},
+                           .tone_mix = 0.2};
+  NoiseProfile tones_only{.spl_db = 50.0,
+                          .lowpass_hz = 1000.0,
+                          .broadband_mix = 0.0,
+                          .tone_hz = {700.0, 2500.0},
+                          .tone_mix = 1.0};
+  for (const NoiseProfile& profile : {white, white_tones, tones_only}) {
+    NoiseSource source(profile, sim::Rng(91));
+    ReferenceNoise reference(profile, sim::Rng(91));
+    for (const std::size_t n : {4096u, 1001u, 8192u}) {
+      EXPECT_TRUE(SameBits(source.Generate(n), reference.Generate(n)))
+          << "spl " << profile.spl_db << " n=" << n;
+    }
+  }
+}
+
 TEST(Noise, JammerHitsRequestedBins) {
   const ToneJammer jammer({20, 24}, 256, 60.0);
   const Samples jam = jammer.Generate(8192);
@@ -402,14 +502,182 @@ TEST(Scene, PhoneSelfRecordingIsLouderThanWatch) {
   SceneConfig config;
   config.distance_m = 0.8;
   TwoMicScene scene(config, sim::Rng(36));
-  const auto r = scene.TransmitFromPhone(Tone(3000.0, 2000, 0.5), 0.5);
+  const Samples tone = Tone(3000.0, 2000, 0.5);
+  const auto r = scene.TransmitFromPhone(tone, 0.5);
   // The phone's own mic sits at d0; the watch is 0.8 m away.
-  Samples phone_sig(r.phone_recording.begin() + 4096,
-                    r.phone_recording.begin() + 6000);
+  const Samples self = scene.RecordAtDistance(
+      tone, 0.5, config.propagation.reference_distance_m, config.propagation);
+  Samples phone_sig(self.begin() + 4096, self.begin() + 6000);
   Samples watch_sig(r.watch_recording.begin() + 4096,
                     r.watch_recording.begin() + 6000);
   EXPECT_GT(wearlock::dsp::SplOf(phone_sig),
             wearlock::dsp::SplOf(watch_sig) + 10.0);
+}
+
+/// TwoMicScene as it rendered before the phone's self-recording of an
+/// emission was dropped: the same forks, draws and mixes, with the phone
+/// side rendered and returned. No jammer.
+class ReferenceScene {
+ public:
+  ReferenceScene(const SceneConfig& config, sim::Rng rng)
+      : config_(config),
+        propagation_(config.propagation),
+        shared_ambient_(Ambient(config, rng.Fork())),
+        watch_ambient_(Ambient(config, rng.Fork())),
+        rng_(std::move(rng)) {}
+
+  void ArmImpairments(const ImpairmentPlan& plan, sim::Rng rng,
+                      std::size_t rx_guard_samples) {
+    impairments_.emplace(plan, std::move(rng), rx_guard_samples);
+  }
+
+  SceneReception TransmitFromPhone(const Samples& signal, double volume) {
+    const Samples emitted = config_.phone_speaker.Emit(signal, volume);
+    Samples at_watch = ApplyPhaseJitter(
+        propagation_.Propagate(emitted, config_.distance_m),
+        config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
+    if (impairments_) {
+      at_watch = impairments_->ApplyWatchPath(std::move(at_watch));
+    }
+    const std::size_t total =
+        config_.lead_in_samples + at_watch.size() + config_.lead_out_samples +
+        (impairments_ ? impairments_->rx_guard_samples() : 0);
+    Samples shared = shared_ambient_.Generate(total);
+    Samples watch_pressure =
+        config_.co_located ? shared : watch_ambient_.Generate(total);
+    MixInto(watch_pressure, MicNoise(total, config_.watch_mic));
+    Samples neighbor;
+    Samples burst;
+    if (impairments_) {
+      if (impairments_->has_neighbors()) {
+        neighbor = impairments_->NeighborWaveform(total);
+        MixInto(watch_pressure, neighbor);
+      }
+      burst =
+          impairments_->MaybeBurst(total, wearlock::dsp::Rms(watch_pressure));
+      if (!burst.empty()) MixInto(watch_pressure, burst);
+    }
+    const double watch_noise_spl = wearlock::dsp::SplOf(watch_pressure);
+    MixIntoAt(watch_pressure, at_watch, config_.lead_in_samples);
+
+    const Samples at_phone = propagation_.Propagate(
+        emitted, propagation_.spec().reference_distance_m);
+    Samples phone_pressure = std::move(shared);
+    phone_pressure.resize(total, 0.0);
+    MixInto(phone_pressure, MicNoise(total, config_.phone_mic));
+    if (!neighbor.empty()) MixInto(phone_pressure, neighbor);
+    if (!burst.empty()) MixInto(phone_pressure, burst);
+    MixIntoAt(phone_pressure, at_phone, config_.lead_in_samples);
+
+    if (impairments_) {
+      watch_pressure = impairments_->ShiftCaptureWindow(
+          std::move(watch_pressure), config_.lead_in_samples);
+      impairments_->AdvanceCursor(total);
+    }
+    SceneReception r;
+    r.signal_start = config_.lead_in_samples;
+    r.watch_spl_signal = wearlock::dsp::SplOf(at_watch);
+    r.watch_spl_noise = watch_noise_spl;
+    r.phone_recording = config_.phone_mic.Capture(phone_pressure);
+    r.watch_recording = config_.watch_mic.Capture(watch_pressure);
+    return r;
+  }
+
+  std::pair<Samples, Samples> RecordAmbientPair(std::size_t n) {
+    Samples shared = shared_ambient_.Generate(n);
+    Samples phone_pressure = shared;
+    MixInto(phone_pressure, MicNoise(n, config_.phone_mic));
+    Samples watch_pressure = config_.co_located ? std::move(shared)
+                                                : watch_ambient_.Generate(n);
+    MixInto(watch_pressure, MicNoise(n, config_.watch_mic));
+    if (impairments_) {
+      if (impairments_->has_neighbors()) {
+        const Samples neighbor = impairments_->NeighborWaveform(n);
+        MixInto(phone_pressure, neighbor);
+        MixInto(watch_pressure, neighbor);
+      }
+      const Samples burst =
+          impairments_->MaybeBurst(n, wearlock::dsp::Rms(watch_pressure));
+      if (!burst.empty()) {
+        MixInto(phone_pressure, burst);
+        MixInto(watch_pressure, burst);
+      }
+      impairments_->AdvanceCursor(n);
+    }
+    return {config_.phone_mic.Capture(phone_pressure),
+            config_.watch_mic.Capture(watch_pressure)};
+  }
+
+ private:
+  static NoiseSource Ambient(const SceneConfig& config, sim::Rng rng) {
+    if (config.custom_noise) {
+      return NoiseSource(*config.custom_noise, std::move(rng));
+    }
+    return NoiseSource(config.environment, std::move(rng));
+  }
+  Samples MicNoise(std::size_t n, const MicrophoneModel& mic) {
+    const double rms = wearlock::dsp::RmsFromSpl(mic.spec().self_noise_spl);
+    return rng_.GaussianVector(n, rms);
+  }
+
+  SceneConfig config_;
+  PropagationModel propagation_;
+  NoiseSource shared_ambient_;
+  NoiseSource watch_ambient_;
+  std::optional<ChannelImpairments> impairments_;
+  sim::Rng rng_;
+};
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Five rounds of an emission and an ambient pair: every watch capture
+/// (and every ambient pair) equals the reference's, so the skipped
+/// phone side consumed exactly the draws it used to.
+void ExpectWatchMatchesReference(const SceneConfig& config,
+                                 const std::string& impairments) {
+  constexpr std::uint64_t kSeed = 4711;
+  TwoMicScene scene(config, sim::Rng(kSeed));
+  ReferenceScene reference(config, sim::Rng(kSeed));
+  if (!impairments.empty()) {
+    const ImpairmentPlan plan = ImpairmentPlan::Parse(impairments);
+    scene.ArmImpairments(plan, sim::Rng(kSeed + 1), 512);
+    reference.ArmImpairments(plan, sim::Rng(kSeed + 1), 512);
+  }
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Samples signal = Drive(3000 + 500 * round, kSeed + round);
+    const double volume = 0.3 + 0.1 * round;
+    const SceneReception got = scene.TransmitFromPhone(signal, volume);
+    const SceneReception want = reference.TransmitFromPhone(signal, volume);
+    EXPECT_TRUE(got.phone_recording.empty());
+    EXPECT_FALSE(want.phone_recording.empty());
+    EXPECT_TRUE(SameBits(got.watch_recording, want.watch_recording));
+    EXPECT_EQ(got.signal_start, want.signal_start);
+    EXPECT_TRUE(SameBits(got.watch_spl_signal, want.watch_spl_signal));
+    EXPECT_TRUE(SameBits(got.watch_spl_noise, want.watch_spl_noise));
+
+    const auto [phone, watch] = scene.RecordAmbientPair(4410);
+    const auto [want_phone, want_watch] = reference.RecordAmbientPair(4410);
+    EXPECT_TRUE(SameBits(phone, want_phone));
+    EXPECT_TRUE(SameBits(watch, want_watch));
+  }
+}
+
+TEST(Scene, WatchCaptureMatchesTheSceneThatRenderedThePhoneSide) {
+  SceneConfig clean;
+  ExpectWatchMatchesReference(clean, "");
+
+  SceneConfig crowded;
+  crowded.environment = Environment::kCafe;
+  ExpectWatchMatchesReference(crowded, "sro=50,reverb=400,pairs=2,burst=0.5");
+
+  SceneConfig separated;
+  separated.co_located = false;
+  separated.environment = Environment::kOffice;
+  separated.distance_m = 0.7;
+  ExpectWatchMatchesReference(separated, "");
 }
 
 TEST(Scene, EavesdropperHearsLessFurtherAway) {

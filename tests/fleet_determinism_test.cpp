@@ -41,6 +41,22 @@ CampaignSpec MiniSpec() {
   return spec;
 }
 
+/// The wlbench fleet_hostile shape in miniature: probe attacks, dropped
+/// control messages with a retry budget, and the crowded-channel
+/// impairments, at the benchmark's 32-session shards. Its golden pins
+/// the probe agent's and the scene's rendering byte for byte.
+CampaignSpec HostileSpec() {
+  CampaignSpec spec;
+  spec.sessions = 48;
+  spec.seed = 20261019;
+  spec.max_retries = 2;
+  spec.fault_specs = {"", "drop=0.3"};
+  spec.attack_specs = {"", "probe"};
+  spec.impairment_specs = {"", "sro=50,reverb=400,pairs=2"};
+  spec.sessions_per_shard = 32;
+  return spec;
+}
+
 std::string RollupBytes(const CampaignResult& result) {
   std::ostringstream os;
   result.sink.WriteJson(os);
@@ -153,6 +169,11 @@ TEST(FleetDeterminismTest, ShardMergeOrderIsIrrelevant) {
 TEST(FleetDeterminismTest, MatchesCommittedGoldenRollup) {
   testing::ExpectMatchesGolden(RollupBytes(RunCampaign(MiniSpec(), 2)),
                                "fleet_rollup.json");
+}
+
+TEST(FleetDeterminismTest, HostileShapeMatchesCommittedGoldenRollup) {
+  testing::ExpectMatchesGolden(RollupBytes(RunCampaign(HostileSpec(), 2)),
+                               "fleet_hostile_rollup.json");
 }
 
 }  // namespace

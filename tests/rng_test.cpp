@@ -47,6 +47,33 @@ TEST(Rng, GaussianVectorKnownAnswer) {
   }
 }
 
+TEST(Rng, SkipGaussiansConsumesWhatGaussianVectorWould) {
+  // The reference is the fill itself. Each lead offset (0..311 engine
+  // words drawn first) puts the state refill at a different position of
+  // the walk, so blocks end mid-walk, exactly at it, and with one word
+  // left (the straddling pair); odd n drop a pair's second value.
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 155u, 156u, 157u, 311u, 312u,
+                              313u, 8192u, 10001u}) {
+    for (std::size_t lead = 0; lead < Mt19937_64::kStateSize; ++lead) {
+      const std::uint64_t seed = 77 + n * 1000 + lead;
+      Rng skipped(seed);
+      Rng drawn(seed);
+      for (std::size_t i = 0; i < lead; ++i) {
+        ASSERT_EQ(skipped.UniformInt(0, ~std::uint64_t{0}),
+                  drawn.UniformInt(0, ~std::uint64_t{0}));
+      }
+      skipped.SkipGaussians(n);
+      (void)drawn.GaussianVector(n);
+      const std::vector<double> after_skip = skipped.GaussianVector(1000);
+      const std::vector<double> after_fill = drawn.GaussianVector(1000);
+      for (std::size_t i = 0; i < after_fill.size(); ++i) {
+        ASSERT_TRUE(SameBits(after_skip[i], after_fill[i]))
+            << "n=" << n << " lead=" << lead << " draw " << i;
+      }
+    }
+  }
+}
+
 #if defined(__GLIBCXX__)
 
 // A raw engine word through Rng: a full-range uniform_int_distribution

@@ -19,14 +19,18 @@
 //   * attack traces serialize as well-formed JSONL and match the
 //     committed goldens byte for byte, timestamps included
 //     (golden_file.h says how to regenerate them).
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audio/propagation.h"
 #include "golden_file.h"
 #include "json_check.h"
+#include "modem/frame.h"
+#include "modem/modem.h"
 #include "obs/rollup.h"
 #include "protocol/attack_agents.h"
 #include "protocol/distance_bounding.h"
@@ -387,6 +391,142 @@ TEST(OvershadowDefenseTest, DefaultLevelSaturatesInANoisyRoom) {
     EXPECT_FALSE(r.false_unlock);
     EXPECT_FALSE(r.events.empty());
   }
+}
+
+// --- The probe calibrates inside the attempt --------------------------
+
+/// The probe agent as it ran with a recon pass: a full unlock attempt
+/// at the same seed learns the victim's probe volume, and the chirp
+/// train is rendered before the attacked attempt starts.
+AttackReport ProbeWithReconPass(const ScenarioConfig& base,
+                                const AttackSpec& spec) {
+  protocol::UnlockSession recon(base);
+  const protocol::UnlockReport recon_rep = recon.Attempt();
+  const double victim_volume =
+      recon_rep.probe_volume > 0.0 ? recon_rep.probe_volume : 1.0;
+
+  ScenarioConfig scenario = base;
+  scenario.attack = spec;
+  protocol::UnlockSession session(scenario);
+  sim::AdversaryDevice dev(spec, sim::Rng(scenario.seed ^ 0xA77AC4E5D15ULL),
+                           &session.clock());
+  dev.Record("arm", spec.distance_m);
+  const audio::Samples chirp = modem::MakePreamble(scenario.phone.frame);
+  const std::size_t span = scenario.scene.lead_in_samples +
+                           16 * chirp.size() + scenario.scene.lead_out_samples;
+  audio::Samples train;
+  while (train.size() < span) audio::Append(train, chirp);
+  const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
+      train, std::min(1.0, victim_volume * spec.level));
+  const audio::Samples at_watch =
+      audio::PropagationModel(scenario.scene.propagation)
+          .Propagate(emitted, spec.distance_m);
+  dev.Record("probe-emit", spec.level);
+
+  protocol::AttackInjection inj;
+  inj.phase2_interference = [at_watch](double) { return at_watch; };
+  const protocol::UnlockReport rep = session.Attempt(inj);
+
+  AttackReport out;
+  out.spec = spec;
+  out.victim_outcome = rep.outcome;
+  out.victim_unlocked = rep.unlocked;
+  out.ranging_distance_m = rep.ranging_distance_m;
+  out.victim_report = rep;
+  out.events = dev.events();
+  obs::SessionRecord record = session.BuildRecord(rep, /*retries=*/0);
+  record.same_body = false;
+  record.unlocked = false;
+  record.false_accept = false;
+  out.records.push_back(record);
+  return out;
+}
+
+/// Every field of an AttackReport, the victim's report and its step log
+/// included, with doubles in hexfloat.
+std::string ReportFingerprint(const AttackReport& r) {
+  const protocol::UnlockReport& v = r.victim_report;
+  std::ostringstream fp;
+  fp << std::hexfloat << r.spec.spec << "|" << ToString(r.victim_outcome)
+     << "|" << r.victim_unlocked << r.false_unlock << r.token_recovered << "|"
+     << r.attacker_token_ber << "|" << r.ranging_distance_m.value_or(-1.0)
+     << "|victim:" << ToString(v.outcome) << v.unlocked << "|"
+     << v.probe_volume << "|" << v.ambient_spl_db << "|" << v.preamble_score
+     << "|" << v.ambient_similarity << "|" << v.dtw_score.value_or(-1.0)
+     << "|" << v.nlos << "|" << v.pilot_snr_db << "|"
+     << (v.mode ? modem::ToString(*v.mode) : "-") << "|" << v.ebn0_db << "|"
+     << v.required_ber << "|" << v.token_ber << "|"
+     << v.eavesdropped_recording.has_value() << "|"
+     << v.ranging_distance_m.value_or(-1.0) << "|"
+     << v.timings.phase1_audio_ms << "," << v.timings.phase1_comm_ms << ","
+     << v.timings.phase1_compute_ms << "," << v.timings.phase2_audio_ms << ","
+     << v.timings.phase2_comm_ms << "," << v.timings.phase2_compute_ms << "|"
+     << v.watch_energy_mj << "|" << v.phone_energy_mj << "|plan:";
+  for (const std::size_t bin : v.plan.data) fp << bin << ",";
+  fp << "|steps:";
+  for (const auto& step : v.trace) {
+    fp << step.step << "@" << step.at_ms << "=" << step.detail << ";";
+  }
+  fp << "|events:" << sim::AttackTraceJsonl(r.events) << "|records:";
+  for (const auto& rec : r.records) fp << rec.ToJsonl();
+  return fp.str();
+}
+
+TEST(ProbeAgentTest, MatchesTheAgentThatRanAReconPass) {
+  std::vector<ScenarioConfig> cells;
+  for (int config = 0; config < kNumConfigs; ++config) {
+    cells.push_back(CellScenario(3 * kNumConfigs + config));  // matrix row
+    ScenarioConfig faulted = ConfigByIndex(config);
+    faulted.faults = sim::FaultPlan::Parse("drop=0.3");
+    faulted.seed = 9400 + static_cast<std::uint64_t>(config);
+    cells.push_back(faulted);
+  }
+  ScenarioConfig impaired = ScenarioConfig::Config1();
+  impaired.impairments =
+      audio::ImpairmentPlan::Parse("sro=50,reverb=400,pairs=2");
+  impaired.seed = 9410;
+  cells.push_back(impaired);
+
+  // A quiet attacker (level 0.25) keeps its drive below full scale, so
+  // the drive follows the victim's volume instead of saturating.
+  int mixed = 0;
+  for (const char* text :
+       {"probe@1.0:level=1.5", "probe", "probe@0.8:level=0.25"}) {
+    const AttackSpec spec = AttackSpec::Parse(text);
+    for (const ScenarioConfig& cell : cells) {
+      SCOPED_TRACE(std::string(text) + " seed " + std::to_string(cell.seed));
+      const AttackReport got = RunAttackScenario(cell, spec);
+      EXPECT_EQ(ReportFingerprint(got),
+                ReportFingerprint(ProbeWithReconPass(cell, spec)));
+      mixed += got.victim_report.timings.phase2_audio_ms > 0.0;
+    }
+  }
+  EXPECT_GE(mixed, 15) << "most cells must reach the Phase-2 mix";
+}
+
+TEST(ProbeAgentTest, InterferenceRendersOncePerAttemptAcrossArqRounds) {
+  ScenarioConfig c = ScenarioConfig::Config1();
+  c.arm_resilience = true;  // ARQ without injected faults
+  c.seed = 9420;
+  protocol::UnlockSession session(c);
+  sim::Rng noise(9421);
+  int calls = 0;
+  double volume_seen = 0.0;
+  protocol::AttackInjection inj;
+  inj.phase2_interference = [&](double volume) {
+    ++calls;
+    volume_seen = volume;
+    return noise.GaussianVector(40000, 0.5);
+  };
+  const protocol::UnlockReport rep = session.Attempt(inj);
+  int retransmits = 0;
+  for (const auto& step : rep.trace) {
+    retransmits += step.step == "phase2-retransmit";
+  }
+  EXPECT_EQ(rep.outcome, UnlockOutcome::kTokenRejected);
+  EXPECT_GE(retransmits, 1) << "the attempt must run more than one round";
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(volume_seen, rep.probe_volume);
 }
 
 // --- Telemetry path ---------------------------------------------------
