@@ -408,6 +408,9 @@ AttackReport ProbeWithReconPass(const ScenarioConfig& base,
   ScenarioConfig scenario = base;
   scenario.attack = spec;
   protocol::UnlockSession session(scenario);
+  obs::SessionRecord record;
+  session.SetRecordSink(
+      [&record](const obs::SessionRecord& emitted) { record = emitted; });
   sim::AdversaryDevice dev(spec, sim::Rng(scenario.seed ^ 0xA77AC4E5D15ULL),
                            &session.clock());
   dev.Record("arm", spec.distance_m);
@@ -434,7 +437,6 @@ AttackReport ProbeWithReconPass(const ScenarioConfig& base,
   out.ranging_distance_m = rep.ranging_distance_m;
   out.victim_report = rep;
   out.events = dev.events();
-  obs::SessionRecord record = session.BuildRecord(rep, /*retries=*/0);
   record.same_body = false;
   record.unlocked = false;
   record.false_accept = false;
@@ -549,6 +551,22 @@ TEST(AttackTelemetryTest, RecordsAggregateAsAttackerSuccessRate) {
   const obs::WilsonInterval far = cohort.FalseAcceptRate();
   EXPECT_DOUBLE_EQ(far.rate, 0.0);
   EXPECT_LT(far.high, 0.6);  // 0/5 still carries real uncertainty
+}
+
+/// An attacker-scored row is the record its attempt emitted, rescored:
+/// under injected faults it carries that attempt's fault and degrade
+/// counts, not zeros. The replay row is the replay attempt's record.
+TEST(AttackTelemetryTest, RowsCountTheirAttemptsFaults) {
+  for (const char* text : {"probe@1.0:level=1.5", "replay@0.5:delay=400"}) {
+    SCOPED_TRACE(text);
+    ScenarioConfig c = ScenarioConfig::Config1();
+    c.faults = sim::FaultPlan::Parse("drop=0.3");
+    c.seed = 9500;
+    const AttackReport r = RunAttackScenario(c, AttackSpec::Parse(text));
+    ASSERT_EQ(r.records.size(), 1u);
+    EXPECT_GT(r.records[0].fault_events, 0);
+    EXPECT_GT(r.records[0].degrades, 0);
+  }
 }
 
 // --- Distance-bounding properties -------------------------------------
