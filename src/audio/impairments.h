@@ -115,12 +115,6 @@ class ChannelImpairments {
   ChannelImpairments(ImpairmentPlan plan, sim::Rng rng,
                      std::size_t rx_guard_samples = 0);
 
-  /// Combined time-warp rate the watch observes: (1 + sro) / (1 + v/c).
-  double warp_rate() const { return warp_rate_; }
-
-  /// Accumulated capture-window misalignment, samples (>= 0).
-  std::size_t window_shift_samples() const { return window_shift_; }
-
   std::size_t rx_guard_samples() const { return rx_guard_; }
 
   /// Apply SRO+Doppler warp and the RT60 late field to the propagated
@@ -150,6 +144,7 @@ class ChannelImpairments {
   Samples NeighborWaveform(std::size_t n) const;
 
   bool has_neighbors() const { return !neighbors_.empty(); }
+  // NOLINTNEXTLINE(test-only-export): the bins reselection must avoid.
   const std::vector<NeighborTransmitter>& neighbors() const {
     return neighbors_;
   }
@@ -174,8 +169,8 @@ class ChannelImpairments {
   ImpairmentPlan plan_;
   sim::Rng rng_;
   std::size_t rx_guard_ = 0;
-  double warp_rate_ = 1.0;
-  std::size_t window_shift_ = 0;
+  double warp_rate_ = 1.0;  ///< watch time-warp: (1 + sro) / (1 + v/c)
+  std::size_t window_shift_ = 0;  ///< capture-window misalignment, samples
   Samples reverb_ir_;  ///< late-field IR (empty when reverb is off)
   std::vector<NeighborTransmitter> neighbors_;
   std::size_t cursor_ = 0;

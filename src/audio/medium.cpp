@@ -60,13 +60,4 @@ void AcousticChannel::SetJammer(std::optional<ToneJammer> jammer) {
   jammer_ = std::move(jammer);
 }
 
-void AcousticChannel::set_distance(double distance_m) {
-  config_.distance_m = distance_m;
-}
-
-void AcousticChannel::set_propagation(const PropagationSpec& spec) {
-  config_.propagation = spec;
-  propagation_ = PropagationModel(spec);
-}
-
 }  // namespace wearlock::audio

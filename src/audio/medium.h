@@ -65,13 +65,6 @@ class AcousticChannel {
   /// Install (or clear) a tone jammer audible at the receiver.
   void SetJammer(std::optional<ToneJammer> jammer);
 
-  /// Change the TX->RX distance between transmissions.
-  void set_distance(double distance_m);
-  double distance() const { return config_.distance_m; }
-
-  /// Replace the propagation spec (e.g. switch LOS -> body-blocked NLOS).
-  void set_propagation(const PropagationSpec& spec);
-
   const ChannelConfig& config() const { return config_; }
 
  private:

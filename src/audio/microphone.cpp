@@ -40,12 +40,4 @@ Samples MicrophoneModel::Capture(const Samples& pressure) const {
   return out;
 }
 
-double MicrophoneModel::ResponseAt(double f_hz) const {
-  if (spec_.lowpass_cutoff_hz <= 0.0 || spec_.lowpass_sections <= 0) return 1.0;
-  auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
-      spec_.lowpass_cutoff_hz, kSampleRate,
-      static_cast<std::size_t>(spec_.lowpass_sections));
-  return lpf.MagnitudeAt(f_hz, kSampleRate);
-}
-
 }  // namespace wearlock::audio

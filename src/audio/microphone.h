@@ -38,9 +38,6 @@ class MicrophoneModel {
   /// clip, (self-noise is added by the medium which owns the RNG).
   Samples Capture(const Samples& pressure) const;
 
-  /// Magnitude response of the mic chain at f (1.0 = flat).
-  double ResponseAt(double f_hz) const;
-
   const MicrophoneSpec& spec() const { return spec_; }
 
  private:

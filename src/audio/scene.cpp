@@ -54,11 +54,6 @@ void TwoMicScene::AdvanceTimeMs(double ms) {
   }
 }
 
-void TwoMicScene::set_propagation(const PropagationSpec& spec) {
-  config_.propagation = spec;
-  propagation_ = PropagationModel(spec);
-}
-
 Samples TwoMicScene::MicNoise(std::size_t n, const MicrophoneModel& mic) {
   const double rms = wearlock::dsp::RmsFromSpl(mic.spec().self_noise_spl);
   return rng_.GaussianVector(n, rms);

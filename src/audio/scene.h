@@ -84,8 +84,8 @@ class TwoMicScene {
                            double eavesdropper_distance_m,
                            const PropagationSpec& path, double gain_db = 0.0);
 
+  // NOLINTNEXTLINE(test-only-export): moves the watch between attempts.
   void set_distance(double distance_m) { config_.distance_m = distance_m; }
-  void set_propagation(const PropagationSpec& spec);
   void SetJammer(std::optional<ToneJammer> jammer) { jammer_ = std::move(jammer); }
   const SceneConfig& config() const { return config_; }
 

@@ -29,12 +29,4 @@ Digest HmacSha1(const std::vector<std::uint8_t>& key,
   return outer.Finalize();
 }
 
-bool ConstantTimeEqual(const std::vector<std::uint8_t>& a,
-                       const std::vector<std::uint8_t>& b) {
-  std::uint8_t diff = a.size() == b.size() ? 0 : 1;
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) diff |= static_cast<std::uint8_t>(a[i] ^ b[i]);
-  return diff == 0;
-}
-
 }  // namespace wearlock::crypto

@@ -13,9 +13,4 @@ namespace wearlock::crypto {
 Digest HmacSha1(const std::vector<std::uint8_t>& key,
                 const std::vector<std::uint8_t>& message);
 
-/// Constant-time equality of two byte strings of equal length; returns
-/// false (without early exit) for length mismatch.
-bool ConstantTimeEqual(const std::vector<std::uint8_t>& a,
-                       const std::vector<std::uint8_t>& b);
-
 }  // namespace wearlock::crypto

@@ -42,24 +42,4 @@ std::string HotpCode(const std::vector<std::uint8_t>& key,
   return std::string(digits - s.size(), '0') + s;
 }
 
-HotpValidator::HotpValidator(std::vector<std::uint8_t> key,
-                             std::uint64_t initial_counter, unsigned window)
-    : key_(std::move(key)), counter_(initial_counter), window_(window) {}
-
-std::optional<std::uint64_t> HotpValidator::Validate(std::uint32_t token) {
-  for (std::uint64_t c = counter_; c <= counter_ + window_; ++c) {
-    if (HotpValue(key_, c) == token) {
-      counter_ = c + 1;
-      return c;
-    }
-  }
-  return std::nullopt;
-}
-
-HotpGenerator::HotpGenerator(std::vector<std::uint8_t> key,
-                             std::uint64_t initial_counter)
-    : key_(std::move(key)), counter_(initial_counter) {}
-
-std::uint32_t HotpGenerator::Next() { return HotpValue(key_, counter_++); }
-
 }  // namespace wearlock::crypto

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,41 +28,5 @@ std::uint32_t HotpValue(const std::vector<std::uint8_t>& key,
 /// @throws std::invalid_argument if digits is 0 or > 9.
 std::string HotpCode(const std::vector<std::uint8_t>& key,
                      std::uint64_t counter, unsigned digits);
-
-/// Generator/validator pair state. The phone (validator) keeps a
-/// look-ahead window so a token burned by a failed acoustic delivery does
-/// not desynchronize the pair (RFC 4226 §7.2 resynchronization).
-class HotpValidator {
- public:
-  /// @param window how many counter values ahead of the expected one are
-  /// accepted (s parameter of RFC 4226). 0 = exact match only.
-  HotpValidator(std::vector<std::uint8_t> key, std::uint64_t initial_counter,
-                unsigned window);
-
-  /// Validate a raw 31-bit token. On success returns the matched counter
-  /// and advances the expected counter past it (one-time semantics).
-  std::optional<std::uint64_t> Validate(std::uint32_t token);
-
-  std::uint64_t expected_counter() const { return counter_; }
-
- private:
-  std::vector<std::uint8_t> key_;
-  std::uint64_t counter_;
-  unsigned window_;
-};
-
-class HotpGenerator {
- public:
-  HotpGenerator(std::vector<std::uint8_t> key, std::uint64_t initial_counter);
-
-  /// Produce the next token and advance the counter.
-  std::uint32_t Next();
-
-  std::uint64_t counter() const { return counter_; }
-
- private:
-  std::vector<std::uint8_t> key_;
-  std::uint64_t counter_;
-};
 
 }  // namespace wearlock::crypto

@@ -1,5 +1,6 @@
 #include "crypto/sha1.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -39,10 +40,6 @@ void Sha1::Update(const std::uint8_t* data, std::size_t len) {
 
 void Sha1::Update(const std::vector<std::uint8_t>& data) {
   Update(data.data(), data.size());
-}
-
-void Sha1::Update(const std::string& data) {
-  Update(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
 }
 
 Digest Sha1::Finalize() {
@@ -115,23 +112,6 @@ Digest Sha1::Hash(const std::vector<std::uint8_t>& data) {
   Sha1 s;
   s.Update(data);
   return s.Finalize();
-}
-
-Digest Sha1::Hash(const std::string& data) {
-  Sha1 s;
-  s.Update(data);
-  return s.Finalize();
-}
-
-std::string ToHex(const Digest& digest) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(40);
-  for (std::uint8_t b : digest) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xF]);
-  }
-  return out;
 }
 
 }  // namespace wearlock::crypto

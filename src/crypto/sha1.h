@@ -8,7 +8,6 @@
 #include <array>
 #include <cstdint>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace wearlock::crypto {
@@ -23,7 +22,6 @@ class Sha1 {
   /// Absorb `len` bytes.
   void Update(const std::uint8_t* data, std::size_t len);
   void Update(const std::vector<std::uint8_t>& data);
-  void Update(const std::string& data);
 
   /// Finalize and return the 160-bit digest. The hasher must not be
   /// updated afterwards (call Reset to reuse).
@@ -34,7 +32,6 @@ class Sha1 {
 
   /// One-shot convenience.
   static Digest Hash(const std::vector<std::uint8_t>& data);
-  static Digest Hash(const std::string& data);
 
  private:
   void ProcessBlock(const std::uint8_t* block);
@@ -45,8 +42,5 @@ class Sha1 {
   std::uint64_t total_bits_ = 0;
   bool finalized_ = false;
 };
-
-/// Hex string of a digest (lowercase).
-std::string ToHex(const Digest& digest);
 
 }  // namespace wearlock::crypto

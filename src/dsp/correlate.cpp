@@ -81,19 +81,6 @@ void Normalize(std::span<const double> x, std::span<const double> y,
 
 }  // namespace
 
-std::vector<double> CrossCorrelate(std::span<const double> x,
-                                   std::span<const double> y) {
-  CheckArgs(x, y);
-  const std::size_t lags = x.size() - y.size() + 1;
-  std::vector<double> r(lags, 0.0);
-  for (std::size_t k = 0; k < lags; ++k) {
-    double acc = 0.0;
-    for (std::size_t n = 0; n < y.size(); ++n) acc += x[k + n] * y[n];
-    r[k] = acc;
-  }
-  return r;
-}
-
 // lint: hot-path
 void CrossCorrelateFftInto(std::span<const double> x,
                            std::span<const double> y, Workspace& ws,
@@ -104,14 +91,6 @@ void CrossCorrelateFftInto(std::span<const double> x,
   ComplexVec& fy = ws.ComplexZeroed(CSlot::kCorrY, plan->size());
   TemplateSpectrum(y, *plan, fy.data());
   CorrelateWithSpectrum(x, fy, *plan, ws, out);
-}
-
-std::vector<double> CrossCorrelateFft(std::span<const double> x,
-                                      std::span<const double> y) {
-  CheckArgs(x, y);
-  std::vector<double> r(x.size() - y.size() + 1);
-  CrossCorrelateFftInto(x, y, Workspace::PerThread(), r);
-  return r;
 }
 
 // lint: hot-path

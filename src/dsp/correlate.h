@@ -7,8 +7,8 @@
 //
 // The *Into variants are the hot path: they run on a dsp::Workspace and
 // write into caller-sized output, so steady-state calls allocate
-// nothing. The vector-returning signatures are compatibility shims over
-// the same code (identical values). Every FFT correlation runs one body
+// nothing. NormalizedCrossCorrelate returns a vector from the same code
+// (identical values). Every FFT correlation runs one body
 // that takes the template's zero-padded spectrum as input: a template
 // that recurs across calls (the preamble) gets it from SpectrumCache,
 // any other template has it transformed per call.
@@ -30,20 +30,13 @@ class FftPlan;    // dsp/fft_plan.h
 class Workspace;  // dsp/workspace.h
 
 /// Linear cross-correlation r[k] = sum_n x[n+k] * y[n] for
-/// k in [0, x.size() - y.size()] (valid lags only; requires
-/// x.size() >= y.size()). Direct O(N*M) evaluation.
-/// @throws std::invalid_argument if y is empty or longer than x.
-std::vector<double> CrossCorrelate(std::span<const double> x,
-                                   std::span<const double> y);
-
-/// Same result as CrossCorrelate but computed via FFT in O(N log N).
-std::vector<double> CrossCorrelateFft(std::span<const double> x,
-                                      std::span<const double> y);
-
-/// Workspace CrossCorrelateFft: identical values written into `out`,
-/// which the caller must size to the lag count x.size() - y.size() + 1.
-/// y's spectrum is transformed into ws slot CSlot::kCorrY, and the
-/// correlation body's scratch is CSlot::kCorrX.
+/// k in [0, x.size() - y.size()] (valid lags only), computed via FFT in
+/// O(N log N) and written into `out`, which the caller must size to the
+/// lag count x.size() - y.size() + 1. y's spectrum is transformed into
+/// ws slot CSlot::kCorrY, and the correlation body's scratch is
+/// CSlot::kCorrX.
+/// @throws std::invalid_argument if y is empty or longer than x, or
+/// `out` is mis-sized.
 void CrossCorrelateFftInto(std::span<const double> x,
                            std::span<const double> y, Workspace& ws,
                            std::span<double> out);

@@ -93,13 +93,6 @@ ComplexVec FftReal(const RealVec& x) {
   return c;
 }
 
-RealVec IfftReal(ComplexVec spectrum) {
-  Ifft(spectrum);
-  RealVec out(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) out[i] = spectrum[i].real();
-  return out;
-}
-
 ComplexVec& FftInterpolateInto(const ComplexVec& points,
                                std::size_t out_len, Workspace& ws,
                                const FftPlan* fwd_plan,

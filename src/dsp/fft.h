@@ -38,9 +38,6 @@ void Ifft(ComplexVec& x);
 /// (size must be a power of two).
 ComplexVec FftReal(const RealVec& x);
 
-/// Real part of the inverse FFT of a spectrum.
-RealVec IfftReal(ComplexVec spectrum);
-
 /// FFT-based interpolation: given `points` samples of a (conceptually
 /// periodic) sequence, produce `out_len` samples of the band-limited
 /// interpolant by zero-padding the middle of the spectrum. Used to

@@ -55,6 +55,7 @@ class FftPlan {
 
   /// Stage `len`'s twiddles (2 <= len <= size(), a power of two) as this
   /// plan uses them: the shared TwiddleTables entry.
+  // NOLINTNEXTLINE(test-only-export): pins that plans share stage tables.
   std::span<const double> StageTwiddles(std::size_t len, bool inverse) const;
 
  private:

@@ -45,18 +45,6 @@ Biquad Biquad::HighPass(double cutoff_hz, double sample_rate_hz, double q) {
                 -2.0 * cw / a0, (1.0 - alpha) / a0);
 }
 
-Biquad Biquad::Peaking(double f0_hz, double sample_rate_hz, double gain_db,
-                       double q) {
-  CheckFreq(f0_hz, sample_rate_hz);
-  const double a = std::pow(10.0, gain_db / 40.0);
-  const double w0 = 2.0 * kPi * f0_hz / sample_rate_hz;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha / a;
-  return Biquad((1.0 + alpha * a) / a0, -2.0 * cw / a0, (1.0 - alpha * a) / a0,
-                -2.0 * cw / a0, (1.0 - alpha / a) / a0);
-}
-
 double Biquad::Process(double x) {
   const double y = b0_ * x + b1_ * x1_ + b2_ * x2_ - a1_ * y1_ - a2_ * y2_;
   x2_ = x1_;
@@ -70,17 +58,6 @@ std::vector<double> Biquad::ProcessBlock(const std::vector<double>& x) {
   std::vector<double> y(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = Process(x[i]);
   return y;
-}
-
-void Biquad::Reset() { x1_ = x2_ = y1_ = y2_ = 0.0; }
-
-double Biquad::MagnitudeAt(double f_hz, double sample_rate_hz) const {
-  const double w = 2.0 * kPi * f_hz / sample_rate_hz;
-  const std::complex<double> z1 = std::polar(1.0, -w);
-  const std::complex<double> z2 = z1 * z1;
-  const std::complex<double> num = b0_ + b1_ * z1 + b2_ * z2;
-  const std::complex<double> den = 1.0 + a1_ * z1 + a2_ * z2;
-  return std::abs(num / den);
 }
 
 BiquadCascade::BiquadCascade(std::vector<Biquad> sections)
@@ -114,16 +91,6 @@ std::vector<double> BiquadCascade::ProcessBlock(const std::vector<double>& x) {
   std::vector<double> y(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = Process(x[i]);
   return y;
-}
-
-void BiquadCascade::Reset() {
-  for (Biquad& s : sections_) s.Reset();
-}
-
-double BiquadCascade::MagnitudeAt(double f_hz, double sample_rate_hz) const {
-  double mag = 1.0;
-  for (const Biquad& s : sections_) mag *= s.MagnitudeAt(f_hz, sample_rate_hz);
-  return mag;
 }
 
 namespace {

@@ -21,19 +21,11 @@ class Biquad {
   static Biquad LowPass(double cutoff_hz, double sample_rate_hz, double q = 0.7071);
   /// Butterworth-Q high-pass at cutoff.
   static Biquad HighPass(double cutoff_hz, double sample_rate_hz, double q = 0.7071);
-  /// Peaking EQ: gain_db boost/cut centred at f0 with bandwidth set by q.
-  static Biquad Peaking(double f0_hz, double sample_rate_hz, double gain_db,
-                        double q = 1.0);
 
   /// Filter one sample, updating internal state.
   double Process(double x);
   /// Filter a whole buffer (stateful across calls).
   std::vector<double> ProcessBlock(const std::vector<double>& x);
-  /// Reset the delay line.
-  void Reset();
-
-  /// Magnitude response at frequency f (stateless query).
-  double MagnitudeAt(double f_hz, double sample_rate_hz) const;
 
  private:
   double b0_ = 1.0, b1_ = 0.0, b2_ = 0.0, a1_ = 0.0, a2_ = 0.0;
@@ -54,8 +46,6 @@ class BiquadCascade {
 
   double Process(double x);
   std::vector<double> ProcessBlock(const std::vector<double>& x);
-  void Reset();
-  double MagnitudeAt(double f_hz, double sample_rate_hz) const;
   std::size_t size() const { return sections_.size(); }
 
  private:

@@ -40,11 +40,4 @@ double EbN0FromSnrDb(double snr_db, double bandwidth_hz, double bit_rate_bps) {
   return snr_db + 10.0 * std::log10(bandwidth_hz / bit_rate_bps);
 }
 
-double SnrDbFromEbN0(double ebn0_db, double bandwidth_hz, double bit_rate_bps) {
-  if (bandwidth_hz <= 0.0 || bit_rate_bps <= 0.0) {
-    throw std::invalid_argument("SnrDbFromEbN0: bandwidth and rate must be positive");
-  }
-  return ebn0_db - 10.0 * std::log10(bandwidth_hz / bit_rate_bps);
-}
-
 }  // namespace wearlock::dsp

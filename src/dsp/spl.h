@@ -38,7 +38,4 @@ double SpreadingLossDb(double distance_m, double reference_distance_m,
 /// bandwidth and bit rate: Eb/N0 = C/N * B/R (paper §III-7).
 double EbN0FromSnrDb(double snr_db, double bandwidth_hz, double bit_rate_bps);
 
-/// Inverse conversion.
-double SnrDbFromEbN0(double ebn0_db, double bandwidth_hz, double bit_rate_bps);
-
 }  // namespace wearlock::dsp

@@ -30,18 +30,6 @@ Summary Summarize(const std::vector<double>& xs) {
   return s;
 }
 
-double Percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) throw std::invalid_argument("Percentile: empty input");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("Percentile: p out of range");
-  std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs[0];
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= xs.size()) return xs.back();
-  return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
-}
-
 LinearFit FitLinear(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("FitLinear: size mismatch");
   if (x.size() < 2) throw std::invalid_argument("FitLinear: need >= 2 points");
@@ -69,16 +57,6 @@ LinearFit FitLinear(const std::vector<double>& x, const std::vector<double>& y) 
   }
   fit.r_squared = ss_tot > 1e-30 ? 1.0 - ss_res / ss_tot : 1.0;
   return fit;
-}
-
-LinearFit FitLogarithmic(const std::vector<double>& x,
-                         const std::vector<double>& y) {
-  std::vector<double> lx(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] <= 0.0) throw std::invalid_argument("FitLogarithmic: x must be > 0");
-    lx[i] = std::log(x[i]);
-  }
-  return FitLinear(lx, y);
 }
 
 }  // namespace wearlock::dsp

@@ -20,10 +20,6 @@ struct Summary {
 /// Mean/stddev (population), min/max/median. @throws if empty.
 Summary Summarize(const std::vector<double>& xs);
 
-/// Linear interpolation percentile, p in [0,100]. @throws if empty or p
-/// out of range.
-double Percentile(std::vector<double> xs, double p);
-
 struct LinearFit {
   double slope = 0.0;
   double intercept = 0.0;
@@ -33,10 +29,5 @@ struct LinearFit {
 /// Ordinary least squares y = slope*x + intercept. @throws if sizes
 /// differ or fewer than two points.
 LinearFit FitLinear(const std::vector<double>& x, const std::vector<double>& y);
-
-/// Logarithmic trend line y = a*ln(x) + b (the "logarithmic tread-lines"
-/// fitting Fig. 5). All x must be > 0.
-LinearFit FitLogarithmic(const std::vector<double>& x,
-                         const std::vector<double>& y);
 
 }  // namespace wearlock::dsp

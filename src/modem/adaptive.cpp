@@ -63,8 +63,6 @@ const std::vector<CurvePoint>& MeasuredCurve(Modulation m) {
 
 }  // namespace
 
-double MeasuredBerFloor(Modulation m) { return MeasuredCurve(m).back().ber; }
-
 double MeasuredRequiredEbN0Db(Modulation m, double max_ber) {
   if (max_ber <= 0.0 || max_ber >= 0.5) {
     throw std::invalid_argument("MeasuredRequiredEbN0Db: max_ber in (0, 0.5)");
@@ -88,17 +86,6 @@ double MeasuredRequiredEbN0Db(Modulation m, double max_ber) {
     }
   }
   return curve.back().ebn0_db;
-}
-
-std::optional<Modulation> SelectMode(double measured_ebn0_db,
-                                     const AdaptiveConfig& config) {
-  for (Modulation m : config.modes) {
-    const double required = MeasuredRequiredEbN0Db(m, config.max_ber);
-    if (measured_ebn0_db >= required + config.margin_db) {
-      return m;
-    }
-  }
-  return std::nullopt;
 }
 
 std::optional<Modulation> SelectModeFromSnr(const FrameSpec& spec,

@@ -27,10 +27,6 @@ const std::vector<Modulation>& WearlockModes();
 /// cannot reach max_ber at any SNR.
 double MeasuredRequiredEbN0Db(Modulation m, double max_ber);
 
-/// The lowest BER the mode achieves on the measured channel (its error
-/// floor; ~0 for the binary/quaternary schemes).
-double MeasuredBerFloor(Modulation m);
-
 struct AdaptiveConfig {
   /// Target BER bound (the MaxBER line of Fig. 5).
   double max_ber = 0.1;
@@ -43,14 +39,10 @@ struct AdaptiveConfig {
 };
 
 /// Pick the highest-order mode whose required Eb/N0 (plus margin) fits
-/// the measured value; nullopt if even the most robust candidate does not
-/// fit (caller aborts or re-probes at higher volume).
-std::optional<Modulation> SelectMode(double measured_ebn0_db,
-                                     const AdaptiveConfig& config = {});
-
-/// Like SelectMode, but converts the measured carrier SNR into each
-/// candidate's own Eb/N0 first (the data rate R differs per mode, so the
-/// same SNR buys different Eb/N0). This is the call sites' entry point.
+/// the measured carrier SNR, converted into each candidate's own Eb/N0
+/// (the data rate R differs per mode, so the same SNR buys different
+/// Eb/N0); nullopt if even the most robust candidate does not fit
+/// (caller aborts or re-probes at higher volume).
 std::optional<Modulation> SelectModeFromSnr(const FrameSpec& spec,
                                             double snr_db,
                                             const AdaptiveConfig& config = {});

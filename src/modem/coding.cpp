@@ -245,9 +245,4 @@ std::vector<std::uint8_t> SoftCombiner::HardBits() const {
   return DecodeSoft(CodeScheme::kNone, sum_);
 }
 
-void SoftCombiner::Reset() {
-  sum_.clear();
-  rounds_ = 0;
-}
-
 }  // namespace wearlock::modem

@@ -85,8 +85,6 @@ class SoftCombiner {
   /// DecodeSoft instead when a channel code is in use).
   std::vector<std::uint8_t> HardBits() const;
 
-  void Reset();
-
  private:
   std::vector<double> sum_;
   std::size_t rounds_ = 0;

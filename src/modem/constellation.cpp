@@ -9,8 +9,6 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
-double QFunction(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
-
 /// Normalize points to unit average energy.
 std::vector<Complex> Normalized(std::vector<Complex> pts) {
   double energy = 0.0;
@@ -103,7 +101,6 @@ unsigned BitsPerSymbol(Modulation m) {
   return 0;
 }
 
-unsigned ModulationOrder(Modulation m) { return 1u << BitsPerSymbol(m); }
 
 Constellation::Constellation(Modulation m, std::vector<Complex> points)
     : modulation_(m), bits_(BitsPerSymbol(m)), points_(std::move(points)) {}
@@ -203,37 +200,6 @@ void DemapSymbolsSoftInto(Modulation m, std::span<const Complex> symbols,
       out.push_back(best1 - best0);
     }
   }
-}
-
-double TheoreticalBer(Modulation m, double ebn0_db) {
-  const double g = std::pow(10.0, ebn0_db / 10.0);  // Eb/N0, linear
-  switch (m) {
-    case Modulation::kBask:
-      // Coherent OOK: d/2 = sqrt(Eb/2) -> Pb = Q(sqrt(Eb/N0)).
-      return QFunction(std::sqrt(g));
-    case Modulation::kBpsk:
-      return QFunction(std::sqrt(2.0 * g));
-    case Modulation::kQpsk:
-      return QFunction(std::sqrt(2.0 * g));
-    case Modulation::kQask: {
-      // 4-PAM: Pb ~= (3/4) Q(sqrt(4/5 * Eb/N0 * 2)) / 2 bits...
-      // Standard M-PAM with Gray coding: Pb = 2(M-1)/(M log2 M) *
-      // Q(sqrt(6 log2 M / (M^2 - 1) * Eb/N0)).
-      const double M = 4.0, k = 2.0;
-      return 2.0 * (M - 1.0) / (M * k) *
-             QFunction(std::sqrt(6.0 * k / (M * M - 1.0) * g));
-    }
-    case Modulation::k8Psk: {
-      const double M = 8.0, k = 3.0;
-      return 2.0 / k * QFunction(std::sqrt(2.0 * k * g) * std::sin(kPi / M));
-    }
-    case Modulation::k16Qam: {
-      const double M = 16.0, k = 4.0;
-      return 4.0 / k * (1.0 - 1.0 / std::sqrt(M)) *
-             QFunction(std::sqrt(3.0 * k / (M - 1.0) * g));
-    }
-  }
-  throw std::invalid_argument("TheoreticalBer: unknown modulation");
 }
 
 std::size_t CountBitErrors(const std::vector<std::uint8_t>& a,

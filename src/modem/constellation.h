@@ -22,7 +22,6 @@ const std::vector<Modulation>& AllModulations();
 
 std::string ToString(Modulation m);
 unsigned BitsPerSymbol(Modulation m);
-unsigned ModulationOrder(Modulation m);  // M = 2^bits
 
 /// A concrete symbol alphabet with Gray-coded bit labels.
 class Constellation {
@@ -71,11 +70,6 @@ void DemapSymbolsInto(Modulation m, std::span<const Complex> symbols,
 /// decoders).
 void DemapSymbolsSoftInto(Modulation m, std::span<const Complex> symbols,
                           std::vector<double>& out);
-
-/// Textbook AWGN bit-error-rate approximation (Gray coding assumed) at a
-/// given Eb/N0 in dB. Used for the adaptive-modulation mode table and as
-/// the reference ranking in Fig. 5.
-double TheoreticalBer(Modulation m, double ebn0_db);
 
 /// Count differing bits between equal-length bit vectors.
 /// @throws std::invalid_argument on length mismatch.

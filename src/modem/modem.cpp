@@ -1,7 +1,5 @@
 #include "modem/modem.h"
 
-#include <stdexcept>
-
 namespace wearlock::modem {
 
 std::vector<std::uint8_t> BitsFromWord(std::uint32_t word) {
@@ -11,20 +9,6 @@ std::vector<std::uint8_t> BitsFromWord(std::uint32_t word) {
         static_cast<std::uint8_t>((word >> (31 - i)) & 1u);
   }
   return bits;
-}
-
-std::uint32_t WordFromBits(const std::vector<std::uint8_t>& bits) {
-  if (bits.size() != 32) {
-    throw std::invalid_argument("WordFromBits: need exactly 32 bits");
-  }
-  std::uint32_t word = 0;
-  for (std::size_t i = 0; i < 32; ++i) {
-    if (bits[i] > 1u) {
-      throw std::invalid_argument("WordFromBits: bit values must be 0 or 1");
-    }
-    word = (word << 1) | static_cast<std::uint32_t>(bits[i]);
-  }
-  return word;
 }
 
 AcousticModem::AcousticModem(FrameSpec spec, DemodConfig demod_config)

@@ -13,13 +13,9 @@
 
 namespace wearlock::modem {
 
-/// Convert a 32-bit word into its bit vector (MSB first) and back -
-/// the OTP token's on-air representation.
-/// @throws std::invalid_argument unless bits has exactly 32 entries,
-/// every one of them 0 or 1 (a value > 1 is a caller bug that silent
-/// masking used to hide).
+/// Convert a 32-bit word into its bit vector (MSB first) - the OTP
+/// token's on-air representation.
 std::vector<std::uint8_t> BitsFromWord(std::uint32_t word);
-std::uint32_t WordFromBits(const std::vector<std::uint8_t>& bits);
 
 class AcousticModem {
  public:
@@ -50,8 +46,6 @@ class AcousticModem {
   AcousticModem WithPlan(const SubchannelPlan& plan) const;
 
   const FrameSpec& spec() const { return spec_; }
-  const Modulator& modulator() const { return modulator_; }
-  const Demodulator& demodulator() const { return demodulator_; }
 
  private:
   FrameSpec spec_;

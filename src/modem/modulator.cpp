@@ -24,12 +24,6 @@ Modulator::Modulator(FrameSpec spec) : spec_(spec), preamble_(MakePreamble(spec)
   }
 }
 
-std::size_t Modulator::SymbolsForBits(Modulation m, std::size_t n_bits) const {
-  const std::size_t bits_per_ofdm =
-      spec_.plan.data.size() * BitsPerSymbol(m);
-  return (n_bits + bits_per_ofdm - 1) / bits_per_ofdm;
-}
-
 TxFrame Modulator::ModulateBits(Modulation m,
                                 const std::vector<std::uint8_t>& bits) const {
   const Constellation& c = Constellation::Get(m);

@@ -32,9 +32,6 @@ class Modulator {
   /// the receiver can estimate per-bin channel response and noise.
   TxFrame MakeProbeFrame() const;
 
-  /// Symbols needed for n_bits of payload under modulation m.
-  std::size_t SymbolsForBits(Modulation m, std::size_t n_bits) const;
-
   const FrameSpec& spec() const { return spec_; }
 
  private:

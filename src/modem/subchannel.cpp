@@ -45,10 +45,6 @@ double SubchannelPlan::OccupiedBandwidthHz() const {
   return static_cast<double>(hi - lo + 1) * bin_hz();
 }
 
-double SubchannelPlan::DataBandwidthHz() const {
-  return static_cast<double>(data.size()) * bin_hz();
-}
-
 void SubchannelPlan::Validate() const {
   if (fft_size < 4) throw std::invalid_argument("SubchannelPlan: fft_size too small");
   if (data.empty()) throw std::invalid_argument("SubchannelPlan: no data bins");
@@ -77,10 +73,6 @@ bool SubchannelPlan::IsData(std::size_t bin) const {
 bool SubchannelPlan::IsPilot(std::size_t bin) const {
   return std::find(pilots.begin(), pilots.end(), bin) != pilots.end();
 }
-bool SubchannelPlan::IsNull(std::size_t bin) const {
-  return std::find(nulls.begin(), nulls.end(), bin) != nulls.end();
-}
-
 SubchannelPlan SelectSubchannels(const SubchannelPlan& plan,
                                  const std::vector<double>& noise_power,
                                  double quantize_db) {

@@ -40,16 +40,12 @@ struct SubchannelPlan {
   /// Occupied bandwidth (Hz) spanned by pilot+data bins.
   double OccupiedBandwidthHz() const;
 
-  /// Bandwidth actually carrying payload: |D| * bin width.
-  double DataBandwidthHz() const;
-
   /// Validity: non-empty disjoint sets, all bins within (0, N/2).
   /// @throws std::invalid_argument describing the first violation.
   void Validate() const;
 
   bool IsData(std::size_t bin) const;
   bool IsPilot(std::size_t bin) const;
-  bool IsNull(std::size_t bin) const;
 };
 
 /// Noise-ranked data-bin selection. Given per-bin noise power from a

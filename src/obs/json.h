@@ -37,9 +37,7 @@ class JsonValue {
   /// Insertion-ordered (the order the file listed the keys).
   std::vector<std::pair<std::string, JsonValue>> object;
 
-  bool is_null() const { return kind == Kind::kNull; }
   bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
   bool is_array() const { return kind == Kind::kArray; }
   bool is_object() const { return kind == Kind::kObject; }
 

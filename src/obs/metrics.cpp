@@ -35,11 +35,6 @@ std::uint64_t Series::count() const {
   return count_;
 }
 
-std::uint64_t Series::dropped() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return count_ - values_.size();
-}
-
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
   return GetOrCreate(counters_, name);

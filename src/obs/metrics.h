@@ -64,8 +64,7 @@ class Series {
 
   void Observe(double v);
   std::vector<double> Values() const;
-  std::uint64_t count() const;    ///< total observations, including dropped
-  std::uint64_t dropped() const;  ///< observations past the cap
+  std::uint64_t count() const;  ///< total observations, including dropped
 
  private:
   mutable std::mutex mu_;

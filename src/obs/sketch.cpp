@@ -267,31 +267,6 @@ void Sketch::Merge(const Sketch& other) {
   sum_.Merge(snapshot.sum_);
 }
 
-std::uint64_t Sketch::count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-double Sketch::sum() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return sum_.Value();
-}
-
-double Sketch::mean() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return count_ > 0 ? sum_.Value() / static_cast<double>(count_) : 0.0;
-}
-
-double Sketch::min() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return min_;
-}
-
-double Sketch::max() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return max_;
-}
-
 double Sketch::QuantileLocked(double q) const {
   if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
   if (q < 0.0) q = 0.0;

@@ -79,7 +79,8 @@ class ExactSum {
 /// derived from the relative accuracy alpha = kAccuracy (bucket key
 /// ceil(log_gamma |v|), gamma = (1+alpha)/(1-alpha)), an exact zero
 /// bucket (|v| below kMinTrackable counts as zero), mirrored negative
-/// buckets, exact min/max/count and an ExactSum total.
+/// buckets, exact min/max/count and an ExactSum total (WriteJson
+/// carries them).
 ///
 /// Quantile(q) returns a bucket representative within relative error
 /// ~alpha of the true order statistic for |v| >= kMinTrackable.
@@ -104,13 +105,6 @@ class Sketch {
   /// Fold `other` in. Exact on every stored field, so merge order and
   /// shard partition never change the result.
   void Merge(const Sketch& other);
-
-  std::uint64_t count() const;
-  /// Exact sum of all observed values (order-insensitive).
-  double sum() const;
-  double mean() const;  ///< 0.0 when empty
-  double min() const;   ///< +inf when empty
-  double max() const;   ///< -inf when empty
 
   /// Bucket-representative estimate of the q-quantile (0 <= q <= 1),
   /// clamped to [min, max]. NaN when the sketch is empty.

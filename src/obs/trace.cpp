@@ -24,10 +24,7 @@ void WriteArgs(std::ostream& os, const SpanRecord& span) {
 Tracer::Tracer(ClockFn now) : now_(std::move(now)) {}
 
 std::size_t Tracer::BeginSpan(std::string name, std::string category) {
-  if (spans_.size() >= kMaxSpans) {
-    ++dropped_;
-    return SpanRecord::kNoParent;
-  }
+  if (spans_.size() >= kMaxSpans) return SpanRecord::kNoParent;
   SpanRecord span;
   span.name = std::move(name);
   span.category = std::move(category);
@@ -72,32 +69,6 @@ void Tracer::Annotate(std::size_t id, const std::string& key,
 void Tracer::Annotate(std::size_t id, const std::string& key, double value) {
   if (id >= spans_.size()) return;
   spans_[id].attrs.emplace_back(key, JsonNumber(value));
-}
-
-void Tracer::Clear() {
-  spans_.clear();
-  stack_.clear();
-  events_.clear();
-  dropped_ = 0;
-}
-
-void Tracer::WriteJsonl(std::ostream& os) const {
-  for (const SpanRecord& span : spans_) {
-    os << "{\"name\":\"" << JsonEscape(span.name) << "\",\"cat\":\""
-       << JsonEscape(span.category)
-       << "\",\"start_ms\":" << JsonNumber(span.start_ms)
-       << ",\"end_ms\":" << JsonNumber(span.end_ms)
-       << ",\"depth\":" << span.depth << ",\"parent\":";
-    if (span.parent == SpanRecord::kNoParent) {
-      os << "null";
-    } else {
-      os << span.parent;
-    }
-    if (!span.finished) os << ",\"unfinished\":true";
-    os << ",\"args\":";
-    WriteArgs(os, span);
-    os << "}\n";
-  }
 }
 
 void Tracer::WriteChromeTrace(std::ostream& os) const {

@@ -3,17 +3,15 @@
 // Spans are timestamped from a caller-supplied clock - in the simulator
 // that is sim::VirtualClock, so timelines live on modeled time, not
 // wall time. Same-seed sessions replay the same spans: names, order,
-// nesting and timestamps. Exporters:
-//   * JSONL: one span object per line (easy to grep/join)
-//   * Chrome trace_event JSON: open in chrome://tracing or
-//     https://ui.perfetto.dev (B/E duration events, one track)
+// nesting and timestamps. The exporter writes Chrome trace_event JSON:
+// open it in chrome://tracing or https://ui.perfetto.dev (B/E duration
+// events, one track).
 //
 // Span names follow the same dotted scheme as metrics:
 // "phase1.probe_tx", "modem.sync.detect", "session.verdict", ...
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -64,17 +62,6 @@ class Tracer {
   void Annotate(std::size_t id, const std::string& key, double value);
 
   const std::vector<SpanRecord>& spans() const { return spans_; }
-  /// Number of currently open spans.
-  std::size_t open_depth() const { return stack_.size(); }
-  /// Spans dropped because the cap was reached.
-  std::uint64_t dropped() const { return dropped_; }
-
-  void Clear();
-
-  /// One JSON object per line:
-  /// {"name":..,"cat":..,"start_ms":..,"end_ms":..,"depth":..,"parent":..,
-  ///  "args":{..}}
-  void WriteJsonl(std::ostream& os) const;
 
   /// Chrome trace_event format: {"traceEvents":[{"ph":"B"/"E",...},...]}.
   /// Timestamps are microseconds of virtual time.
@@ -95,7 +82,6 @@ class Tracer {
   std::vector<SpanRecord> spans_;
   std::vector<std::size_t> stack_;
   std::vector<Event> events_;
-  std::uint64_t dropped_ = 0;
   /// Runaway-loop backstop; a full unlock attempt is a few dozen spans.
   static constexpr std::size_t kMaxSpans = 1 << 20;
 };

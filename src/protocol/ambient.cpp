@@ -59,11 +59,4 @@ double AmbientSimilarity(const audio::Samples& phone_ambient,
                   OneSidedSimilarity(b, a, config.max_lag));
 }
 
-bool AmbientSuggestsCoLocation(const audio::Samples& phone_ambient,
-                               const audio::Samples& watch_ambient,
-                               const AmbientSimilarityConfig& config) {
-  return AmbientSimilarity(phone_ambient, watch_ambient, config) >=
-         config.threshold;
-}
-
 }  // namespace wearlock::protocol

@@ -31,9 +31,4 @@ double AmbientSimilarity(const audio::Samples& phone_ambient,
                          const audio::Samples& watch_ambient,
                          const AmbientSimilarityConfig& config = {});
 
-/// Convenience threshold check.
-bool AmbientSuggestsCoLocation(const audio::Samples& phone_ambient,
-                               const audio::Samples& watch_ambient,
-                               const AmbientSimilarityConfig& config = {});
-
 }  // namespace wearlock::protocol

@@ -22,7 +22,6 @@
 //                token bits overpowering the legitimate one.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -68,20 +67,10 @@ struct AttackReport {
   std::vector<obs::SessionRecord> records;
 };
 
-/// One attacker archetype. Execute() copies the scenario, arms the
-/// injection hooks its spec calls for, runs the session(s) and judges
-/// success. Agents never mutate the caller's scenario.
-class AttackAgent {
- public:
-  virtual ~AttackAgent() = default;
-  virtual AttackReport Execute(const ScenarioConfig& scenario) = 0;
-};
-
-/// Build the agent for a parsed spec.
-[[nodiscard]] std::unique_ptr<AttackAgent> MakeAttackAgent(
-    const sim::AttackSpec& spec);
-
-/// One-call convenience: build the agent and execute it.
+/// Run the agent for `spec`'s archetype against a copy of `scenario`:
+/// arm the injection hooks the spec calls for, run the attacked
+/// session(s) and judge the attacker's success. Every agent yields
+/// exactly one row in `records`.
 [[nodiscard]] AttackReport RunAttackScenario(const ScenarioConfig& scenario,
                                              const sim::AttackSpec& spec);
 

@@ -85,12 +85,12 @@ AttemptMachine::AttemptMachine(const PhoneConfig& config, OtpService* otp,
 void AttemptMachine::Start() {
   root_ = Run();  // lazy: no protocol code runs until the slice fires
   const std::coroutine_handle<> handle = root_.handle();
-  (void)queue_.ScheduleAfter(0.0, [this, handle] { ResumeSlice(handle); });
+  queue_.ScheduleAfter(0.0, [this, handle] { ResumeSlice(handle); });
 }
 
 void AttemptMachine::ScheduleResume(sim::Millis ms,
                                     std::coroutine_handle<> handle) {
-  (void)queue_.ScheduleAfter(ms, [this, ms, handle] {
+  queue_.ScheduleAfter(ms, [this, ms, handle] {
     // The session's own clock carries the session's own waits - never
     // the queue's global time, which co-tenant sessions also advance.
     clock_.Advance(ms);

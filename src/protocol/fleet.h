@@ -12,13 +12,13 @@
 //   * plain sessions in a shard are multiplexed on one sim::EventQueue
 //     via UnlockSession::StartAsync - one thread, sessions_per_shard
 //     attempts in flight at interleaved protocol stages;
-//   * attacked cells run their AttackAgent synchronously inside the
+//   * attacked cells run RunAttackScenario synchronously inside the
 //     shard (an agent orchestrates multi-session flows of its own);
 //   * shards fan across sim::ParallelExecutor workers and their
 //     TelemetrySinks merge in index order (order-insensitive anyway).
 //
 // The wearlock_fleet CLI and bench/fleet_throughput.cpp are thin
-// wrappers over RunCampaign / RunShard.
+// wrappers over RunCampaign.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +71,7 @@ struct CampaignSpec {
 struct SessionPlan {
   ScenarioConfig scenario;
   /// Non-empty when this index lands in an attacked cell; the session
-  /// then runs through the cell's AttackAgent.
+  /// then runs through RunAttackScenario.
   sim::AttackSpec attack;
 };
 SessionPlan PlanSession(const CampaignSpec& spec, std::size_t index);

@@ -18,6 +18,7 @@ class Keyguard {
   explicit Keyguard(std::size_t max_consecutive_failures = 3);
 
   LockState state() const { return state_; }
+  // NOLINTNEXTLINE(test-only-export): lockout shows only the third strike.
   std::size_t consecutive_failures() const { return failures_; }
 
   /// A successful WearLock validation: unlock and reset the counter.

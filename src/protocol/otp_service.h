@@ -52,8 +52,6 @@ class OtpService {
   /// display / debugging).
   std::string CurrentCode(unsigned digits = 6) const;
 
-  std::uint64_t send_counter() const { return send_counter_; }
-
  private:
   std::uint32_t TokenAt(std::uint64_t counter) const;
 

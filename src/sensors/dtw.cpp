@@ -66,8 +66,4 @@ DtwResult Dtw(const std::vector<double>& a, const std::vector<double>& b,
   return r;
 }
 
-double DtwScore(const std::vector<double>& a, const std::vector<double>& b) {
-  return Dtw(a, b).normalized;
-}
-
 }  // namespace wearlock::sensors

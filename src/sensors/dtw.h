@@ -29,7 +29,4 @@ struct DtwResult {
 DtwResult Dtw(const std::vector<double>& a, const std::vector<double>& b,
               const DtwOptions& options = {});
 
-/// Shorthand for Dtw(a, b).normalized.
-double DtwScore(const std::vector<double>& a, const std::vector<double>& b);
-
 }  // namespace wearlock::sensors

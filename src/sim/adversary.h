@@ -108,10 +108,7 @@ class AdversaryDevice {
   /// Store one capture on the tape (record-and-replay material).
   void StoreCapture(std::vector<double> samples);
 
-  bool HasCapture() const { return !tape_.empty(); }
-  std::size_t capture_count() const { return tape_.size(); }
-
-  /// The most recent capture. Precondition: HasCapture().
+  /// The most recent capture. Precondition: a capture was stored.
   const std::vector<double>& LastCapture() const { return tape_.back(); }
 
   /// One-way acoustic path delay over `distance_m` of air - what any

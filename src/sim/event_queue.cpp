@@ -10,10 +10,10 @@ namespace wearlock::sim {
 
 bool EventQueue::Later(const Event& a, const Event& b) {
   if (a.at_ms != b.at_ms) return a.at_ms > b.at_ms;
-  return a.id > b.id;
+  return a.sequence > b.sequence;
 }
 
-EventQueue::EventId EventQueue::ScheduleAt(Millis at_ms, Callback fn) {
+void EventQueue::ScheduleAt(Millis at_ms, Callback fn) {
   if (!std::isfinite(at_ms)) {
     throw std::invalid_argument("EventQueue::ScheduleAt: non-finite time " +
                                 std::to_string(at_ms));
@@ -26,43 +26,29 @@ EventQueue::EventId EventQueue::ScheduleAt(Millis at_ms, Callback fn) {
   if (!fn) {
     throw std::invalid_argument("EventQueue::ScheduleAt: empty callback");
   }
-  const EventId id = next_id_++;
-  heap_.push_back(Event{at_ms, id, std::move(fn)});
+  heap_.push_back(Event{at_ms, next_sequence_++, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later);
-  return id;
 }
 
-EventQueue::EventId EventQueue::ScheduleAfter(Millis delay_ms, Callback fn) {
+void EventQueue::ScheduleAfter(Millis delay_ms, Callback fn) {
   if (!std::isfinite(delay_ms) || delay_ms < 0.0) {
     throw std::invalid_argument("EventQueue::ScheduleAfter: invalid delay " +
                                 std::to_string(delay_ms) + " ms");
   }
-  return ScheduleAt(now_ms_ + delay_ms, std::move(fn));
-}
-
-bool EventQueue::Cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  // Lazy deletion: the heap entry stays until it surfaces in RunOne.
-  for (const Event& event : heap_) {
-    if (event.id == id) return cancelled_.insert(id).second;
-  }
-  return false;
+  ScheduleAt(now_ms_ + delay_ms, std::move(fn));
 }
 
 bool EventQueue::RunOne() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    Event event = std::move(heap_.back());
-    heap_.pop_back();
-    if (cancelled_.erase(event.id) > 0) continue;
-    now_ms_ = event.at_ms;
-    // Move the callback out first: it may schedule (reallocating heap_)
-    // or even re-enter RunOne transitively.
-    Callback fn = std::move(event.fn);
-    fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  Event event = std::move(heap_.back());
+  heap_.pop_back();
+  now_ms_ = event.at_ms;
+  // Move the callback out first: it may schedule (reallocating heap_)
+  // or even re-enter RunOne transitively.
+  Callback fn = std::move(event.fn);
+  fn();
+  return true;
 }
 
 std::size_t EventQueue::RunUntilIdle() {

@@ -13,9 +13,7 @@
 // Scheduling is fallible by contract: negative delays, due times in the
 // past, non-finite times and empty callbacks are programming errors and
 // throw std::invalid_argument instead of silently reordering the
-// timeline. The scheduling APIs are [[nodiscard]] - an ignored EventId
-// usually means the caller meant to track or cancel the event (the
-// discarded-outcome lint rule enforces use sites).
+// timeline. A scheduled event always runs: nothing cancels one.
 //
 // Single-threaded by design: one queue per shard, shards fanned across
 // sim::ParallelExecutor workers with no shared mutable state.
@@ -24,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/clock.h"
@@ -33,7 +30,6 @@ namespace wearlock::sim {
 
 class EventQueue {
  public:
-  using EventId = std::uint64_t;
   using Callback = std::function<void()>;
 
   EventQueue() = default;
@@ -47,15 +43,11 @@ class EventQueue {
   /// Schedule `fn` at absolute queue time `at_ms`. Throws
   /// std::invalid_argument when `at_ms` precedes now(), is not finite,
   /// or `fn` is empty.
-  [[nodiscard]] EventId ScheduleAt(Millis at_ms, Callback fn);
+  void ScheduleAt(Millis at_ms, Callback fn);
 
   /// Schedule `fn` `delay_ms` after now(). Throws std::invalid_argument
   /// when `delay_ms` is negative or not finite, or `fn` is empty.
-  [[nodiscard]] EventId ScheduleAfter(Millis delay_ms, Callback fn);
-
-  /// Drop a scheduled event. Returns whether `id` was still pending
-  /// (false for ids already run, cancelled, or never issued).
-  [[nodiscard]] bool Cancel(EventId id);
+  void ScheduleAfter(Millis delay_ms, Callback fn);
 
   /// Run the earliest pending event, advancing now() to its due time.
   /// Returns false when the queue is idle.
@@ -65,24 +57,20 @@ class EventQueue {
   /// returns how many ran.
   std::size_t RunUntilIdle();
 
-  /// Events scheduled but not yet run or cancelled.
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
-  bool empty() const { return pending() == 0; }
-
  private:
   struct Event {
     Millis at_ms;
-    EventId id;
+    std::uint64_t sequence;  ///< schedule order: the tie-break
     Callback fn;
   };
 
-  /// Min-heap order on (at_ms, id): strict-weak via "later runs lower".
+  /// Min-heap order on (at_ms, sequence): strict-weak via "later runs
+  /// lower".
   static bool Later(const Event& a, const Event& b);
 
   Millis now_ms_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_sequence_ = 1;
   std::vector<Event> heap_;
-  std::unordered_set<EventId> cancelled_;
 };
 
 }  // namespace wearlock::sim

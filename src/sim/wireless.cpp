@@ -7,10 +7,6 @@
 
 namespace wearlock::sim {
 
-std::string ToString(Radio radio) {
-  return radio == Radio::kBluetooth ? "Bluetooth" : "WiFi";
-}
-
 LinkModel LinkModel::Bluetooth() {
   // Android Wear MessageAPI over BT LE / BR-EDR: tens-of-ms messages;
   // ChannelAPI bulk transfers crawl (~60 KB/s) with a large setup cost,

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <string>
 
 #include "sim/clock.h"
 #include "sim/rng.h"
@@ -17,8 +16,6 @@
 namespace wearlock::sim {
 
 enum class Radio { kBluetooth, kWifi };
-
-std::string ToString(Radio radio);
 
 struct LinkModel {
   Radio radio = Radio::kBluetooth;

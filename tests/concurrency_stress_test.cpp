@@ -20,6 +20,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "protocol/session.h"
+#include "sketch_fields.h"
 
 namespace wearlock {
 namespace {
@@ -122,7 +123,7 @@ TEST(ConcurrencyStressTest, DefaultRegistryHammeredFromAllThreads) {
   EXPECT_EQ(gauge, static_cast<double>(static_cast<int>(gauge)));
   EXPECT_GE(gauge, 0.0);
   EXPECT_LT(gauge, static_cast<double>(kThreads));
-  EXPECT_EQ(registry.GetSketch(tag + ".sketch").count(),
+  EXPECT_EQ(testing::SketchCount(registry.GetSketch(tag + ".sketch")),
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
@@ -143,7 +144,8 @@ TEST(ConcurrencyStressTest, SnapshotsDuringSketchHammerNeverGoBackwards) {
   std::thread snapshotter([&] {
     std::uint64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::uint64_t count = registry.Snapshot().sketches.at(name).count();
+      const std::uint64_t count =
+          testing::SketchCount(registry.Snapshot().sketches.at(name));
       EXPECT_GE(count, last) << "sketch count went backwards";
       last = count;
       ++snapshots_taken;
@@ -164,7 +166,7 @@ TEST(ConcurrencyStressTest, SnapshotsDuringSketchHammerNeverGoBackwards) {
   stop = true;
   snapshotter.join();
   EXPECT_GT(snapshots_taken, 0u);
-  EXPECT_EQ(registry.Snapshot().sketches.at(name).count(),
+  EXPECT_EQ(testing::SketchCount(registry.Snapshot().sketches.at(name)),
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
 

@@ -2,6 +2,9 @@
 // RFC 2202 HMAC-SHA1, RFC 4226 HOTP (Appendix D).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "crypto/hmac.h"
 #include "crypto/hotp.h"
 #include "crypto/sha1.h"
@@ -13,39 +16,50 @@ std::vector<std::uint8_t> Bytes(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
+/// Lowercase hex of a digest, the form the published vectors use.
+std::string ToHex(const Digest& digest) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : digest) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xF]);
+  }
+  return out;
+}
+
 // ------------------------------------------------------------------ SHA1
 TEST(Sha1, Fips180Vectors) {
-  EXPECT_EQ(ToHex(Sha1::Hash(std::string("abc"))),
+  EXPECT_EQ(ToHex(Sha1::Hash(Bytes("abc"))),
             "a9993e364706816aba3e25717850c26c9cd0d89d");
-  EXPECT_EQ(ToHex(Sha1::Hash(std::string(
+  EXPECT_EQ(ToHex(Sha1::Hash(Bytes(
                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-  EXPECT_EQ(ToHex(Sha1::Hash(std::string(""))),
+  EXPECT_EQ(ToHex(Sha1::Hash(Bytes(""))),
             "da39a3ee5e6b4b0d3255bfef95601890afd80709");
 }
 
 TEST(Sha1, MillionAs) {
   Sha1 h;
-  const std::string chunk(1000, 'a');
+  const std::vector<std::uint8_t> chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.Update(chunk);
   EXPECT_EQ(ToHex(h.Finalize()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
 TEST(Sha1, IncrementalMatchesOneShot) {
   Sha1 h;
-  h.Update(std::string("hello "));
-  h.Update(std::string("world"));
-  EXPECT_EQ(ToHex(h.Finalize()), ToHex(Sha1::Hash(std::string("hello world"))));
+  h.Update(Bytes("hello "));
+  h.Update(Bytes("world"));
+  EXPECT_EQ(ToHex(h.Finalize()), ToHex(Sha1::Hash(Bytes("hello world"))));
 }
 
 TEST(Sha1, UpdateAfterFinalizeThrows) {
   Sha1 h;
-  h.Update(std::string("x"));
+  h.Update(Bytes("x"));
   h.Finalize();
-  EXPECT_THROW(h.Update(std::string("y")), std::logic_error);
+  EXPECT_THROW(h.Update(Bytes("y")), std::logic_error);
   EXPECT_THROW(h.Finalize(), std::logic_error);
   h.Reset();
-  h.Update(std::string("abc"));
+  h.Update(Bytes("abc"));
   EXPECT_EQ(ToHex(h.Finalize()), "a9993e364706816aba3e25717850c26c9cd0d89d");
 }
 
@@ -101,13 +115,6 @@ TEST(Hmac, Rfc2202Vector7) {
                            Bytes("Test Using Larger Than Block-Size Key and "
                                  "Larger Than One Block-Size Data"))),
             "e8e99d0f45237d786d6bbaa7965c7808bbff1a91");
-}
-
-TEST(Hmac, ConstantTimeEqual) {
-  EXPECT_TRUE(ConstantTimeEqual({1, 2, 3}, {1, 2, 3}));
-  EXPECT_FALSE(ConstantTimeEqual({1, 2, 3}, {1, 2, 4}));
-  EXPECT_FALSE(ConstantTimeEqual({1, 2}, {1, 2, 3}));
-  EXPECT_TRUE(ConstantTimeEqual({}, {}));
 }
 
 // ------------------------------------------------------------------ HOTP
@@ -186,48 +193,6 @@ TEST(Hotp, CodeDigitsValidation) {
   EXPECT_THROW(HotpCode(key, 0, 0), std::invalid_argument);
   EXPECT_THROW(HotpCode(key, 0, 10), std::invalid_argument);
   EXPECT_EQ(HotpCode(key, 0, 9).size(), 9u);
-}
-
-TEST(Hotp, GeneratorValidatorRoundTrip) {
-  const auto key = Bytes("12345678901234567890");
-  HotpGenerator gen(key, 0);
-  HotpValidator val(key, 0, /*window=*/0);
-  for (int i = 0; i < 5; ++i) {
-    const std::uint32_t token = gen.Next();
-    const auto matched = val.Validate(token);
-    ASSERT_TRUE(matched.has_value()) << i;
-    EXPECT_EQ(*matched, static_cast<std::uint64_t>(i));
-  }
-}
-
-TEST(Hotp, ValidatorWindowResynchronizes) {
-  const auto key = Bytes("12345678901234567890");
-  HotpGenerator gen(key, 0);
-  HotpValidator val(key, 0, /*window=*/3);
-  gen.Next();  // token 0 lost in transit
-  gen.Next();  // token 1 lost in transit
-  const std::uint32_t token2 = gen.Next();
-  const auto matched = val.Validate(token2);
-  ASSERT_TRUE(matched.has_value());
-  EXPECT_EQ(*matched, 2ull);
-  EXPECT_EQ(val.expected_counter(), 3ull);
-}
-
-TEST(Hotp, ReplayRejected) {
-  const auto key = Bytes("12345678901234567890");
-  HotpGenerator gen(key, 0);
-  HotpValidator val(key, 0, /*window=*/3);
-  const std::uint32_t token = gen.Next();
-  ASSERT_TRUE(val.Validate(token).has_value());
-  // The same token again: counter has advanced, replay must fail.
-  EXPECT_FALSE(val.Validate(token).has_value());
-}
-
-TEST(Hotp, OutsideWindowRejected) {
-  const auto key = Bytes("12345678901234567890");
-  HotpValidator val(key, 0, /*window=*/2);
-  // Token for counter 5 with window [0, 2]: rejected.
-  EXPECT_FALSE(val.Validate(HotpValue(key, 5)).has_value());
 }
 
 TEST(Hotp, TruncationOutputIs31Bits) {

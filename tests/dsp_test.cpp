@@ -2,9 +2,12 @@
 // correlation, filters, fractional delay, SPL math, statistics, Hilbert.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "dsp/chirp.h"
 #include "dsp/correlate.h"
@@ -14,10 +17,47 @@
 #include "dsp/spl.h"
 #include "dsp/stats.h"
 #include "dsp/window.h"
+#include "dsp/workspace.h"
 #include "sim/rng.h"
 
 namespace wearlock::dsp {
 namespace {
+
+/// The textbook direct-form correlation r[k] = sum_n x[n+k] * y[n] over
+/// the valid lags: the reference the FFT correlation is checked against.
+std::vector<double> DirectCrossCorrelate(std::span<const double> x,
+                                         std::span<const double> y) {
+  std::vector<double> r(x.size() - y.size() + 1, 0.0);
+  for (std::size_t k = 0; k < r.size(); ++k) {
+    for (std::size_t n = 0; n < y.size(); ++n) r[k] += x[k + n] * y[n];
+  }
+  return r;
+}
+
+/// Raw FFT correlation of x against y over the valid lags.
+std::vector<double> FftCrossCorrelate(std::span<const double> x,
+                                      std::span<const double> y) {
+  std::vector<double> r(x.size() - y.size() + 1);
+  CrossCorrelateFftInto(x, y, Workspace::PerThread(), r);
+  return r;
+}
+
+/// Steady-state gain of `filter` for a unit tone at f_hz (44.1 kHz):
+/// the output's peak once the start-up transient has died away.
+template <typename Filter>
+double ToneGain(Filter filter, double f_hz) {
+  std::vector<double> tone(8192);
+  for (std::size_t i = 0; i < tone.size(); ++i) {
+    tone[i] = std::sin(2.0 * std::numbers::pi * f_hz * static_cast<double>(i) /
+                       44100.0);
+  }
+  const std::vector<double> out = filter.ProcessBlock(tone);
+  double peak = 0.0;
+  for (std::size_t i = 4096; i < out.size(); ++i) {
+    peak = std::max(peak, std::abs(out[i]));
+  }
+  return peak;
+}
 
 // ---------------------------------------------------------------- window
 TEST(Window, HannEndpointsAndPeak) {
@@ -104,8 +144,8 @@ TEST(Correlate, DirectMatchesFft) {
   std::vector<double> x(300), y(64);
   for (auto& v : x) v = rng.Gaussian();
   for (auto& v : y) v = rng.Gaussian();
-  const auto direct = CrossCorrelate(x, y);
-  const auto fast = CrossCorrelateFft(x, y);
+  const auto direct = DirectCrossCorrelate(x, y);
+  const auto fast = FftCrossCorrelate(x, y);
   ASSERT_EQ(direct.size(), fast.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_NEAR(direct[i], fast[i], 1e-6) << i;
@@ -132,55 +172,36 @@ TEST(Correlate, SelfMatchScoresOne) {
 
 TEST(Correlate, ArgumentValidation) {
   std::vector<double> x(4, 1.0);
-  EXPECT_THROW(CrossCorrelate(x, {}), std::invalid_argument);
-  EXPECT_THROW(CrossCorrelate(x, std::vector<double>(5, 1.0)),
+  EXPECT_THROW(NormalizedCrossCorrelate(x, {}), std::invalid_argument);
+  EXPECT_THROW(NormalizedCrossCorrelate(x, std::vector<double>(5, 1.0)),
+               std::invalid_argument);
+  std::vector<double> wrong_size(2);
+  EXPECT_THROW(CrossCorrelateFftInto(x, std::vector<double>(2, 1.0),
+                                     Workspace::PerThread(), wrong_size),
                std::invalid_argument);
   EXPECT_THROW(FindPeak({}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- filter
 TEST(Filter, LowPassAttenuatesHighPassesLow) {
-  auto lpf = Biquad::LowPass(1000.0, 44100.0);
-  EXPECT_NEAR(lpf.MagnitudeAt(50.0, 44100.0), 1.0, 0.02);
-  EXPECT_NEAR(lpf.MagnitudeAt(1000.0, 44100.0), 1.0 / std::sqrt(2.0), 0.02);
-  EXPECT_LT(lpf.MagnitudeAt(8000.0, 44100.0), 0.05);
+  const auto lpf = Biquad::LowPass(1000.0, 44100.0);
+  EXPECT_NEAR(ToneGain(lpf, 50.0), 1.0, 0.02);
+  EXPECT_NEAR(ToneGain(lpf, 1000.0), 1.0 / std::sqrt(2.0), 0.02);
+  EXPECT_LT(ToneGain(lpf, 8000.0), 0.05);
 }
 
 TEST(Filter, HighPassMirrorsLowPass) {
-  auto hpf = Biquad::HighPass(1000.0, 44100.0);
-  EXPECT_LT(hpf.MagnitudeAt(50.0, 44100.0), 0.01);
-  EXPECT_NEAR(hpf.MagnitudeAt(10000.0, 44100.0), 1.0, 0.05);
-}
-
-TEST(Filter, PeakingBoostsAtCenter) {
-  auto pk = Biquad::Peaking(2000.0, 44100.0, 6.0);
-  EXPECT_NEAR(pk.MagnitudeAt(2000.0, 44100.0), std::pow(10.0, 6.0 / 20.0), 0.05);
-  EXPECT_NEAR(pk.MagnitudeAt(100.0, 44100.0), 1.0, 0.05);
+  const auto hpf = Biquad::HighPass(1000.0, 44100.0);
+  EXPECT_LT(ToneGain(hpf, 50.0), 0.01);
+  EXPECT_NEAR(ToneGain(hpf, 10000.0), 1.0, 0.05);
 }
 
 TEST(Filter, ButterworthCascadeSteeperThanSingle) {
-  auto single = BiquadCascade::ButterworthLowPass(6200.0, 44100.0, 1);
-  auto fourth = BiquadCascade::ButterworthLowPass(6200.0, 44100.0, 2);
-  EXPECT_LT(fourth.MagnitudeAt(12000.0, 44100.0),
-            single.MagnitudeAt(12000.0, 44100.0));
+  const auto single = BiquadCascade::ButterworthLowPass(6200.0, 44100.0, 1);
+  const auto fourth = BiquadCascade::ButterworthLowPass(6200.0, 44100.0, 2);
+  EXPECT_LT(ToneGain(fourth, 12000.0), ToneGain(single, 12000.0));
   // Both are ~ -3 dB at cutoff.
-  EXPECT_NEAR(fourth.MagnitudeAt(6200.0, 44100.0), 1.0 / std::sqrt(2.0), 0.05);
-}
-
-TEST(Filter, ProcessBlockMatchesResponseForTone) {
-  auto lpf = Biquad::LowPass(2000.0, 44100.0);
-  std::vector<double> tone(8192);
-  for (std::size_t i = 0; i < tone.size(); ++i) {
-    tone[i] = std::sin(2.0 * std::numbers::pi * 500.0 * static_cast<double>(i) /
-                       44100.0);
-  }
-  const auto out = lpf.ProcessBlock(tone);
-  // Steady-state amplitude ~ response at 500 Hz.
-  double peak = 0.0;
-  for (std::size_t i = 4096; i < out.size(); ++i) {
-    peak = std::max(peak, std::abs(out[i]));
-  }
-  EXPECT_NEAR(peak, lpf.MagnitudeAt(500.0, 44100.0), 0.02);
+  EXPECT_NEAR(ToneGain(fourth, 6200.0), 1.0 / std::sqrt(2.0), 0.05);
 }
 
 TEST(Filter, InvalidFrequenciesThrow) {
@@ -290,7 +311,7 @@ TEST(Resample, FractionalDelayMovesCorrelationPeak) {
   std::vector<double> x(1024, 0.0);
   for (std::size_t i = 0; i < c.size(); ++i) x[100 + i] = c[i];
   const auto delayed = DelayFractional(x, 37.5);
-  const auto scores = CrossCorrelateFft(delayed, c);
+  const auto scores = FftCrossCorrelate(delayed, c);
   const auto peak = FindPeak(scores);
   // 100 + 37.5 -> peak at 137 or 138.
   EXPECT_GE(peak.index, 137u);
@@ -418,8 +439,8 @@ TEST(Spl, EbN0Conversions) {
   EXPECT_NEAR(EbN0FromSnrDb(10.0, 1000.0, 1000.0), 10.0, 1e-12);
   // Double bandwidth: +3 dB.
   EXPECT_NEAR(EbN0FromSnrDb(10.0, 2000.0, 1000.0), 13.01, 0.01);
-  EXPECT_NEAR(SnrDbFromEbN0(EbN0FromSnrDb(7.0, 5000.0, 2756.0), 5000.0, 2756.0),
-              7.0, 1e-9);
+  EXPECT_NEAR(EbN0FromSnrDb(7.0, 5000.0, 2756.0),
+              7.0 + 10.0 * std::log10(5000.0 / 2756.0), 1e-12);
   EXPECT_THROW(EbN0FromSnrDb(10.0, 0.0, 1.0), std::invalid_argument);
 }
 
@@ -434,13 +455,6 @@ TEST(Stats, SummaryBasics) {
   EXPECT_THROW(Summarize({}), std::invalid_argument);
 }
 
-TEST(Stats, PercentileInterpolates) {
-  EXPECT_NEAR(Percentile({0.0, 10.0}, 50.0), 5.0, 1e-12);
-  EXPECT_NEAR(Percentile({1.0, 2.0, 3.0}, 0.0), 1.0, 1e-12);
-  EXPECT_NEAR(Percentile({1.0, 2.0, 3.0}, 100.0), 3.0, 1e-12);
-  EXPECT_THROW(Percentile({1.0}, 101.0), std::invalid_argument);
-}
-
 TEST(Stats, LinearFitRecoversLine) {
   std::vector<double> x, y;
   for (int i = 0; i < 20; ++i) {
@@ -451,18 +465,6 @@ TEST(Stats, LinearFitRecoversLine) {
   EXPECT_NEAR(fit.slope, 3.0, 1e-9);
   EXPECT_NEAR(fit.intercept, -7.0, 1e-9);
   EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
-}
-
-TEST(Stats, LogFitRecoversLogCurve) {
-  std::vector<double> x, y;
-  for (int i = 1; i <= 30; ++i) {
-    x.push_back(i);
-    y.push_back(2.0 * std::log(static_cast<double>(i)) + 1.0);
-  }
-  const auto fit = FitLogarithmic(x, y);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-9);
-  EXPECT_THROW(FitLogarithmic({0.0, 1.0}, {0.0, 1.0}), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- hilbert

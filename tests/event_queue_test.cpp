@@ -1,8 +1,7 @@
 // sim::EventQueue contract: deterministic (due time, schedule order)
-// drains, fail-fast validation on the scheduling APIs, lazy-deletion
-// Cancel semantics, and re-entrant scheduling from inside callbacks -
-// the properties the session multiplexer leans on
-// (docs/architecture.md).
+// drains, fail-fast validation on the scheduling APIs, and re-entrant
+// scheduling from inside callbacks - the properties the session
+// multiplexer leans on (docs/architecture.md).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -18,18 +17,15 @@ namespace {
 TEST(EventQueueTest, RunsInDueTimeOrderAndAdvancesNow) {
   sim::EventQueue queue;
   std::vector<std::string> order;
-  (void)queue.ScheduleAt(30.0, [&] { order.push_back("c"); });
-  (void)queue.ScheduleAt(10.0, [&] { order.push_back("a"); });
-  (void)queue.ScheduleAt(20.0, [&] { order.push_back("b"); });
-  EXPECT_EQ(queue.pending(), 3u);
-  EXPECT_FALSE(queue.empty());
+  queue.ScheduleAt(30.0, [&] { order.push_back("c"); });
+  queue.ScheduleAt(10.0, [&] { order.push_back("a"); });
+  queue.ScheduleAt(20.0, [&] { order.push_back("b"); });
 
   EXPECT_TRUE(queue.RunOne());
   EXPECT_DOUBLE_EQ(queue.now(), 10.0);
   EXPECT_EQ(queue.RunUntilIdle(), 2u);
   EXPECT_DOUBLE_EQ(queue.now(), 30.0);
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(queue.empty());
   EXPECT_FALSE(queue.RunOne()) << "idle queue must report no work";
 }
 
@@ -40,7 +36,7 @@ TEST(EventQueueTest, TiesRunInScheduleOrder) {
   sim::EventQueue queue;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    (void)queue.ScheduleAt(5.0, [&order, i] { order.push_back(i); });
+    queue.ScheduleAt(5.0, [&order, i] { order.push_back(i); });
   }
   EXPECT_EQ(queue.RunUntilIdle(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -49,17 +45,17 @@ TEST(EventQueueTest, TiesRunInScheduleOrder) {
 TEST(EventQueueTest, ScheduleAfterIsRelativeToNow) {
   sim::EventQueue queue;
   double fired_at = -1.0;
-  (void)queue.ScheduleAfter(10.0, [&] {
+  queue.ScheduleAfter(10.0, [&] {
     // Re-entrant scheduling: events may schedule more events; the
     // drain keeps going and the delay is relative to the new now().
-    (void)queue.ScheduleAfter(5.0, [&] { fired_at = queue.now(); });
+    queue.ScheduleAfter(5.0, [&] { fired_at = queue.now(); });
   });
   EXPECT_EQ(queue.RunUntilIdle(), 2u);
   EXPECT_DOUBLE_EQ(fired_at, 15.0);
 
   // A zero delay is valid: "next tick", after already-due peers.
   bool ran = false;
-  (void)queue.ScheduleAfter(0.0, [&] { ran = true; });
+  queue.ScheduleAfter(0.0, [&] { ran = true; });
   EXPECT_EQ(queue.RunUntilIdle(), 1u);
   EXPECT_TRUE(ran);
 }
@@ -67,97 +63,46 @@ TEST(EventQueueTest, ScheduleAfterIsRelativeToNow) {
 TEST(EventQueueTest, SchedulingValidatesItsArguments) {
   sim::EventQueue queue;
   const auto noop = [] {};
-  EXPECT_THROW((void)queue.ScheduleAfter(-1.0, noop), std::invalid_argument);
+  EXPECT_THROW(queue.ScheduleAfter(-1.0, noop), std::invalid_argument);
   EXPECT_THROW(
-      (void)queue.ScheduleAfter(std::numeric_limits<double>::quiet_NaN(), noop),
+      queue.ScheduleAfter(std::numeric_limits<double>::quiet_NaN(), noop),
       std::invalid_argument);
   EXPECT_THROW(
-      (void)queue.ScheduleAfter(std::numeric_limits<double>::infinity(), noop),
+      queue.ScheduleAfter(std::numeric_limits<double>::infinity(), noop),
       std::invalid_argument);
-  EXPECT_THROW((void)queue.ScheduleAt(
+  EXPECT_THROW(queue.ScheduleAt(
                    -std::numeric_limits<double>::infinity(), noop),
                std::invalid_argument);
   // Empty callbacks are programming errors, caught at schedule time -
   // not deferred null dereferences at fire time.
-  EXPECT_THROW((void)queue.ScheduleAfter(1.0, sim::EventQueue::Callback{}),
+  EXPECT_THROW(queue.ScheduleAfter(1.0, sim::EventQueue::Callback{}),
                std::invalid_argument);
 
   // Scheduling into the past would silently reorder the timeline.
-  (void)queue.ScheduleAt(10.0, noop);
+  queue.ScheduleAt(10.0, noop);
   EXPECT_TRUE(queue.RunOne());
-  EXPECT_THROW((void)queue.ScheduleAt(9.0, noop), std::invalid_argument);
+  EXPECT_THROW(queue.ScheduleAt(9.0, noop), std::invalid_argument);
   // At exactly now() is fine: "due immediately".
-  (void)queue.ScheduleAt(10.0, noop);
+  queue.ScheduleAt(10.0, noop);
   EXPECT_EQ(queue.RunUntilIdle(), 1u);
 
   // A throwing schedule call must not corrupt the queue.
-  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.RunUntilIdle(), 0u);
 }
 
-TEST(EventQueueTest, CancelDropsPendingEventsExactlyOnce) {
-  sim::EventQueue queue;
-  bool ran = false;
-  const sim::EventQueue::EventId id =
-      queue.ScheduleAfter(5.0, [&] { ran = true; });
-  EXPECT_EQ(queue.pending(), 1u);
-  EXPECT_TRUE(queue.Cancel(id));
-  EXPECT_EQ(queue.pending(), 0u);
-  EXPECT_FALSE(queue.Cancel(id)) << "double cancel must report not-pending";
-  EXPECT_EQ(queue.RunUntilIdle(), 0u) << "cancelled events never run";
-  EXPECT_FALSE(ran);
-
-  // Ids that already ran (or were never issued) are not pending either.
-  int fired = 0;
-  const sim::EventQueue::EventId done =
-      queue.ScheduleAfter(1.0, [&] { ++fired; });
-  EXPECT_EQ(queue.RunUntilIdle(), 1u);
-  EXPECT_FALSE(queue.Cancel(done));
-  EXPECT_FALSE(queue.Cancel(0));
-  EXPECT_FALSE(queue.Cancel(123456));
-  EXPECT_EQ(fired, 1);
-
-  // Cancelling one event leaves its peers untouched.
-  int survivors = 0;
-  const sim::EventQueue::EventId victim =
-      queue.ScheduleAfter(2.0, [&] { ++survivors; });
-  (void)queue.ScheduleAfter(2.0, [&] { ++survivors; });
-  (void)queue.ScheduleAfter(3.0, [&] { ++survivors; });
-  EXPECT_TRUE(queue.Cancel(victim));
-  EXPECT_EQ(queue.pending(), 2u);
-  EXPECT_EQ(queue.RunUntilIdle(), 2u);
-  EXPECT_EQ(survivors, 2);
-}
-
-TEST(EventQueueTest, CallbackMayScheduleAndCancelDuringDrain) {
-  // The retry ladder's shape: an event cancels a sibling timeout and
-  // schedules a follow-up, all from inside the drain.
+TEST(EventQueueTest, CallbackMayScheduleDuringDrain) {
+  // The retry ladder's shape: a reply schedules a follow-up from inside
+  // the drain, and it runs before an event that was pending all along.
   sim::EventQueue queue;
   std::vector<std::string> order;
-  const sim::EventQueue::EventId timeout =
-      queue.ScheduleAfter(100.0, [&] { order.push_back("timeout"); });
-  (void)queue.ScheduleAfter(1.0, [&] {
+  queue.ScheduleAfter(100.0, [&] { order.push_back("timeout"); });
+  queue.ScheduleAfter(1.0, [&] {
     order.push_back("reply");
-    EXPECT_TRUE(queue.Cancel(timeout));
-    (void)queue.ScheduleAfter(1.0, [&] { order.push_back("next"); });
+    queue.ScheduleAfter(1.0, [&] { order.push_back("next"); });
   });
-  EXPECT_EQ(queue.RunUntilIdle(), 2u);
-  EXPECT_EQ(order, (std::vector<std::string>{"reply", "next"}));
-  EXPECT_DOUBLE_EQ(queue.now(), 2.0);
-}
-
-TEST(EventQueueTest, NodiscardIdsAreStableAndDistinct) {
-  sim::EventQueue queue;
-  const auto noop = [] {};
-  const sim::EventQueue::EventId a = queue.ScheduleAfter(1.0, noop);
-  const sim::EventQueue::EventId b = queue.ScheduleAfter(1.0, noop);
-  const sim::EventQueue::EventId c = queue.ScheduleAt(1.0, noop);
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  EXPECT_NE(a, c);
-  // Ids stay valid handles while pending, regardless of heap churn.
-  (void)queue.ScheduleAfter(0.5, noop);
-  EXPECT_TRUE(queue.Cancel(b));
   EXPECT_EQ(queue.RunUntilIdle(), 3u);
+  EXPECT_EQ(order, (std::vector<std::string>{"reply", "next", "timeout"}));
+  EXPECT_DOUBLE_EQ(queue.now(), 100.0);
 }
 
 }  // namespace

@@ -418,9 +418,6 @@ TEST(SoftCombinerTest, SumsLlrsAndDecidesOnTheSum) {
   EXPECT_EQ(bits[0], 0);  // positive sum -> 0
   EXPECT_EQ(bits[1], 1);
   EXPECT_EQ(bits[2], 1);
-  combiner.Reset();
-  EXPECT_TRUE(combiner.empty());
-  EXPECT_EQ(combiner.rounds(), 0u);
 }
 
 TEST(SoftCombinerTest, RejectsLengthMismatch) {

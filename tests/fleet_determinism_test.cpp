@@ -14,6 +14,7 @@
 
 #include "golden_file.h"
 #include "protocol/fleet.h"
+#include "sketch_fields.h"
 
 namespace wearlock {
 namespace {
@@ -125,7 +126,8 @@ TEST(FleetDeterminismTest, EveryCohortCountsEachOfItsSessionsOnce) {
     // Every cohort exposes a total-latency sketch with as many
     // observations as sessions.
     ASSERT_NE(cohort.stages.find("total"), cohort.stages.end()) << key;
-    EXPECT_EQ(cohort.stages.at("total").count(), cohort.sessions) << key;
+    EXPECT_EQ(testing::SketchCount(cohort.stages.at("total")), cohort.sessions)
+        << key;
   }
   EXPECT_EQ(genuine + impostor, spec.sessions);
   EXPECT_GT(genuine, 0u);

@@ -125,23 +125,26 @@ std::vector<std::string> MultiplexedFingerprints(int max_retries) {
   sim::EventQueue queue;
   std::vector<std::unique_ptr<UnlockSession>> sessions;
   std::vector<UnlockReport> reports(kNumCells);
+  int finished = 0;
   sessions.reserve(kNumCells);
   for (int cell = 0; cell < kNumCells; ++cell) {
     sessions.push_back(std::make_unique<UnlockSession>(CellScenario(cell)));
     UnlockReport& slot = reports[static_cast<std::size_t>(cell)];
-    sessions.back()->StartAsync(
-        queue, max_retries, {},
-        [&slot](const UnlockReport& report) { slot = report; });
+    sessions.back()->StartAsync(queue, max_retries, {},
+                                [&slot, &finished](const UnlockReport& report) {
+                                  slot = report;
+                                  ++finished;
+                                });
   }
   const std::size_t events = queue.RunUntilIdle();
   // Multiplexing really happened: every session contributed multiple
   // slices to the shared drain.
   EXPECT_GT(events, static_cast<std::size_t>(kNumCells) * 2);
+  EXPECT_EQ(finished, kNumCells);  // every round reported completion
 
   std::vector<std::string> fps;
   fps.reserve(kNumCells);
   for (int cell = 0; cell < kNumCells; ++cell) {
-    EXPECT_TRUE(sessions[static_cast<std::size_t>(cell)]->async_done());
     fps.push_back(Fingerprint(*sessions[static_cast<std::size_t>(cell)],
                               reports[static_cast<std::size_t>(cell)]));
   }

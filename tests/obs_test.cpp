@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/clock.h"
+#include "sketch_fields.h"
 
 namespace wearlock::obs {
 namespace {
@@ -43,7 +44,6 @@ TEST(Series, KeepsExactSamplesUpToCap) {
   s.Observe(4.0);  // past the cap: counted, not stored
   EXPECT_EQ(s.Values(), (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(s.count(), 4u);
-  EXPECT_EQ(s.dropped(), 1u);
 }
 
 TEST(MetricsRegistry, GetReturnsStableReferences) {
@@ -62,7 +62,7 @@ TEST(MetricsRegistry, GetSketchReturnsTheRegisteredSketch) {
   Sketch& h = registry.GetSketch("h");
   h.Observe(2.0);
   EXPECT_EQ(&registry.GetSketch("h"), &h);
-  EXPECT_EQ(registry.GetSketch("h").count(), 1u);
+  EXPECT_EQ(testing::SketchCount(registry.GetSketch("h")), 1u);
 }
 
 TEST(MetricsRegistry, SeriesValuesWithoutRegistering) {
@@ -88,7 +88,7 @@ TEST(MetricsRegistry, ConcurrentIncrementsDontLoseCounts) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(registry.GetCounter("shared").value(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(registry.GetSketch("lat").count(),
+  EXPECT_EQ(testing::SketchCount(registry.GetSketch("lat")),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
@@ -145,7 +145,6 @@ TEST(Tracer, SpansNestAndTimestampFromVirtualClock) {
   EXPECT_DOUBLE_EQ(r.end_ms, 16.0);
   EXPECT_TRUE(r.finished);
   EXPECT_TRUE(c.finished);
-  EXPECT_EQ(tracer.open_depth(), 0u);
 }
 
 TEST(Tracer, OutOfOrderEndClosesChildren) {
@@ -155,7 +154,6 @@ TEST(Tracer, OutOfOrderEndClosesChildren) {
   tracer.EndSpan(outer);  // closes inner too
   EXPECT_TRUE(tracer.spans()[inner].finished);
   EXPECT_TRUE(tracer.spans()[outer].finished);
-  EXPECT_EQ(tracer.open_depth(), 0u);
 }
 
 TEST(Tracer, ScopedSpanIsNullTracerSafe) {
@@ -178,7 +176,7 @@ TEST(Tracer, ScopedSpanEndIsIdempotent) {
   EXPECT_DOUBLE_EQ(tracer.spans()[0].end_ms, 2.0);
 }
 
-TEST(Tracer, JsonlAndChromeExportsAreWellFormed) {
+TEST(Tracer, ChromeExportIsWellFormed) {
   sim::VirtualClock clock;
   Tracer tracer([&clock] { return clock.now(); });
   const std::size_t root = tracer.BeginSpan("attempt");
@@ -208,29 +206,6 @@ TEST(Tracer, JsonlAndChromeExportsAreWellFormed) {
   }
   EXPECT_EQ(begins, 3u);
   EXPECT_EQ(ends, begins);
-
-  std::ostringstream jsonl;
-  tracer.WriteJsonl(jsonl);
-  std::istringstream lines(jsonl.str());
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_TRUE(checker.Check(line)) << checker.error() << "\n" << line;
-    ++n;
-  }
-  EXPECT_EQ(n, 3u);
-}
-
-TEST(Tracer, ClearResets) {
-  Tracer tracer;
-  tracer.BeginSpan("a");
-  tracer.Clear();
-  EXPECT_TRUE(tracer.spans().empty());
-  EXPECT_EQ(tracer.open_depth(), 0u);
-  std::ostringstream os;
-  tracer.WriteChromeTrace(os);
-  testing::JsonChecker checker;
-  EXPECT_TRUE(checker.Check(os.str())) << checker.error();
 }
 
 TEST(CurrentTracerTest, NullByDefaultScopedInstall) {

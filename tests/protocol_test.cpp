@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "audio/noise.h"
+#include "crypto/hotp.h"
 #include "modem/modem.h"
 #include "protocol/ambient.h"
 #include "protocol/keyguard.h"
@@ -58,6 +59,20 @@ TEST(OtpService, ExactTokenValidates) {
   EXPECT_TRUE(v.accepted);
   EXPECT_EQ(v.ber, 0.0);
   EXPECT_EQ(v.matched_counter, 0u);
+}
+
+TEST(OtpService, MintsTheRfc4226SequenceAndValidatesEach) {
+  const std::vector<std::uint8_t> key = {'1', '2', '3', '4', '5', '6', '7',
+                                         '8', '9', '0', '1', '2', '3', '4',
+                                         '5', '6', '7', '8', '9', '0'};
+  OtpService otp(key);
+  for (std::uint64_t counter = 0; counter < 5; ++counter) {
+    const auto bits = otp.NextTokenBits();
+    EXPECT_EQ(bits, modem::BitsFromWord(crypto::HotpValue(key, counter)));
+    const auto v = otp.ValidateBits(bits, 0.0);
+    EXPECT_TRUE(v.accepted) << counter;
+    EXPECT_EQ(v.matched_counter, counter);
+  }
 }
 
 TEST(OtpService, ToleratesBitErrorsUnderBound) {
@@ -134,7 +149,8 @@ TEST(Ambient, SharedNoiseScoresHigh) {
   for (auto& v : phone) v += 1e-5 * rng.Gaussian();
   for (auto& v : watch) v += 1e-5 * rng.Gaussian();
   EXPECT_GT(AmbientSimilarity(phone, watch), 0.8);
-  EXPECT_TRUE(AmbientSuggestsCoLocation(phone, watch));
+  EXPECT_GE(AmbientSimilarity(phone, watch),
+            AmbientSimilarityConfig{}.threshold);
 }
 
 TEST(Ambient, IndependentNoiseScoresLow) {
@@ -144,7 +160,8 @@ TEST(Ambient, IndependentNoiseScoresLow) {
   const auto phone = a.Generate(8192);
   const auto watch = b.Generate(8192);
   EXPECT_LT(AmbientSimilarity(phone, watch), 0.55);
-  EXPECT_FALSE(AmbientSuggestsCoLocation(phone, watch));
+  EXPECT_LT(AmbientSimilarity(phone, watch),
+            AmbientSimilarityConfig{}.threshold);
 }
 
 TEST(Ambient, SurvivesClockSkew) {

@@ -69,7 +69,7 @@ TEST(Dtw, HandlesTimeShift) {
     a[static_cast<std::size_t>(i)] = std::sin(0.3 * i);
     b[static_cast<std::size_t>(i)] = std::sin(0.3 * (i - 3));
   }
-  EXPECT_LT(DtwScore(a, b), 0.05);
+  EXPECT_LT(Dtw(a, b).normalized, 0.05);
   // Straight per-sample distance would be much larger.
   double direct = 0.0;
   for (int i = 0; i < 60; ++i) {
@@ -92,7 +92,7 @@ TEST(Dtw, SymmetricAndNonNegative) {
 
 TEST(Dtw, DifferentLengthsSupported) {
   std::vector<double> a(100, 0.5), b(60, 0.5);
-  EXPECT_NEAR(DtwScore(a, b), 0.0, 1e-12);
+  EXPECT_NEAR(Dtw(a, b).normalized, 0.0, 1e-12);
 }
 
 TEST(Dtw, WindowConstraintMatchesUnconstrainedWhenWide) {
@@ -115,7 +115,7 @@ TEST(Dtw, NarrowWindowIncreasesCost) {
   }
   DtwOptions narrow;
   narrow.window = 2;  // cannot warp far enough to absorb the shift
-  EXPECT_GT(Dtw(a, b, narrow).normalized, DtwScore(a, b));
+  EXPECT_GT(Dtw(a, b, narrow).normalized, Dtw(a, b).normalized);
 }
 
 TEST(Dtw, Validation) {
@@ -133,7 +133,8 @@ TEST(MotionSim, CoLocatedPairsScoreLow) {
   MotionSimulator sim(sim::Rng(45));
   for (Activity a : {Activity::kSitting, Activity::kWalking}) {
     const auto pair = sim.CoLocatedPair(a, 100);
-    EXPECT_LT(DtwScore(Preprocess(pair.phone), Preprocess(pair.watch)), 0.12)
+    EXPECT_LT(
+        Dtw(Preprocess(pair.phone), Preprocess(pair.watch)).normalized, 0.12)
         << ToString(a);
   }
 }
@@ -145,7 +146,7 @@ TEST(MotionSim, IndependentPairsScoreHigh) {
   for (int i = 0; i < n; ++i) {
     const auto pair =
         sim.IndependentPair(Activity::kWalking, Activity::kSitting, 100);
-    acc += DtwScore(Preprocess(pair.phone), Preprocess(pair.watch));
+    acc += Dtw(Preprocess(pair.phone), Preprocess(pair.watch)).normalized;
   }
   EXPECT_GT(acc / n, 0.25);
 }

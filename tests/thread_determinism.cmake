@@ -33,4 +33,6 @@ expect_thread_invariant(lint ${LINT}
                         --baseline ${SOURCE_DIR}/tools/lint/baseline.txt
                         --slot-manifest ${SOURCE_DIR}/tools/lint/slot_owners.txt
                         ${SOURCE_DIR}/src ${SOURCE_DIR}/tests
-                        ${SOURCE_DIR}/bench ${SOURCE_DIR}/tools)
+                        ${SOURCE_DIR}/bench ${SOURCE_DIR}/tools
+                        ${SOURCE_DIR}/examples
+                        ${SOURCE_DIR}/wlbench/harness)

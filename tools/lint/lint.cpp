@@ -41,6 +41,15 @@ bool MarkerSuppresses(const std::string& comment, const std::string& marker,
   return false;
 }
 
+/// wlbench/ belongs to the benchmark, which this tree does not edit:
+/// its files are read for test-only-export references and linted by no
+/// other rule.
+bool IsReferenceOnly(const SourceFile& file) {
+  const std::string& p = file.path();
+  return p.rfind("wlbench/", 0) == 0 ||
+         p.find("/wlbench/") != std::string::npos;
+}
+
 bool IsSuppressed(const SourceFile& file, const Diagnostic& diag) {
   if (MarkerSuppresses(file.CommentOn(diag.line), "NOLINT", diag.rule)) {
     return true;
@@ -88,7 +97,7 @@ std::string BaselineKey(const Diagnostic& diag) {
   // written from the repo root also matches absolute-path invocations
   // (the ctest gate passes ${CMAKE_SOURCE_DIR}/... paths).
   static constexpr const char* kRoots[] = {"src/", "tests/", "bench/",
-                                           "tools/"};
+                                           "tools/", "examples/"};
   std::string file = diag.file;
   std::size_t best = std::string::npos;
   for (const char* root : kRoots) {
@@ -176,6 +185,7 @@ LintResult RunLint(const std::vector<SourceFile>& files,
   std::vector<std::vector<Diagnostic>> per_file(files.size());
   auto analyze_one = [&](std::size_t idx) {
     const SourceFile& f = files[idx];
+    if (IsReferenceOnly(f)) return;
     std::vector<Diagnostic>* out = &per_file[idx];
     CheckDeterminism(f, out);
     CheckBannedApi(f, out);
@@ -214,6 +224,7 @@ LintResult RunLint(const std::vector<SourceFile>& files,
                std::make_move_iterator(batch.end()));
   }
   CheckLayerDag(files, &raw);
+  CheckTestOnlyExport(files, &raw);
 
   // Suppression needs the owning SourceFile back; index by path.
   std::set<std::string> used_baseline;

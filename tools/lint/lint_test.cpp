@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -533,13 +534,13 @@ TEST(OutputTest, JsonOutputIsWellFormed) {
   EXPECT_NE(os.str().find("\"files_scanned\":2"), std::string::npos);
 }
 
-TEST(OutputTest, RuleCatalogueCoversAllTenRules) {
+TEST(OutputTest, RuleCatalogueCoversEveryRule) {
   std::vector<std::string> ids;
   for (const RuleInfo& rule : AllRules()) ids.push_back(rule.id);
   for (const char* expected :
        {"layer-dag", "determinism", "banned-api", "header-hygiene",
         "shared-state", "hot-path-alloc", "guarded-by", "modeled-time",
-        "slot-ownership", "discarded-outcome"}) {
+        "slot-ownership", "discarded-outcome", "test-only-export"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), expected), ids.end())
         << expected;
   }
@@ -903,34 +904,6 @@ TEST(DiscardedOutcomeTest, QualifiedParseIsCoveredUnqualifiedIsNot) {
                        "discarded-outcome"));
 }
 
-TEST(DiscardedOutcomeTest, EventQueueSchedulingIsCovered) {
-  // A dropped EventId (or Cancel verdict) discards the only handle on
-  // the scheduled event - the multiplexer's version of an ignored Try*.
-  EXPECT_TRUE(HasRule(RunAllOn("src/sim/x.cpp",
-                               "void F(sim::EventQueue& q, Cb fn) {\n"
-                               "  q.ScheduleAfter(5.0, fn);\n"
-                               "}\n"),
-                      "discarded-outcome"));
-  EXPECT_TRUE(HasRule(RunAllOn("src/sim/x.cpp",
-                               "void F(sim::EventQueue& q, Cb fn) {\n"
-                               "  q.ScheduleAt(10.0, fn);\n"
-                               "}\n"),
-                      "discarded-outcome"));
-  EXPECT_TRUE(HasRule(RunAllOn("src/sim/x.cpp",
-                               "void F(sim::EventQueue& q, EventId id) {\n"
-                               "  q.Cancel(id);\n"
-                               "}\n"),
-                      "discarded-outcome"));
-  EXPECT_FALSE(HasRule(
-      RunAllOn("src/sim/x.cpp",
-               "void F(sim::EventQueue& q, Cb fn, EventId id) {\n"
-               "  auto pending = q.ScheduleAfter(5.0, fn);\n"
-               "  (void)q.ScheduleAt(10.0, fn);\n"
-               "  if (q.Cancel(id)) { Use(); }\n"
-               "}\n"),
-      "discarded-outcome"));
-}
-
 TEST(DiscardedOutcomeTest, ChannelHardeningApisAreCovered) {
   // The channel pack's outcome carriers: a dropped parse result, sense
   // report, drift estimate or backoff delay silently skips hardening.
@@ -973,6 +946,127 @@ TEST(DiscardedOutcomeTest, NolintSuppresses) {
                "  link.TrySendMessageDelay();  // NOLINT(discarded-outcome)\n"
                "}\n"),
       "discarded-outcome"));
+}
+
+// -- test-only-export -------------------------------------------------
+
+/// Lint a small tree: a header declaring Used() and Spare(), its .cpp
+/// defining both, a test calling both, plus `extra` files.
+std::vector<Diagnostic> RunExportTree(
+    std::vector<std::pair<std::string, std::string>> extra) {
+  std::vector<std::pair<std::string, std::string>> tree = {
+      {"src/dsp/x.h",
+       "#pragma once\n"
+       "namespace wearlock::dsp {\n"
+       "class Meter {\n"
+       " public:\n"
+       "  explicit Meter(int n);\n"
+       "  int Used() const;\n"
+       "  int Spare() const { return n_; }\n"
+       " private:\n"
+       "  int n_;\n"
+       "};\n"
+       "}  // namespace wearlock::dsp\n"},
+      {"src/dsp/x.cpp",
+       "#include \"dsp/x.h\"\n"
+       "namespace wearlock::dsp {\n"
+       "Meter::Meter(int n) : n_(n) {}\n"
+       "int Meter::Used() const { return n_ + 1; }\n"
+       "}  // namespace wearlock::dsp\n"},
+      {"tests/x_test.cpp",
+       "TEST(Meter, Reads) {\n"
+       "  const dsp::Meter m(2);\n"
+       "  EXPECT_EQ(m.Used() + m.Spare(), 5);\n"
+       "}\n"},
+      {"bench/x.cpp", "int main() { return dsp::Meter(1).Used(); }\n"},
+  };
+  tree.insert(tree.end(), extra.begin(), extra.end());
+  std::vector<SourceFile> files;
+  for (const auto& [path, content] : tree) {
+    files.push_back(SourceFile::FromString(path, content));
+  }
+  return RunLint(files).diagnostics;
+}
+
+TEST(TestOnlyExportTest, FunctionOnlyTestsCallIsFlagged) {
+  const auto diags = RunExportTree({});
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "test-only-export");
+  EXPECT_EQ(diags[0].file, "src/dsp/x.h");
+  EXPECT_EQ(diags[0].line, 7);
+  EXPECT_NE(diags[0].message.find("'Spare'"), std::string::npos);
+}
+
+TEST(TestOnlyExportTest, CallFromItsOwnCppCounts) {
+  EXPECT_TRUE(RunExportTree({{"src/dsp/y.cpp",
+                              "#include \"dsp/x.h\"\n"
+                              "namespace wearlock::dsp {\n"
+                              "int Twice(const Meter& m) {\n"
+                              "  return 2 * m.Spare();\n"
+                              "}\n"
+                              "}  // namespace wearlock::dsp\n"}})
+                  .empty());
+}
+
+TEST(TestOnlyExportTest, HarnessOrExampleCallCounts) {
+  EXPECT_TRUE(RunExportTree({{"wlbench/harness/fleet.cpp",
+                              "int Probe(const dsp::Meter& m) {\n"
+                              "  return m.Spare();\n"
+                              "}\n"}})
+                  .empty());
+  EXPECT_TRUE(
+      RunExportTree({{"examples/demo.cpp",
+                      "int main() { return dsp::Meter(3).Spare(); }\n"}})
+          .empty());
+}
+
+TEST(TestOnlyExportTest, HarnessIsReadForReferencesOnly) {
+  // steady_clock would be a determinism finding anywhere else.
+  EXPECT_TRUE(RunExportTree({{"wlbench/harness/spans.cpp",
+                              "auto t = std::chrono::steady_clock::now();\n"
+                              "int Probe(const dsp::Meter& m) {\n"
+                              "  return m.Spare();\n"
+                              "}\n"}})
+                  .empty());
+}
+
+TEST(TestOnlyExportTest, NolintMarksATestSeam) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile::FromString(
+      "src/dsp/x.h",
+      "#pragma once\n"
+      "// NOLINTNEXTLINE(test-only-export): pins the shared tables.\n"
+      "int Seam();\n"));
+  files.push_back(
+      SourceFile::FromString("tests/x_test.cpp", "TEST(X, Y) { Seam(); }\n"));
+  const LintResult result = RunLint(files);
+  EXPECT_TRUE(result.diagnostics.empty());
+  EXPECT_EQ(result.suppressed, 1u);
+}
+
+TEST(TestOnlyExportTest, RunsOnlyWhenTheScanIncludesTests) {
+  // A partial scan cannot tell test-only from unread.
+  EXPECT_FALSE(HasRule(RunAllOn("src/dsp/x.h", "#pragma once\nint Lone();\n"),
+                       "test-only-export"));
+}
+
+TEST(TestOnlyExportTest, CallsAndLanguageHooksAreNotDeclarations) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile::FromString(
+      "src/sim/x.h",
+      "#pragma once\n"
+      "#define WL_TWICE(x) Twice(x)\n"
+      "struct Promise {\n"
+      "  void unhandled_exception() {}\n"
+      "  std::function<audio::Samples(double)> render;\n"
+      "};\n"
+      "int Twice(int x);\n"
+      "inline int Four() { return Twice(2); }\n"));
+  files.push_back(
+      SourceFile::FromString("tests/x_test.cpp", "TEST(X, Y) { Four(); }\n"));
+  const auto diags = RunLint(files).diagnostics;
+  ASSERT_EQ(diags.size(), 1u) << diags[0].message;
+  EXPECT_NE(diags[0].message.find("'Four'"), std::string::npos);
 }
 
 // -- baseline + parallel driver ---------------------------------------

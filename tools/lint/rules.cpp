@@ -113,6 +113,10 @@ const std::vector<RuleInfo>& AllRules() {
        "outcome-returning APIs (TrySend*, FaultPlan::Parse, ...) must "
        "have their return value consumed; use (void) for an explicit, "
        "visible discard"},
+      {"test-only-export",
+       "every function declared in a src/ header is referenced outside "
+       "tests/ (its own .cpp, bench/, tools/, examples/ or wlbench/); "
+       "NOLINT(test-only-export): <reason> marks a test seam"},
   };
   return kRules;
 }
@@ -1130,13 +1134,6 @@ constexpr OutcomeApi kOutcomeApis[] = {
     // calls cannot be qualified, and every legitimate call needs the
     // returned delay.
     {"", "BackoffMs"},
-    // EventQueue scheduling: a dropped EventId usually means the caller
-    // meant to track or cancel the event; a dropped Cancel result hides
-    // cancel-after-fire races. Member calls cannot be qualified, but the
-    // names are unique to EventQueue across the tree.
-    {"", "ScheduleAt"},
-    {"", "ScheduleAfter"},
-    {"", "Cancel"},
 };
 
 }  // namespace
@@ -1321,6 +1318,218 @@ void CheckLayerDag(const std::vector<SourceFile>& files,
       };
   for (const SourceFile& f : files) {
     if (!colour.count(f.SrcRelativePath())) visit(f);
+  }
+}
+
+// -- test-only-export -------------------------------------------------
+
+namespace {
+
+bool IsTestFile(const SourceFile& file) {
+  const std::string& p = file.path();
+  return p.rfind("tests/", 0) == 0 || p.find("/tests/") != std::string::npos;
+}
+
+/// Words that are never a function's name, though '(' may follow them.
+bool IsNeverAName(std::string_view t) {
+  static const std::set<std::string_view> kWords = {
+      "__attribute__", "alignas",  "alignof",  "auto",     "bool",
+      "case",          "catch",    "char",     "const",    "decltype",
+      "default",       "delete",   "double",   "float",    "for",
+      "if",            "int",      "long",     "new",      "noexcept",
+      "operator",      "requires", "return",   "short",    "signed",
+      "sizeof",        "static_assert",        "switch",   "template",
+      "throw",         "typeid",   "typename", "unsigned", "using",
+      "void",          "volatile", "while"};
+  return kWords.count(t) != 0;
+}
+
+/// Words that cannot end the return type a declared function's name
+/// follows: `return F(x);` is a call, not a declaration.
+bool EndsNoType(std::string_view t) {
+  static const std::set<std::string_view> kWords = {
+      "and",      "case",    "co_await", "co_return", "co_yield", "delete",
+      "do",       "else",    "goto",     "new",       "not",      "operator",
+      "or",       "private", "protected", "public",   "return",   "sizeof",
+      "throw",    "typedef", "using"};
+  return kWords.count(t) != 0;
+}
+
+/// Members the language calls by name with no call in the source: the
+/// coroutine promise and awaiter interfaces.
+bool IsLanguageHook(std::string_view t) {
+  static const std::set<std::string_view> kHooks = {
+      "await_ready",     "await_resume",        "await_suspend",
+      "await_transform", "final_suspend",       "get_return_object",
+      "initial_suspend", "return_value",        "return_void",
+      "unhandled_exception", "yield_value"};
+  return kHooks.count(t) != 0;
+}
+
+/// What can follow a function declarator's closing parenthesis.
+bool IsDeclaratorTrailer(std::string_view t) {
+  return t == ";" || t == "{" || t == "const" || t == "noexcept" ||
+         t == "override" || t == "final" || t == "->" || t == "=" ||
+         t == "&" || t == "&&";
+}
+
+/// Per token: does it sit on a preprocessor line (a '#' directive or
+/// one of its backslash continuations)?
+std::vector<bool> OnPreprocessorLine(const SourceFile& file,
+                                     const std::vector<Token>& toks) {
+  std::vector<bool> directive(static_cast<std::size_t>(file.line_count()) + 2,
+                              false);
+  bool continued = false;
+  for (int line = 1; line <= file.line_count(); ++line) {
+    const std::string_view code = file.CodeLine(line);
+    const std::size_t first = code.find_first_not_of(" \t");
+    const bool is_directive =
+        continued || (first != std::string_view::npos && code[first] == '#');
+    directive[static_cast<std::size_t>(line)] = is_directive;
+    const std::size_t last = code.find_last_not_of(" \t\r");
+    continued = is_directive && last != std::string_view::npos &&
+                code[last] == '\\';
+  }
+  std::vector<bool> out(toks.size(), false);
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    out[i] = directive[static_cast<std::size_t>(file.LineAt(toks[i].offset))];
+  }
+  return out;
+}
+
+/// Flags the tokens that name a function where it is declared or
+/// defined at namespace or class scope. Constructors, destructors and
+/// operators are not flagged; neither is anything inside a function
+/// body, an initializer or a preprocessor line.
+std::vector<bool> FunctionDeclarators(const SourceFile& file,
+                                      const std::vector<Token>& toks) {
+  const std::vector<bool> skip = OnPreprocessorLine(file, toks);
+  enum class Scope { kNamespace, kClass, kOther };
+  struct Frame {
+    Scope scope;
+    std::string_view class_name;
+  };
+  std::vector<Frame> frames;
+  bool declaring = true;  // every enclosing frame is a namespace or class
+  std::size_t stmt_begin = 0;
+  std::vector<bool> out(toks.size(), false);
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (skip[i]) continue;
+    const std::string_view t = toks[i].text;
+    if (t == "{") {
+      Frame frame{Scope::kOther, {}};
+      if (declaring) {
+        // Classify by the declaration head since the last boundary.
+        bool is_namespace = false, no_class = false;
+        std::size_t class_kw = i;
+        for (std::size_t j = stmt_begin; j < i; ++j) {
+          if (skip[j]) continue;
+          const std::string_view h = toks[j].text;
+          if (h == "namespace") is_namespace = true;
+          if (h == "enum" || h == "=" || h == "(") no_class = true;
+          if (h == "class" || h == "struct" || h == "union") class_kw = j;
+        }
+        if (is_namespace) {
+          frame.scope = Scope::kNamespace;
+        } else if (class_kw < i && !no_class) {
+          frame.scope = Scope::kClass;
+          // `struct [[attr]] Outer::Inner {` names Inner.
+          std::size_t n = class_kw + 1;
+          while (n < i && toks[n].text == "[") n = MatchForward(toks, n) + 1;
+          while (n + 2 < i && toks[n + 1].text == "::") n += 2;
+          if (n < i) frame.class_name = toks[n].text;
+        }
+      }
+      frames.push_back(frame);
+      declaring = declaring && frame.scope != Scope::kOther;
+      stmt_begin = i + 1;
+      continue;
+    }
+    if (t == "}") {
+      if (!frames.empty()) frames.pop_back();
+      declaring = true;
+      for (const Frame& f : frames) declaring &= f.scope != Scope::kOther;
+      stmt_begin = i + 1;
+      continue;
+    }
+    if (t == ";") {
+      stmt_begin = i + 1;
+      continue;
+    }
+    if (!declaring || toks[i].kind != Token::Kind::kIdent ||
+        i + 1 >= toks.size() || toks[i + 1].text != "(" || IsNeverAName(t)) {
+      continue;
+    }
+    // Walk back over a qualifier chain (`Sha1::Hash`).
+    std::size_t start = i;
+    std::string_view qualifier;
+    while (start >= 2 && toks[start - 1].text == "::" &&
+           toks[start - 2].kind == Token::Kind::kIdent) {
+      if (qualifier.empty()) qualifier = toks[start - 2].text;
+      start -= 2;
+    }
+    if (start == 0 || toks[start - 1].text == "~") continue;
+    if (t == qualifier) continue;  // out-of-line constructor
+    if (qualifier.empty() && !frames.empty() &&
+        frames.back().scope == Scope::kClass &&
+        t == frames.back().class_name) {
+      continue;  // in-class constructor
+    }
+    const Token& prev = toks[start - 1];
+    const bool after_type =
+        (prev.kind == Token::Kind::kIdent && !EndsNoType(prev.text)) ||
+        prev.text == ">" || prev.text == "*" || prev.text == "&" ||
+        prev.text == "&&";
+    if (!after_type) continue;
+    const std::size_t close = MatchForward(toks, i + 1);
+    if (close + 1 >= toks.size() ||
+        !IsDeclaratorTrailer(toks[close + 1].text)) {
+      continue;
+    }
+    out[i] = true;
+  }
+  return out;
+}
+
+}  // namespace
+
+void CheckTestOnlyExport(const std::vector<SourceFile>& files,
+                         std::vector<Diagnostic>* out) {
+  const bool sees_tests =
+      std::any_of(files.begin(), files.end(),
+                  [](const SourceFile& f) { return IsTestFile(f); });
+  if (!sees_tests) return;
+
+  struct Site {
+    const SourceFile* file;
+    std::size_t offset;
+  };
+  std::map<std::string, std::vector<Site>, std::less<>> declared;
+  std::set<std::string, std::less<>> referenced;
+  for (const SourceFile& f : files) {
+    if (IsTestFile(f)) continue;
+    const std::vector<Token> toks = LexTokens(f.code());
+    const std::vector<bool> declarator = FunctionDeclarators(f, toks);
+    const bool exports = f.IsHeader() && IsLibraryFile(f);
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+      if (toks[i].kind != Token::Kind::kIdent) continue;
+      if (!declarator[i]) {
+        referenced.emplace(toks[i].text);
+      } else if (exports) {
+        declared[std::string(toks[i].text)].push_back({&f, toks[i].offset});
+      }
+    }
+  }
+  for (const auto& [name, sites] : declared) {
+    if (referenced.count(name) != 0 || IsLanguageHook(name)) continue;
+    for (const Site& site : sites) {
+      Emit(*site.file, site.offset, "test-only-export",
+           "'" + name +
+               "' is declared in a src/ header but nothing outside tests/ "
+               "references it; delete it (an oracle moves into its test) "
+               "or mark a test seam NOLINT(test-only-export): <reason>",
+           out);
+    }
   }
 }
 

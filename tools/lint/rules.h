@@ -117,4 +117,14 @@ void CheckDiscardedOutcome(const SourceFile& file,
 void CheckLayerDag(const std::vector<SourceFile>& files,
                    std::vector<Diagnostic>* out);
 
+/// test-only-export: every function declared in a src/ header must be
+/// referenced by some scanned file outside tests/ - library code (its
+/// own .cpp included), bench/, tools/, examples/ or the benchmark
+/// harness. A declaration or definition is not a reference; names match
+/// unqualified, so a name any production file uses counts. The rule
+/// judges the whole tree, so it runs only when the scan includes a
+/// tests/ file. Constructors, destructors and operators are exempt.
+void CheckTestOnlyExport(const std::vector<SourceFile>& files,
+                         std::vector<Diagnostic>* out);
+
 }  // namespace wearlock::lint
