@@ -30,7 +30,7 @@ Cell Measure(modem::Modulation m, modem::CodeScheme code, int rounds,
   cfg.distance_m = 0.25;
   cfg.environment = audio::Environment::kQuietRoom;
   audio::AcousticChannel channel(cfg, rng.Fork());
-  const double volume = cfg.speaker.VolumeForSpl(
+  const double volume = audio::SpeakerModel().VolumeForSpl(
       modem::ProbeTxSpl(17.0, 22.0, 1.0, 0.1) + 15.0);
 
   Cell cell;

@@ -28,7 +28,7 @@ double MeasureBer(std::size_t cp_samples, bool nlos, int rounds,
   cfg.propagation = nlos ? audio::PropagationSpec::BodyBlockedNlos()
                          : audio::PropagationSpec::IndoorLos();
   audio::AcousticChannel channel(cfg, rng.Fork());
-  const double volume = cfg.speaker.VolumeForSpl(
+  const double volume = audio::SpeakerModel().VolumeForSpl(
       modem::ProbeTxSpl(17.0, 18.0, 1.0, 0.1) + 15.0);
 
   std::size_t errors = 0, total = 0;

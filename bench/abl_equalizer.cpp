@@ -38,7 +38,7 @@ double MeasureBer(EqMode eq_mode, int rounds, sim::Rng& rng) {
   cfg.environment = audio::Environment::kOffice;
   cfg.propagation = audio::PropagationSpec::IndoorLos();
   audio::AcousticChannel channel(cfg, rng.Fork());
-  const double volume = cfg.speaker.VolumeForSpl(
+  const double volume = audio::SpeakerModel().VolumeForSpl(
       modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
 
   std::vector<std::size_t> data_bins = spec.plan.data;

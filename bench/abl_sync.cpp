@@ -19,9 +19,7 @@ using namespace wearlock;
 
 double MeasureBer(long fine_range, double distance, bool blocked, int rounds,
                   sim::Rng& rng) {
-  modem::DemodConfig demod;
-  demod.fine_sync_range = fine_range;
-  modem::AcousticModem modem(modem::FrameSpec{}, demod);
+  modem::AcousticModem modem(modem::FrameSpec{}, fine_range);
 
   audio::ChannelConfig cfg;
   cfg.distance_m = distance;
@@ -30,7 +28,7 @@ double MeasureBer(long fine_range, double distance, bool blocked, int rounds,
   cfg.propagation = blocked ? audio::PropagationSpec::BodyBlockedNlos()
                             : audio::PropagationSpec::IndoorLos();
   audio::AcousticChannel channel(cfg, rng.Fork());
-  const double volume = cfg.speaker.VolumeForSpl(
+  const double volume = audio::SpeakerModel().VolumeForSpl(
       modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
 
   std::size_t errors = 0, total = 0;

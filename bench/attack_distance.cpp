@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
           // Seeds pinned per (cell, round): the table is a pure function
           // of --seed, byte-identical for any --threads value.
           c.seed = options.base_seed + point.index * 1000 + r;
-          c.phone.distance_bounding.enable = true;
+          c.phone.enable_distance_bounding = true;
           const protocol::AttackReport rep =
               protocol::RunAttackScenario(c, spec);
           cell.records.insert(cell.records.end(), rep.records.begin(),

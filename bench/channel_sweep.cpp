@@ -8,8 +8,8 @@
 //
 // Grid: impairment spec (rows) x independent trials (cols). Every cell
 // runs the SAME seeded scenario twice - hardening enabled, then
-// channel.enable=false - so the two rate columns differ only by the
-// receiver. Hardened sessions report through the fleet-telemetry
+// enable_channel_hardening = false - so the two rate columns differ only
+// by the receiver. Hardened sessions report through the fleet-telemetry
 // pipeline (the impairment spec is a cohort-key axis), keeping the
 // Wilson intervals consistent with wearlock_fleet rollups.
 #include <cstdio>
@@ -44,7 +44,7 @@ CellResult RunCell(const std::string& spec, std::uint64_t seed) {
   }
   {
     protocol::ScenarioConfig naive = config;
-    naive.phone.channel.enable = false;
+    naive.phone.enable_channel_hardening = false;
     protocol::UnlockSession session(naive);
     result.naive_unlocked = session.Attempt().unlocked;
   }

@@ -54,11 +54,10 @@ int main(int argc, char** argv) {
   const auto c3 = MeasureConfig(ScenarioConfig::Config3(), 123, kRounds, &sink);
 
   sim::Rng rng(124);
-  PinEntryModel pin;
   std::vector<double> pin4, pin6;
   for (int i = 0; i < kRounds; ++i) {
-    pin4.push_back(pin.Sample4Digit(rng));
-    pin6.push_back(pin.Sample6Digit(rng));
+    pin4.push_back(protocol::SamplePin4DigitMs(rng));
+    pin6.push_back(protocol::SamplePin6DigitMs(rng));
   }
   const auto p4 = dsp::Summarize(pin4);
   const auto p6 = dsp::Summarize(pin6);

@@ -36,7 +36,7 @@ double MeasureBer(modem::Modulation m, double distance, int rounds,
 
   // Fixed volume tuned for ~1 m delivery in an office (the paper holds
   // settings constant across this sweep).
-  const double volume = cfg.speaker.VolumeForSpl(
+  const double volume = audio::SpeakerModel().VolumeForSpl(
       modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
 
   std::size_t errors = 0, total = 0;

@@ -37,7 +37,7 @@ Cell Measure(double max_ber, double distance, int rounds, sim::Rng& rng) {
   cfg.environment = audio::Environment::kOffice;
   cfg.microphone = audio::MicrophoneModel::Phone();
   audio::AcousticChannel channel(cfg, rng.Fork());
-  const double volume = cfg.speaker.VolumeForSpl(
+  const double volume = audio::SpeakerModel().VolumeForSpl(
       modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
 
   Cell cell;

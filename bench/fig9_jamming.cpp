@@ -39,7 +39,7 @@ RoundResult RunRound(sim::Rng& rng) {
   cfg.distance_m = 0.15;
   cfg.environment = audio::Environment::kOffice;
   audio::AcousticChannel channel(cfg, rng.Fork());
-  const double volume = cfg.speaker.VolumeForSpl(
+  const double volume = audio::SpeakerModel().VolumeForSpl(
       modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
 
   RoundResult result;

@@ -37,8 +37,8 @@ int main() {
     // A relay pipes the audio to a watch in another room. Even a fast
     // digital relay adds capture + transport + re-emission latency.
     for (double relay_ms : {5.0, 20.0, 80.0}) {
-      const auto relayed = AcousticRangeMedian(scene, frame, 0.4, rng, 5, {},
-                                               relay_ms);
+      const auto relayed =
+          AcousticRangeMedian(scene, frame, 0.4, rng, 5, relay_ms);
       std::printf("  relay adding %5.1f ms   : estimate %.2f m -> %s\n",
                   relay_ms, relayed.estimated_distance_m,
                   relayed.within_bound ? "ACCEPT (!)" : "reject");

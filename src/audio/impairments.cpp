@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "audio/propagation.h"
 #include "dsp/filter.h"
 #include "dsp/resample.h"
 #include "dsp/spl.h"
@@ -18,8 +19,6 @@ namespace wearlock::audio {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
-/// Speed of sound (m/s) - matches the propagation model's constant.
-constexpr double kSpeedOfSoundMps = 343.0;
 
 /// Direct-to-reverberant ratio of the parametric late field (dB). Small
 /// rooms at sub-metre range keep the direct path well above the tail;
@@ -144,9 +143,9 @@ ChannelImpairments::ChannelImpairments(ImpairmentPlan plan, sim::Rng rng,
   // when *later* in this sequence; the order is part of the replay
   // contract (docs/channels.md).
   warp_rate_ = (1.0 + plan_.sro_ppm * 1e-6) /
-               (1.0 + plan_.doppler_mps / kSpeedOfSoundMps);
+               (1.0 + plan_.doppler_mps / kSpeedOfSound);
   window_shift_ = static_cast<std::size_t>(
-      std::llround(plan_.sro_ppm * 1e-6 * plan_.clock_age_s * kSampleRate));
+      std::llround(plan_.sro_ppm * 1e-6 * kClockAgeS * kSampleRate));
   Record("impairments-armed",
          plan_.spec.empty() ? std::string("<fields>") : plan_.spec);
   if (window_shift_ > 0) {

@@ -38,12 +38,19 @@
 
 namespace wearlock::audio {
 
+/// Seconds since the watch and phone last synchronized clocks: the
+/// lever that turns ppm-level SRO into a whole-milliseconds capture
+/// misalignment. The channel model slides the watch's capture window
+/// by sro * kClockAgeS, and modem::EstimateDrift divides the observed
+/// shift by it to recover the SRO.
+inline constexpr double kClockAgeS = 1400.0;
+
 /// Declarative description of the channel impairments to simulate.
 /// Defaults are all-off; a default plan leaves the scene untouched.
 struct ImpairmentPlan {
   /// TX clock fast relative to RX by this many parts-per-million
   /// (>= 0; the emitted waveform is fractionally resampled and the
-  /// watch capture window slides by sro * clock_age_s).
+  /// watch capture window slides by sro * kClockAgeS).
   double sro_ppm = 0.0;
   /// Radial walker velocity, m/s; positive recedes (stretches),
   /// negative approaches (compresses). |v| <= 5 m/s.
@@ -56,10 +63,6 @@ struct ImpairmentPlan {
   double burst_mult = 8.0;
   /// Co-located neighboring watch/phone pairs contending for the band.
   std::size_t pairs = 0;
-  /// Seconds since the watch and phone last synchronized clocks; the
-  /// lever that turns ppm-level SRO into a whole-milliseconds capture
-  /// misalignment. Not part of the CLI grammar (model constant).
-  double clock_age_s = 1400.0;
   /// The CLI-grammar spec this plan was parsed from ("" for plans
   /// built field-by-field); retained verbatim for telemetry cohorts.
   std::string spec;
@@ -149,10 +152,9 @@ class ChannelImpairments {
     return neighbors_;
   }
 
-  /// Acoustic-timeline cursor (samples since scene start). Captures
-  /// and MAC backoff waits advance it, so re-listening after a backoff
-  /// sees every neighbor's duty cycle progressed.
-  std::size_t cursor() const { return cursor_; }
+  /// Advance the acoustic-timeline cursor (samples since scene start).
+  /// Captures and MAC backoff waits advance it, so re-listening after a
+  /// backoff sees every neighbor's duty cycle progressed.
   void AdvanceCursor(std::size_t samples) { cursor_ += samples; }
 
   /// Append a protocol-side event (MAC defer, drift estimate, degrade)
@@ -160,7 +162,6 @@ class ChannelImpairments {
   void RecordEvent(const std::string& kind, const std::string& detail,
                    double at_ms);
 
-  const ImpairmentPlan& plan() const { return plan_; }
   const std::vector<ChannelEvent>& events() const { return events_; }
 
  private:

@@ -1,6 +1,5 @@
 #include "audio/medium.h"
 
-#include "dsp/resample.h"
 #include "dsp/spl.h"
 
 namespace wearlock::audio {
@@ -26,30 +25,22 @@ Samples AcousticChannel::MakeNoise(std::size_t n) {
 }
 
 Reception AcousticChannel::Transmit(const Samples& signal, double volume) {
-  // Speaker -> air -> receiver position.
-  const Samples emitted = config_.speaker.Emit(signal, volume);
-  Samples at_rx = propagation_.Propagate(emitted, config_.distance_m);
-
-  // Doppler from receiver motion: uniform time compression/stretch.
-  if (config_.radial_velocity_mps != 0.0) {
-    const double rate = 1.0 + config_.radial_velocity_mps / kSpeedOfSound;
-    at_rx = wearlock::dsp::WarpTimeSinc(at_rx, 1.0 / rate);
-  }
-
-  // Receive-chain phase jitter (see ChannelConfig::phase_noise_rad).
-  at_rx = ApplyPhaseJitter(std::move(at_rx), config_.phase_noise_rad,
-                           config_.phase_noise_bw_hz, rng_);
+  // Speaker -> air -> receiver position, then the receive-chain phase
+  // jitter (audio/noise.h).
+  const Samples emitted = speaker_.Emit(signal, volume);
+  const Samples at_rx = ApplyPhaseJitter(
+      propagation_.Propagate(emitted, config_.distance_m), rng_);
 
   // Assemble the receiver's pressure field: noise everywhere, signal
   // starting after the lead-in.
   const std::size_t total =
-      config_.lead_in_samples + at_rx.size() + config_.lead_out_samples;
+      kLeadInSamples + at_rx.size() + kChannelLeadOutSamples;
   Samples pressure = MakeNoise(total);
   const double spl_noise = wearlock::dsp::SplOf(pressure);
-  MixIntoAt(pressure, at_rx, config_.lead_in_samples);
+  MixIntoAt(pressure, at_rx, kLeadInSamples);
 
   Reception r;
-  r.signal_start = config_.lead_in_samples;
+  r.signal_start = kLeadInSamples;
   r.spl_signal_at_rx = wearlock::dsp::SplOf(at_rx);
   r.spl_noise_at_rx = spl_noise;
   r.recording = config_.microphone.Capture(pressure);

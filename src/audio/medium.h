@@ -17,8 +17,10 @@
 
 namespace wearlock::audio {
 
+/// Ambient every channel capture records after the signal (samples).
+inline constexpr std::size_t kChannelLeadOutSamples = 1024;
+
 struct ChannelConfig {
-  SpeakerModel speaker{};
   MicrophoneModel microphone = MicrophoneModel::Watch();
   PropagationSpec propagation = PropagationSpec::Los();
   double distance_m = 0.5;
@@ -26,24 +28,6 @@ struct ChannelConfig {
   /// When set, overrides `environment` (e.g. the calibrated white-noise
   /// source used for the Fig. 5 Eb/N0 sweep).
   std::optional<NoiseProfile> custom_noise;
-  /// Ambient noise recorded before the signal arrives (samples); gives
-  /// the receiver material for noise-floor estimation and gives the
-  /// protocol its pre-preamble ambient window.
-  std::size_t lead_in_samples = 4096;
-  std::size_t lead_out_samples = 1024;
-  /// RMS of the receive-chain phase jitter (radians). Models ADC clock
-  /// jitter / hand micro-Doppler: corrupts the phase dimension while
-  /// leaving envelopes nearly intact - the reason the paper's hardware
-  /// favours ASK over PSK per bit and cannot use 16QAM.
-  double phase_noise_rad = 0.04;
-  /// Bandwidth of the phase-jitter process (Hz). Faster than the symbol
-  /// rate, so per-symbol pilot equalization cannot fully track it.
-  double phase_noise_bw_hz = 600.0;
-  /// Radial velocity of the receiver (m/s, positive = approaching).
-  /// Walking while unlocking Doppler-shifts the whole signal by a factor
-  /// (1 + v/c); the chirp preamble is chosen precisely because its
-  /// correlation tolerates this (paper SIII-3).
-  double radial_velocity_mps = 0.0;
 };
 
 /// Result of pushing a signal through the channel.
@@ -54,6 +38,8 @@ struct Reception {
   double spl_noise_at_rx;     ///< SPL of the noise component
 };
 
+/// The default SpeakerModel feeds the path; every capture opens with
+/// kLeadInSamples of ambient and closes with kChannelLeadOutSamples.
 class AcousticChannel {
  public:
   AcousticChannel(ChannelConfig config, sim::Rng rng);
@@ -71,6 +57,7 @@ class AcousticChannel {
   Samples MakeNoise(std::size_t n);
 
   ChannelConfig config_;
+  SpeakerModel speaker_;
   PropagationModel propagation_;
   NoiseSource ambient_;
   std::optional<ToneJammer> jammer_;

@@ -162,17 +162,15 @@ Samples ToneJammer::Generate(std::size_t n) const {
   return out;
 }
 
-Samples ApplyPhaseJitter(Samples x, double rms_rad, double bandwidth_hz,
-                         sim::Rng& rng) {
-  if (rms_rad <= 0.0 || x.empty()) return x;
+Samples ApplyPhaseJitter(Samples x, sim::Rng& rng) {
+  static_assert(kPhaseJitterBandwidthHz < kSampleRate / 2.0);
+  if (x.empty()) return x;
   Samples theta = rng.GaussianVector(x.size());
-  if (bandwidth_hz > 0.0 && bandwidth_hz < kSampleRate / 2.0) {
-    wearlock::dsp::Biquad lpf =
-        wearlock::dsp::Biquad::LowPass(bandwidth_hz, kSampleRate);
-    theta = lpf.ProcessBlock(theta);
-  }
+  wearlock::dsp::Biquad lpf =
+      wearlock::dsp::Biquad::LowPass(kPhaseJitterBandwidthHz, kSampleRate);
+  theta = lpf.ProcessBlock(theta);
   const double rms = wearlock::dsp::Rms(theta);
-  if (rms > 0.0) Scale(theta, rms_rad / rms);
+  if (rms > 0.0) Scale(theta, kPhaseJitterRmsRad / rms);
   return wearlock::dsp::RotatePhase(x, theta);
 }
 

@@ -53,8 +53,6 @@ class NoiseSource {
   /// n samples of ambient noise at the profile's SPL.
   Samples Generate(std::size_t n);
 
-  const NoiseProfile& profile() const { return profile_; }
-
  private:
   NoiseProfile profile_;
   sim::Rng rng_;
@@ -62,14 +60,21 @@ class NoiseSource {
   std::size_t samples_generated_ = 0;  // keeps tone phase continuous
 };
 
+/// RMS of the receive-chain phase jitter (radians). Models ADC clock
+/// jitter / hand micro-Doppler: corrupts the phase dimension while
+/// leaving envelopes nearly intact - the reason the paper's hardware
+/// favours ASK over PSK per bit and cannot use 16QAM.
+inline constexpr double kPhaseJitterRmsRad = 0.04;
+/// Bandwidth of the phase-jitter process (Hz). Faster than the symbol
+/// rate, so per-symbol pilot equalization cannot fully track it.
+inline constexpr double kPhaseJitterBandwidthHz = 600.0;
+
 /// Receive-chain phase jitter: rotates x's phase by a Gaussian process
-/// of RMS `rms_rad` radians, low-passed to `bandwidth_hz` when that is
-/// inside (0, Nyquist). Models ADC clock jitter / hand micro-Doppler:
-/// envelopes stay nearly intact while the phase dimension is corrupted.
-/// Draws x.size() Gaussians from `rng` unless rms_rad <= 0 or x is
-/// empty, in which case x is returned unchanged.
-Samples ApplyPhaseJitter(Samples x, double rms_rad, double bandwidth_hz,
-                         sim::Rng& rng);
+/// of RMS kPhaseJitterRmsRad radians, low-passed to
+/// kPhaseJitterBandwidthHz. Every capture path (TwoMicScene,
+/// AcousticChannel) applies it. Draws x.size() Gaussians from `rng`
+/// unless x is empty, in which case x is returned unchanged.
+Samples ApplyPhaseJitter(Samples x, sim::Rng& rng);
 
 /// Up to `kMaxTones` sine tones, each aimed at the centre frequency of an
 /// OFDM sub-channel (bin index at a given FFT size / sample rate).
@@ -87,9 +92,6 @@ class ToneJammer {
 
   /// n samples of the jamming waveform.
   Samples Generate(std::size_t n) const;
-
-  const std::vector<std::size_t>& bins() const { return bins_; }
-  double spl_db() const { return spl_db_; }
 
  private:
   std::vector<std::size_t> bins_;

@@ -36,24 +36,22 @@ PropagationSpec PropagationSpec::BodyBlockedNlos() {
   return spec;
 }
 
-PropagationModel::PropagationModel(PropagationSpec spec) : spec_(spec) {
-  if (spec_.reference_distance_m <= 0.0) {
-    throw std::invalid_argument("PropagationModel: d0 must be positive");
-  }
-}
+static_assert(kReferenceDistanceM > 0.0, "d0 must be positive");
+
+PropagationModel::PropagationModel(PropagationSpec spec) : spec_(spec) {}
 
 double PropagationModel::GainAt(double distance_m) const {
   return std::pow(10.0, -LossDbAt(distance_m) / 20.0);
 }
 
 double PropagationModel::LossDbAt(double distance_m) const {
-  return wearlock::dsp::SpreadingLossDb(distance_m, spec_.reference_distance_m,
-                                        spec_.geometric_constant);
+  return wearlock::dsp::SpreadingLossDb(distance_m, kReferenceDistanceM,
+                                        kGeometricConstant);
 }
 
 Samples PropagationModel::Propagate(const Samples& emitted,
                                     double distance_m) const {
-  if (distance_m < spec_.reference_distance_m) {
+  if (distance_m < kReferenceDistanceM) {
     throw std::invalid_argument(
         "PropagationModel: receiver closer than reference distance");
   }

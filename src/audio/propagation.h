@@ -16,6 +16,12 @@ namespace wearlock::audio {
 
 inline constexpr double kSpeedOfSound = 343.0;  // m/s at room temperature
 
+/// Geometric spreading constant g (1 = spherical point source).
+inline constexpr double kGeometricConstant = 1.0;
+/// Reference distance d0: the transmitter's own mic-to-speaker distance.
+/// Every spreading loss and SPL figure is relative to it.
+inline constexpr double kReferenceDistanceM = 0.1;
+
 /// One propagation path: extra travel distance and linear gain relative
 /// to the direct path at the reference distance.
 struct MultipathTap {
@@ -24,10 +30,6 @@ struct MultipathTap {
 };
 
 struct PropagationSpec {
-  /// Geometric spreading constant g (1 = spherical point source).
-  double geometric_constant = 1.0;
-  /// Reference distance d0: transmitter's own mic-to-speaker distance.
-  double reference_distance_m = 0.1;
   /// Direct-path gain multiplier (< 1 when a body/hand blocks LOS).
   double direct_gain = 1.0;
   /// Body shadowing is frequency-selective: audible wavelengths (6-34 cm

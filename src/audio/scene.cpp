@@ -23,11 +23,11 @@ NoiseSource MakeAmbient(const SceneConfig& config, sim::Rng rng) {
 void ValidateGuardBudget(const SceneConfig& config) {
   const std::size_t tail =
       SamplesFromSeconds(config.phone_speaker.spec().ringing_tail_s);
-  if (tail > config.guard_budget_samples) {
+  if (tail > kGuardIntervalSamples) {
     throw std::invalid_argument(
         "TwoMicScene: speaker ringing tail (" + std::to_string(tail) +
         " samples) exceeds the guard interval Tg (" +
-        std::to_string(config.guard_budget_samples) +
+        std::to_string(kGuardIntervalSamples) +
         " samples); lengthen the guard or shorten the tail");
   }
 }
@@ -65,14 +65,13 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
 
   // Watch side: propagate, jitter, then sit it in ambient noise.
   Samples at_watch = ApplyPhaseJitter(
-      propagation_.Propagate(emitted, config_.distance_m),
-      config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
+      propagation_.Propagate(emitted, config_.distance_m), rng_);
   if (impairments_) {
     // SRO/Doppler warp + room late field, as the watch's clock hears it.
     at_watch = impairments_->ApplyWatchPath(std::move(at_watch));
   }
-  const std::size_t total = config_.lead_in_samples + at_watch.size() +
-                            config_.lead_out_samples +
+  const std::size_t total = kLeadInSamples + at_watch.size() +
+                            kSceneLeadOutSamples +
                             (impairments_ ? impairments_->rx_guard_samples() : 0);
 
   // A separated watch hears its own ambience; the shared stream still
@@ -90,7 +89,7 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
     if (!burst.empty()) MixInto(watch_pressure, burst);
   }
   const double watch_noise_spl = wearlock::dsp::SplOf(watch_pressure);
-  MixIntoAt(watch_pressure, at_watch, config_.lead_in_samples);
+  MixIntoAt(watch_pressure, at_watch, kLeadInSamples);
   // Nothing reads the phone's self-recording of its own emission, so it
   // is not rendered; its mic-noise draws are still consumed, so every
   // later capture sees the same stream (docs/channels.md).
@@ -100,12 +99,12 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
     // The watch's capture window opened early by the accumulated clock
     // offset: content slides later, the tail past the window is lost.
     watch_pressure = impairments_->ShiftCaptureWindow(
-        std::move(watch_pressure), config_.lead_in_samples);
+        std::move(watch_pressure), kLeadInSamples);
     impairments_->AdvanceCursor(total);
   }
 
   SceneReception r;
-  r.signal_start = config_.lead_in_samples;
+  r.signal_start = kLeadInSamples;
   r.watch_spl_signal = wearlock::dsp::SplOf(at_watch);
   r.watch_spl_noise = watch_noise_spl;
   r.watch_recording = config_.watch_mic.Capture(watch_pressure);
@@ -115,7 +114,7 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
 std::pair<Samples, Samples> TwoMicScene::RecordAmbientPair(std::size_t n) {
   Samples shared = SharedAmbient(n);
   Samples phone_pressure = shared;
-  MixInto(phone_pressure, MicNoise(n, config_.phone_mic));
+  MixInto(phone_pressure, MicNoise(n, MicrophoneModel::Phone()));
   Samples watch_pressure = config_.co_located ? std::move(shared)
                                               : IndependentAmbient(n);
   if (jammer_) MixInto(watch_pressure, jammer_->Generate(n));
@@ -134,7 +133,7 @@ std::pair<Samples, Samples> TwoMicScene::RecordAmbientPair(std::size_t n) {
     }
     impairments_->AdvanceCursor(n);
   }
-  return {config_.phone_mic.Capture(phone_pressure),
+  return {MicrophoneModel::Phone().Capture(phone_pressure),
           config_.watch_mic.Capture(watch_pressure)};
 }
 
@@ -144,15 +143,14 @@ Samples TwoMicScene::RecordAtDistance(const Samples& signal, double volume,
                                       double gain_db) {
   const Samples emitted = config_.phone_speaker.Emit(signal, volume);
   PropagationModel prop(path);
-  Samples at_ear = ApplyPhaseJitter(
-      prop.Propagate(emitted, eavesdropper_distance_m),
-      config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
+  Samples at_ear =
+      ApplyPhaseJitter(prop.Propagate(emitted, eavesdropper_distance_m), rng_);
   if (gain_db != 0.0) Scale(at_ear, std::pow(10.0, gain_db / 20.0));
   const std::size_t total =
-      config_.lead_in_samples + at_ear.size() + config_.lead_out_samples;
+      kLeadInSamples + at_ear.size() + kSceneLeadOutSamples;
   Samples pressure = IndependentAmbient(total);
-  MixInto(pressure, MicNoise(total, config_.phone_mic));
-  MixIntoAt(pressure, at_ear, config_.lead_in_samples);
+  MixInto(pressure, MicNoise(total, MicrophoneModel::Phone()));
+  MixIntoAt(pressure, at_ear, kLeadInSamples);
   // Assume the attacker carries full-band recording gear.
   return MicrophoneModel::Phone().Capture(pressure);
 }

@@ -24,9 +24,11 @@
 
 namespace wearlock::audio {
 
+/// Ambient every scene capture records after the signal (samples).
+inline constexpr std::size_t kSceneLeadOutSamples = 2048;
+
 struct SceneConfig {
   SpeakerModel phone_speaker{};
-  MicrophoneModel phone_mic = MicrophoneModel::Phone();
   MicrophoneModel watch_mic = MicrophoneModel::Watch();
   PropagationSpec propagation = PropagationSpec::IndoorLos();
   /// Phone -> watch distance.
@@ -35,18 +37,6 @@ struct SceneConfig {
   std::optional<NoiseProfile> custom_noise;
   /// Devices share one ambient waveform (same room, within ~1 m)?
   bool co_located = true;
-  /// Ambient recorded before/after the signal (samples).
-  std::size_t lead_in_samples = 4096;
-  std::size_t lead_out_samples = 2048;
-  /// Receive-chain phase jitter (see ChannelConfig docs).
-  double phase_noise_rad = 0.04;
-  double phase_noise_bw_hz = 600.0;
-  /// The frame's guard interval Tg (samples). The paper sizes Tg to
-  /// exceed the speaker's "largest reverberation length"; the scene
-  /// enforces that at build time (a ringing tail longer than the guard
-  /// would silently smear into the first OFDM symbol). Matches
-  /// modem::FrameSpec::preamble_guard_samples by default.
-  std::size_t guard_budget_samples = 1024;
 };
 
 /// What the watch captured of one transmission.
@@ -60,11 +50,16 @@ struct SceneReception {
   double watch_spl_noise = 0.0;
 };
 
+/// One phone (speaker + full-band MicrophoneModel::Phone() mic) and one
+/// watch. Every capture opens with kLeadInSamples of ambient and closes
+/// with kSceneLeadOutSamples; the phone's emission lands at
+/// kLeadInSamples.
 class TwoMicScene {
  public:
   /// @throws std::invalid_argument if the speaker's ringing tail
-  /// exceeds config.guard_budget_samples (the Tg-vs-reverberation
-  /// bound the paper sizes the guard interval around).
+  /// exceeds the guard interval Tg (kGuardIntervalSamples): the paper
+  /// sizes Tg past the speaker's "largest reverberation length", and a
+  /// longer tail would silently smear into the first OFDM symbol.
   TwoMicScene(SceneConfig config, sim::Rng rng);
 
   /// Phone plays `signal` at `volume`; only the watch records (the

@@ -15,6 +15,17 @@ using Samples = std::vector<double>;
 /// paper's devices).
 inline constexpr double kSampleRate = 44100.0;
 
+/// Ambient every capture records before the signal arrives (samples):
+/// the receiver's noise-floor material and the protocol's pre-preamble
+/// ambient window. TwoMicScene and AcousticChannel both open with it.
+inline constexpr std::size_t kLeadInSamples = 4096;
+
+/// The frame's guard interval Tg after the chirp preamble (samples).
+/// The paper sizes Tg past the speaker's "largest reverberation
+/// length": modem::FrameSpec lays every frame out with it, and
+/// TwoMicScene refuses a speaker whose ringing tail is longer.
+inline constexpr std::size_t kGuardIntervalSamples = 1024;
+
 /// y += x (x may be shorter; added from offset 0). Grows y if x is longer.
 void MixInto(Samples& y, const Samples& x);
 

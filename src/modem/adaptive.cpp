@@ -94,7 +94,7 @@ std::optional<Modulation> SelectModeFromSnr(const FrameSpec& spec,
   for (Modulation m : config.modes) {
     const double ebn0 = EbN0Db(spec, m, snr_db);
     const double required = MeasuredRequiredEbN0Db(m, config.max_ber);
-    if (ebn0 >= required + config.margin_db) return m;
+    if (ebn0 >= required + kAdaptiveMarginDb) return m;
   }
   return std::nullopt;
 }

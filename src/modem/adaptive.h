@@ -27,22 +27,26 @@ const std::vector<Modulation>& WearlockModes();
 /// cannot reach max_ber at any SNR.
 double MeasuredRequiredEbN0Db(Modulation m, double max_ber);
 
+/// The protocol's target BER bound (the MaxBER line of Fig. 5) before
+/// any relaxation.
+inline constexpr double kMaxBer = 0.1;
+/// Headroom added to the measured requirement (probing noise, channel
+/// drift between RTS and data phases).
+inline constexpr double kAdaptiveMarginDb = 2.0;
+
 struct AdaptiveConfig {
-  /// Target BER bound (the MaxBER line of Fig. 5).
-  double max_ber = 0.1;
-  /// Headroom added to the measured requirement (probing noise, channel
-  /// drift between RTS and data phases).
-  double margin_db = 2.0;
+  /// Target BER bound.
+  double max_ber = kMaxBer;
   /// Candidate modes, preferred first. Defaults to {8PSK, QPSK, QASK}.
   std::vector<Modulation> modes{Modulation::k8Psk, Modulation::kQpsk,
                                 Modulation::kQask};
 };
 
-/// Pick the highest-order mode whose required Eb/N0 (plus margin) fits
-/// the measured carrier SNR, converted into each candidate's own Eb/N0
-/// (the data rate R differs per mode, so the same SNR buys different
-/// Eb/N0); nullopt if even the most robust candidate does not fit
-/// (caller aborts or re-probes at higher volume).
+/// Pick the highest-order mode whose required Eb/N0 (plus
+/// kAdaptiveMarginDb) fits the measured carrier SNR, converted into each
+/// candidate's own Eb/N0 (the data rate R differs per mode, so the same
+/// SNR buys different Eb/N0); nullopt if even the most robust candidate
+/// does not fit (caller aborts or re-probes at higher volume).
 std::optional<Modulation> SelectModeFromSnr(const FrameSpec& spec,
                                             double snr_db,
                                             const AdaptiveConfig& config = {});

@@ -103,7 +103,7 @@ unsigned BitsPerSymbol(Modulation m) {
 
 
 Constellation::Constellation(Modulation m, std::vector<Complex> points)
-    : modulation_(m), bits_(BitsPerSymbol(m)), points_(std::move(points)) {}
+    : bits_(BitsPerSymbol(m)), points_(std::move(points)) {}
 
 const Constellation& Constellation::Get(Modulation m) {
   static const Constellation kBask(Modulation::kBask, MakePoints(Modulation::kBask));

@@ -29,7 +29,6 @@ class Constellation {
   /// Shared immutable instance per scheme.
   static const Constellation& Get(Modulation m);
 
-  Modulation modulation() const { return modulation_; }
   unsigned bits_per_symbol() const { return bits_; }
   std::size_t size() const { return points_.size(); }
 
@@ -44,7 +43,6 @@ class Constellation {
  private:
   Constellation(Modulation m, std::vector<Complex> points);
 
-  Modulation modulation_;
   unsigned bits_;
   std::vector<Complex> points_;
 };

@@ -12,10 +12,10 @@
 
 namespace wearlock::modem {
 
-Demodulator::Demodulator(FrameSpec spec, DemodConfig config)
+Demodulator::Demodulator(FrameSpec spec, long fine_sync_range)
     : spec_(spec),
-      config_(config),
-      detector_(spec, config.detector),
+      fine_sync_range_(fine_sync_range),
+      detector_(spec),
       geometry_(spec) {
   spec_.plan.Validate();
   data_bins_ = spec_.plan.data;
@@ -28,9 +28,9 @@ long Demodulator::FrameOffset(std::span<const double> recording,
                               std::size_t n_symbols) const {
   WL_SPAN_V(span, "modem.sync.fine");
   const FineSyncResult sync = FineSyncJoint(
-      recording, symbols_start, n_symbols, spec_, config_.fine_sync_range);
+      recording, symbols_start, n_symbols, spec_, fine_sync_range_);
   WL_SPAN_ATTR(span, "metric", sync.metric);
-  if (sync.metric < config_.min_sync_metric) {
+  if (sync.metric < kMinSyncMetric) {
     // Unreliable metric: fall back to a conservative back-off into the CP.
     WL_COUNT("modem.sync.fine_fallback");
     return -static_cast<long>(spec_.cyclic_prefix_samples / 8);
@@ -149,7 +149,7 @@ std::optional<ProbeAnalysis> Demodulator::AnalyzeProbe(
           std::min(detection->preamble_start, scores.size() - 1);
       probe.delay_profile = ComputeDelayProfile(
           scores, peak, spec_.plan.sample_rate_hz);
-      probe.nlos = IsNlos(probe.delay_profile, config_.nlos);
+      probe.nlos = IsNlos(probe.delay_profile);
     }
   }
 
@@ -176,11 +176,10 @@ std::optional<ProbeAnalysis> Demodulator::AnalyzeProbe(
       detection->preamble_start + spec_.header_samples();
   double snr_acc = 0.0;
   std::size_t snr_n = 0;
-  const std::size_t probe_symbols = std::max<std::size_t>(spec_.probe_symbols, 1);
-  const long offset = FrameOffset(recording, symbols_start, probe_symbols);
+  const long offset = FrameOffset(recording, symbols_start, kProbeSymbols);
   dsp::Workspace& ws = dsp::Workspace::PerThread();
   std::vector<ChannelEstimate> estimates;
-  for (std::size_t s = 0; s < probe_symbols; ++s) {
+  for (std::size_t s = 0; s < kProbeSymbols; ++s) {
     const dsp::ComplexVec* spectrum =
         SymbolSpectrumInto(recording, symbols_start, s, offset, ws);
     if (spectrum == nullptr) break;

@@ -19,18 +19,14 @@
 
 namespace wearlock::modem {
 
-struct DemodConfig {
-  DetectorConfig detector{};
-  /// +/- search range (samples) of the cyclic-prefix fine sync.
-  long fine_sync_range = 48;
-  /// CP-correlation quality gate: below this the fine-sync result is
-  /// noise (low SNR, or the probe's repeated symbols making the metric
-  /// ambiguous) and a small back-off into the cyclic prefix is used
-  /// instead - a few samples early is a harmless circular shift that the
-  /// per-symbol equalizer absorbs, while a wrong offset is fatal.
-  double min_sync_metric = 0.45;
-  NlosConfig nlos{};
-};
+/// Default +/- search range (samples) of the cyclic-prefix fine sync.
+inline constexpr long kFineSyncRange = 48;
+/// CP-correlation quality gate: below this the fine-sync result is
+/// noise (low SNR, or the probe's repeated symbols making the metric
+/// ambiguous) and a small back-off into the cyclic prefix is used
+/// instead - a few samples early is a harmless circular shift that the
+/// per-symbol equalizer absorbs, while a wrong offset is fatal.
+inline constexpr double kMinSyncMetric = 0.45;
 
 struct DemodResult {
   std::vector<std::uint8_t> bits;   ///< exactly the requested n_bits
@@ -57,9 +53,11 @@ struct ProbeAnalysis {
 
 class Demodulator {
  public:
+  /// `fine_sync_range` is the +/- search range (samples) of the
+  /// cyclic-prefix fine sync.
   /// @throws std::invalid_argument if the plan is invalid or its FFT
   /// size is not a power of two.
-  explicit Demodulator(FrameSpec spec, DemodConfig config = {});
+  explicit Demodulator(FrameSpec spec, long fine_sync_range = kFineSyncRange);
 
   /// Demodulate a payload of n_bits (the length is agreed over the
   /// control channel). Returns nullopt when no preamble is found or the
@@ -77,7 +75,6 @@ class Demodulator {
       std::span<const double> recording) const;
 
   const FrameSpec& spec() const { return spec_; }
-  const DemodConfig& config() const { return config_; }
 
  private:
   /// Spectrum of symbol `index` at a given common fine-sync offset,
@@ -90,12 +87,12 @@ class Demodulator {
                                             dsp::Workspace& ws) const;
 
   /// Joint fine-sync offset for a frame of n_symbols, with the
-  /// min_sync_metric fallback applied.
+  /// kMinSyncMetric fallback applied.
   long FrameOffset(std::span<const double> recording, std::size_t symbols_start,
                    std::size_t n_symbols) const;
 
   FrameSpec spec_;
-  DemodConfig config_;
+  long fine_sync_range_;
   PreambleDetector detector_;
   /// Per-instance caches resolved at construction: sorted data bins,
   /// pilot geometry, and the symbol FFT plan.

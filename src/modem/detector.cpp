@@ -10,8 +10,8 @@
 
 namespace wearlock::modem {
 
-PreambleDetector::PreambleDetector(FrameSpec spec, DetectorConfig config)
-    : spec_(spec), config_(config), preamble_(MakePreamble(spec)) {}
+PreambleDetector::PreambleDetector(const FrameSpec& spec)
+    : preamble_(MakePreamble(spec)) {}
 
 std::vector<double> PreambleDetector::Scores(
     std::span<const double> recording) const {
@@ -25,8 +25,8 @@ std::vector<double> PreambleDetector::Scores(
 // lint: hot-path
 std::optional<std::size_t> PreambleDetector::FindSignalOnset(
     std::span<const double> recording) const {
-  const std::size_t w = config_.energy_window;
-  if (recording.size() < w || w == 0) return std::nullopt;
+  const std::size_t w = kEnergyWindow;
+  if (recording.size() < w) return std::nullopt;
   // Window RMS sequence, in this thread's workspace.
   dsp::Workspace& ws = dsp::Workspace::PerThread();
   const std::size_t n_windows = recording.size() / w;
@@ -45,7 +45,7 @@ std::optional<std::size_t> PreambleDetector::FindSignalOnset(
   std::sort(sorted.begin(), sorted.end());
   const double floor_rms =
       std::max(sorted[sorted.size() / 10], dsp::kReferencePressure);
-  const double gate = floor_rms * std::pow(10.0, config_.energy_gate_db / 20.0);
+  const double gate = floor_rms * std::pow(10.0, kEnergyGateDb / 20.0);
   for (std::size_t i = 0; i < window_rms.size(); ++i) {
     if (window_rms[i] > gate) return i * w;
   }
@@ -67,7 +67,7 @@ std::optional<Detection> PreambleDetector::Detect(
   // granularity). The region is a view, not a copy, and the correlation
   // scores land in workspace scratch.
   const std::size_t begin =
-      *onset >= config_.energy_window ? *onset - config_.energy_window : 0;
+      *onset >= kEnergyWindow ? *onset - kEnergyWindow : 0;
   const std::span<const double> region = recording.subspan(begin);
   if (region.size() < preamble_.size()) return std::nullopt;
   dsp::Workspace& ws = dsp::Workspace::PerThread();
@@ -75,7 +75,7 @@ std::optional<Detection> PreambleDetector::Detect(
                                     region.size() - preamble_.size() + 1);
   dsp::NormalizedCrossCorrelateCachedInto(region, preamble_, ws, scores);
   const dsp::PeakResult peak = dsp::FindPeak(scores);
-  if (peak.score < config_.score_threshold) {
+  if (peak.score < kScoreThreshold) {
     WL_COUNT("modem.sync.no_preamble");
     return std::nullopt;
   }

@@ -16,15 +16,13 @@
 
 namespace wearlock::modem {
 
-struct DetectorConfig {
-  /// Normalized correlation score below which no preamble is declared.
-  double score_threshold = 0.05;
-  /// Energy gate: SPL (dB) above the measured noise floor that marks
-  /// "signal present".
-  double energy_gate_db = 6.0;
-  /// Window for the energy detector (samples).
-  std::size_t energy_window = 256;
-};
+/// Normalized correlation score below which no preamble is declared.
+inline constexpr double kScoreThreshold = 0.05;
+/// Energy gate: SPL (dB) above the measured noise floor that marks
+/// "signal present".
+inline constexpr double kEnergyGateDb = 6.0;
+/// Window for the energy detector (samples).
+inline constexpr std::size_t kEnergyWindow = 256;
 
 struct Detection {
   std::size_t preamble_start = 0;  ///< sample index of the chirp start
@@ -34,7 +32,7 @@ struct Detection {
 
 class PreambleDetector {
  public:
-  PreambleDetector(FrameSpec spec, DetectorConfig config = {});
+  explicit PreambleDetector(const FrameSpec& spec);
 
   /// Find the preamble in a recording. Returns nullopt if the energy
   /// gate never opens or the correlation peak is under threshold.
@@ -53,11 +51,7 @@ class PreambleDetector {
   std::optional<std::size_t> FindSignalOnset(
       std::span<const double> recording) const;
 
-  const DetectorConfig& config() const { return config_; }
-
  private:
-  FrameSpec spec_;
-  DetectorConfig config_;
   audio::Samples preamble_;
 };
 

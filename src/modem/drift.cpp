@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "audio/impairments.h"
 #include "dsp/resample.h"
 #include "modem/detector.h"
 
@@ -28,8 +29,7 @@ double CorrAt(std::span<const double> recording, std::span<const double> ref,
 }  // namespace
 
 DriftEstimate EstimateDrift(std::span<const double> recording,
-                            const FrameSpec& spec, std::size_t expected_start,
-                            const DriftConfig& config) {
+                            const FrameSpec& spec, std::size_t expected_start) {
   DriftEstimate est;
   const PreambleDetector detector(spec);
   const auto detection = detector.Detect(recording);
@@ -37,18 +37,16 @@ DriftEstimate EstimateDrift(std::span<const double> recording,
   est.valid = true;
   est.shift_samples = static_cast<long>(detection->preamble_start) -
                       static_cast<long>(expected_start);
-  if (config.clock_age_s > 0.0) {
-    est.sro_ppm = static_cast<double>(est.shift_samples) /
-                  (config.clock_age_s * audio::kSampleRate) * 1e6;
-  }
+  est.sro_ppm = static_cast<double>(est.shift_samples) /
+                (audio::kClockAgeS * audio::kSampleRate) * 1e6;
 
   // Rate from pilot spacing: the probe's block-pilot symbols are
   // identical on the wire, so the lag maximizing the correlation between
   // the first and last pilot bodies *is* the received span of
-  // (probe_symbols - 1) symbol periods. Sub-sample refinement comes from
+  // (kProbeSymbols - 1) symbol periods. Sub-sample refinement comes from
   // a parabola through the peak and its neighbors.
-  if (spec.probe_symbols < 2) return est;
-  const std::size_t span_symbols = spec.probe_symbols - 1;
+  static_assert(kProbeSymbols >= 2, "the rate needs two pilots");
+  const std::size_t span_symbols = kProbeSymbols - 1;
   const double nominal =
       static_cast<double>(span_symbols * spec.symbol_samples());
   const std::size_t first_body = detection->preamble_start +
@@ -58,7 +56,7 @@ DriftEstimate EstimateDrift(std::span<const double> recording,
   const std::span<const double> ref =
       recording.subspan(first_body, spec.fft_size());
   const long radius =
-      static_cast<long>(std::ceil(config.max_rate_ppm * 1e-6 * nominal)) + 3;
+      static_cast<long>(std::ceil(kMaxRatePpm * 1e-6 * nominal)) + 3;
 
   long best_lag = 0;
   double best = -2.0;
@@ -75,7 +73,7 @@ DriftEstimate EstimateDrift(std::span<const double> recording,
     }
   }
   est.rate_score = best;
-  if (best < config.min_rate_score) return est;
+  if (best < kMinRateScore) return est;
 
   // Parabolic sub-sample refinement around the peak.
   double lag = static_cast<double>(best_lag);
@@ -94,7 +92,7 @@ DriftEstimate EstimateDrift(std::span<const double> recording,
   if (measured > 0.0) {
     const double rate = nominal / measured;
     est.rate_ppm = (rate - 1.0) * 1e6;
-    if (std::abs(est.rate_ppm) > config.max_rate_ppm) {
+    if (std::abs(est.rate_ppm) > kMaxRatePpm) {
       est.rate_ppm = 0.0;  // outside the searched envelope: distrust it
     }
   }

@@ -25,19 +25,13 @@
 
 namespace wearlock::modem {
 
-struct DriftConfig {
-  /// Seconds since the last clock synchronization - converts the
-  /// observed window shift into a ppm SRO estimate. Must match the
-  /// channel model's constant (ImpairmentPlan::clock_age_s).
-  double clock_age_s = 1400.0;
-  /// Rate-search envelope: |warp| beyond this is not searched
-  /// (walking-speed Doppler tops out near 5 m/s / 343 m/s ~ 15000 ppm;
-  /// the default covers 2 m/s plus SRO headroom).
-  double max_rate_ppm = 8000.0;
-  /// Pilot-spacing correlation below this is too noisy to trust; the
-  /// estimate reports rate 0 (no compensation) but keeps the shift.
-  double min_rate_score = 0.35;
-};
+/// Rate-search envelope: |warp| beyond this is not searched
+/// (walking-speed Doppler tops out near 5 m/s / 343 m/s ~ 15000 ppm;
+/// the envelope covers 2 m/s plus SRO headroom).
+inline constexpr double kMaxRatePpm = 8000.0;
+/// Pilot-spacing correlation below this is too noisy to trust; the
+/// estimate reports rate 0 (no compensation) but keeps the shift.
+inline constexpr double kMinRateScore = 0.35;
 
 struct DriftEstimate {
   /// Preamble was found; shift_samples and sro_ppm are meaningful.
@@ -45,10 +39,10 @@ struct DriftEstimate {
   /// Found preamble position minus the expected one (positive = the
   /// capture window opened early / content landed late).
   long shift_samples = 0;
-  /// SRO implied by the shift over the configured clock age.
+  /// SRO implied by the shift over the clock age (audio::kClockAgeS).
   double sro_ppm = 0.0;
   /// Measured time-warp rate of the frame itself, as (rate-1) in ppm;
-  /// 0 when the pilot-spacing correlation was below min_rate_score.
+  /// 0 when the pilot-spacing correlation was below kMinRateScore.
   double rate_ppm = 0.0;
   /// Normalized pilot-spacing correlation backing rate_ppm.
   double rate_score = 0.0;
@@ -56,13 +50,12 @@ struct DriftEstimate {
 
 /// Estimate capture-window shift and warp rate from a probe-frame
 /// recording. `expected_start` is where the receiver's own clock says
-/// the preamble should sit (the scene's lead-in). Needs
-/// spec.probe_symbols >= 2 for the rate estimate; with fewer pilots only
-/// the shift is measured. Pure DSP - no scene or RNG draws.
+/// the preamble should sit (the scene's lead-in). The rate comes from
+/// the span between the first and last of the kProbeSymbols pilots.
+/// Pure DSP - no scene or RNG draws.
 [[nodiscard]] DriftEstimate EstimateDrift(std::span<const double> recording,
                                           const FrameSpec& spec,
-                                          std::size_t expected_start,
-                                          const DriftConfig& config = {});
+                                          std::size_t expected_start);
 
 /// Undo a measured time warp: resample so content recorded at rate
 /// (1 + rate_ppm * 1e-6) plays back at rate 1. Identity when

@@ -30,10 +30,10 @@ audio::Samples MakePreamble(const FrameSpec& spec) {
   dsp::ChirpSpec chirp;
   chirp.f_min_hz = spec.plan.FrequencyOfBin(lo);
   chirp.f_max_hz = spec.plan.FrequencyOfBin(hi);
-  chirp.length_samples = spec.preamble_samples;
+  chirp.length_samples = kPreambleSamples;
   chirp.sample_rate_hz = spec.plan.sample_rate_hz;
   chirp.amplitude = 1.0;
-  chirp.edge_fade_samples = spec.preamble_samples / 16;
+  chirp.edge_fade_samples = kPreambleSamples / 16;
   return dsp::MakeChirp(chirp);
 }
 
@@ -70,11 +70,11 @@ void WriteSymbol(const FrameSpec& spec, const dsp::FftPlan& plan,
   for (std::size_t j = 0; j < cp; ++j) out[j] = out[n + j];
 }
 
-void NormalizeFrame(const FrameSpec& spec, audio::Samples& frame) {
+void NormalizeFrame(audio::Samples& frame) {
   double peak = 0.0;
   for (double v : frame) peak = std::max(peak, std::abs(v));
   if (peak <= 0.0) return;
-  const double g = spec.peak_amplitude / peak;
+  const double g = kPeakAmplitude / peak;
   for (double& v : frame) v *= g;
 }
 

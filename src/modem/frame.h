@@ -21,26 +21,28 @@ class Workspace;  // dsp/workspace.h
 
 namespace wearlock::modem {
 
+/// Chirp preamble length (samples).
+inline constexpr std::size_t kPreambleSamples = 256;
+/// Block-pilot symbols in the RTS probe frame; more symbols average down
+/// the pilot-SNR estimation noise that the secure-range bound keys on,
+/// and modem::EstimateDrift times the first-to-last pilot span.
+inline constexpr std::size_t kProbeSymbols = 3;
+/// Frames are peak-normalized to this digital amplitude before hitting
+/// the speaker (avoids driver clipping).
+inline constexpr double kPeakAmplitude = 0.95;
+
 struct FrameSpec {
   SubchannelPlan plan = SubchannelPlan::Audible();
-  std::size_t preamble_samples = 256;
-  std::size_t preamble_guard_samples = 1024;
   std::size_t cyclic_prefix_samples = 128;
-  /// Block-pilot symbols in the RTS probe frame; more symbols average
-  /// down the pilot-SNR estimation noise that the secure-range bound
-  /// keys on.
-  std::size_t probe_symbols = 3;
-  /// Frames are peak-normalized to this digital amplitude before hitting
-  /// the speaker (avoids driver clipping).
-  double peak_amplitude = 0.95;
 
   std::size_t fft_size() const { return plan.fft_size; }
   std::size_t symbol_samples() const {
     return cyclic_prefix_samples + plan.fft_size;
   }
-  /// Samples before the first OFDM symbol.
+  /// Samples before the first OFDM symbol: the preamble, then the guard
+  /// interval Tg (audio::kGuardIntervalSamples).
   std::size_t header_samples() const {
-    return preamble_samples + preamble_guard_samples;
+    return kPreambleSamples + audio::kGuardIntervalSamples;
   }
   /// Total frame length for n symbols.
   std::size_t FrameSamples(std::size_t n_symbols) const {
@@ -89,7 +91,7 @@ void WriteSymbol(const FrameSpec& spec, const dsp::FftPlan& plan,
                  std::span<const dsp::Complex> data_values,
                  dsp::Workspace& ws, std::span<double> out);
 
-/// Peak-normalize a frame to spec.peak_amplitude (no-op on silence).
-void NormalizeFrame(const FrameSpec& spec, audio::Samples& frame);
+/// Peak-normalize a frame to kPeakAmplitude (no-op on silence).
+void NormalizeFrame(audio::Samples& frame);
 
 }  // namespace wearlock::modem

@@ -11,11 +11,11 @@ std::vector<std::uint8_t> BitsFromWord(std::uint32_t word) {
   return bits;
 }
 
-AcousticModem::AcousticModem(FrameSpec spec, DemodConfig demod_config)
+AcousticModem::AcousticModem(FrameSpec spec, long fine_sync_range)
     : spec_(spec),
-      demod_config_(demod_config),
+      fine_sync_range_(fine_sync_range),
       modulator_(spec),
-      demodulator_(spec, demod_config) {}
+      demodulator_(spec, fine_sync_range) {}
 
 TxFrame AcousticModem::Modulate(Modulation m,
                                 const std::vector<std::uint8_t>& bits) const {
@@ -41,13 +41,13 @@ AcousticModem AcousticModem::WithSelectedSubchannels(
     const std::vector<double>& noise_power) const {
   FrameSpec spec = spec_;
   spec.plan = SelectSubchannels(spec_.plan, noise_power);
-  return AcousticModem(spec, demod_config_);
+  return AcousticModem(spec, fine_sync_range_);
 }
 
 AcousticModem AcousticModem::WithPlan(const SubchannelPlan& plan) const {
   FrameSpec spec = spec_;
   spec.plan = plan;
-  return AcousticModem(spec, demod_config_);
+  return AcousticModem(spec, fine_sync_range_);
 }
 
 }  // namespace wearlock::modem

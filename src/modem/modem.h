@@ -19,7 +19,10 @@ std::vector<std::uint8_t> BitsFromWord(std::uint32_t word);
 
 class AcousticModem {
  public:
-  explicit AcousticModem(FrameSpec spec = {}, DemodConfig demod_config = {});
+  /// `fine_sync_range` is the demodulator's cyclic-prefix fine-sync
+  /// search range (samples).
+  explicit AcousticModem(FrameSpec spec = {},
+                         long fine_sync_range = kFineSyncRange);
 
   /// TX: data frame carrying `bits` under modulation `m`.
   TxFrame Modulate(Modulation m, const std::vector<std::uint8_t>& bits) const;
@@ -49,7 +52,7 @@ class AcousticModem {
 
  private:
   FrameSpec spec_;
-  DemodConfig demod_config_;
+  long fine_sync_range_;
   Modulator modulator_;
   Demodulator demodulator_;
 };

@@ -50,7 +50,7 @@ TxFrame Modulator::ModulateBits(Modulation m,
                 out.subspan(spec_.header_samples() + s * spec_.symbol_samples(),
                             spec_.symbol_samples()));
   }
-  NormalizeFrame(spec_, frame.samples);
+  NormalizeFrame(frame.samples);
   // Soften the very start against the speaker rise effect.
   dsp::ApplyFadeIn(frame.samples, 8);
   return frame;
@@ -59,25 +59,23 @@ TxFrame Modulator::ModulateBits(Modulation m,
 TxFrame Modulator::MakeProbeFrame() const {
   TxFrame frame;
   frame.n_bits = 0;
-  frame.n_symbols = spec_.probe_symbols;
-  frame.samples.assign(spec_.FrameSamples(spec_.probe_symbols), 0.0);
+  frame.n_symbols = kProbeSymbols;
+  frame.samples.assign(spec_.FrameSamples(kProbeSymbols), 0.0);
   std::copy(preamble_.begin(), preamble_.end(), frame.samples.begin());
   const auto plan = dsp::PlanCache::Shared().Get(spec_.fft_size());
   const std::span<double> out(frame.samples);
-  if (spec_.probe_symbols > 0) {
-    const std::span<double> first =
-        out.subspan(spec_.header_samples(), spec_.symbol_samples());
-    WriteSymbol(spec_, *plan, probe_loads_, {}, {},
-                dsp::Workspace::PerThread(), first);
-    // The block pilot symbol repeats verbatim.
-    for (std::size_t s = 1; s < spec_.probe_symbols; ++s) {
-      std::copy(first.begin(), first.end(),
-                out.begin() +
-                    static_cast<std::ptrdiff_t>(spec_.header_samples() +
-                                                s * spec_.symbol_samples()));
-    }
+  const std::span<double> first =
+      out.subspan(spec_.header_samples(), spec_.symbol_samples());
+  WriteSymbol(spec_, *plan, probe_loads_, {}, {}, dsp::Workspace::PerThread(),
+              first);
+  // The block pilot symbol repeats verbatim.
+  for (std::size_t s = 1; s < kProbeSymbols; ++s) {
+    std::copy(first.begin(), first.end(),
+              out.begin() +
+                  static_cast<std::ptrdiff_t>(spec_.header_samples() +
+                                              s * spec_.symbol_samples()));
   }
-  NormalizeFrame(spec_, frame.samples);
+  NormalizeFrame(frame.samples);
   dsp::ApplyFadeIn(frame.samples, 8);
   return frame;
 }

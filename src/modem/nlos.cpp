@@ -53,8 +53,8 @@ DelayProfile ComputeDelayProfile(const std::vector<double>& corr_scores,
   return profile;
 }
 
-bool IsNlos(const DelayProfile& profile, const NlosConfig& config) {
-  return profile.rms_delay_s > config.rms_delay_threshold_s;
+bool IsNlos(const DelayProfile& profile) {
+  return profile.rms_delay_s > kRmsDelayThresholdS;
 }
 
 }  // namespace wearlock::modem

@@ -40,14 +40,12 @@ DelayProfile ComputeDelayProfile(const std::vector<double>& corr_scores,
                                  std::size_t pre = 64, std::size_t post = 384,
                                  double floor_fraction = 0.08);
 
-struct NlosConfig {
-  /// tau* threshold on the RMS delay spread (seconds). LOS indoor paths
-  /// measure well under 1 ms; the body-blocked profile spreads to several
-  /// ms.
-  double rms_delay_threshold_s = 0.0008;
-};
+/// tau* threshold on the RMS delay spread (seconds). LOS indoor paths
+/// measure well under 1 ms; the body-blocked profile spreads to several
+/// ms.
+inline constexpr double kRmsDelayThresholdS = 0.0008;
 
-/// True if the profile indicates severe body blocking.
-bool IsNlos(const DelayProfile& profile, const NlosConfig& config = {});
+/// True if the profile indicates severe body blocking (tau_rms > tau*).
+bool IsNlos(const DelayProfile& profile);
 
 }  // namespace wearlock::modem

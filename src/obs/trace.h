@@ -122,7 +122,6 @@ class ScopedSpan {
   void End();
 
   Tracer* tracer() const { return tracer_; }
-  std::size_t id() const { return id_; }
 
  private:
   Tracer* tracer_;

@@ -8,8 +8,7 @@
 namespace wearlock::protocol {
 
 CarrierSenseReport SenseChannel(const modem::FrameSpec& spec,
-                                const audio::Samples& capture,
-                                double busy_over_floor_db) {
+                                const audio::Samples& capture) {
   CarrierSenseReport report;
   report.bin_power = modem::NoisePowerFromAmbient(spec, capture);
   std::vector<double> data_db;
@@ -23,7 +22,7 @@ CarrierSenseReport SenseChannel(const modem::FrameSpec& spec,
   std::sort(data_db.begin(), data_db.end());
   report.floor_db = data_db[data_db.size() / 4];
   report.inband_db = data_db.back();
-  report.busy = report.inband_db > report.floor_db + busy_over_floor_db;
+  report.busy = report.inband_db > report.floor_db + kMacBusyOverFloorDb;
   return report;
 }
 

@@ -31,11 +31,14 @@ struct CarrierSenseReport {
   std::vector<double> bin_power;
 };
 
+/// Busy when the loudest in-band data bin exceeds the robust floor
+/// (lower-quartile bin) by this many dB.
+inline constexpr double kMacBusyOverFloorDb = 9.0;
+
 /// Judge one self-recorded sense window. Busy when the loudest data bin
-/// sits more than `busy_over_floor_db` above the lower-quartile bin.
+/// sits more than kMacBusyOverFloorDb above the lower-quartile bin.
 /// Pure DSP - no scene or RNG draws.
 [[nodiscard]] CarrierSenseReport SenseChannel(const modem::FrameSpec& spec,
-                                              const audio::Samples& capture,
-                                              double busy_over_floor_db);
+                                              const audio::Samples& capture);
 
 }  // namespace wearlock::protocol

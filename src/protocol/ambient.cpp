@@ -9,17 +9,12 @@
 namespace wearlock::protocol {
 namespace {
 
-audio::Samples BandPass(const audio::Samples& x, double lo_hz, double hi_hz) {
-  audio::Samples y = x;
-  if (lo_hz > 0.0 && lo_hz < audio::kSampleRate / 2.0) {
-    auto hp = dsp::Biquad::HighPass(lo_hz, audio::kSampleRate);
-    y = hp.ProcessBlock(y);
-  }
-  if (hi_hz > 0.0 && hi_hz < audio::kSampleRate / 2.0) {
-    auto lp = dsp::Biquad::LowPass(hi_hz, audio::kSampleRate);
-    y = lp.ProcessBlock(y);
-  }
-  return y;
+audio::Samples BandPass(const audio::Samples& x) {
+  static_assert(0.0 < kAmbientBandLowHz &&
+                kAmbientBandHighHz < audio::kSampleRate / 2.0);
+  auto hp = dsp::Biquad::HighPass(kAmbientBandLowHz, audio::kSampleRate);
+  auto lp = dsp::Biquad::LowPass(kAmbientBandHighHz, audio::kSampleRate);
+  return lp.ProcessBlock(hp.ProcessBlock(x));
 }
 
 }  // namespace
@@ -46,17 +41,14 @@ double OneSidedSimilarity(const audio::Samples& a, const audio::Samples& b,
 }  // namespace
 
 double AmbientSimilarity(const audio::Samples& phone_ambient,
-                         const audio::Samples& watch_ambient,
-                         const AmbientSimilarityConfig& config) {
+                         const audio::Samples& watch_ambient) {
   if (phone_ambient.size() < 256 || watch_ambient.size() < 256) return 0.0;
-  const audio::Samples a =
-      BandPass(phone_ambient, config.band_low_hz, config.band_high_hz);
-  const audio::Samples b =
-      BandPass(watch_ambient, config.band_low_hz, config.band_high_hz);
+  const audio::Samples a = BandPass(phone_ambient);
+  const audio::Samples b = BandPass(watch_ambient);
   // Either device may lag the other (mic-chain group delay, recording
   // start skew), so search both directions.
-  return std::max(OneSidedSimilarity(a, b, config.max_lag),
-                  OneSidedSimilarity(b, a, config.max_lag));
+  return std::max(OneSidedSimilarity(a, b, kAmbientMaxLag),
+                  OneSidedSimilarity(b, a, kAmbientMaxLag));
 }
 
 }  // namespace wearlock::protocol

@@ -12,23 +12,20 @@
 
 namespace wearlock::protocol {
 
-struct AmbientSimilarityConfig {
-  /// Maximum cross-correlation lag searched (samples) - covers clock skew
-  /// between the two recordings.
-  std::size_t max_lag = 2048;
-  /// Band-pass applied before correlation (ambient energy concentrates in
-  /// the low band; mic self-noise is broadband). Hz.
-  double band_low_hz = 80.0;
-  double band_high_hz = 2500.0;
-  /// Similarity below this declares "not co-located".
-  double threshold = 0.55;
-};
+/// Maximum cross-correlation lag searched (samples) - covers clock skew
+/// between the two recordings.
+inline constexpr std::size_t kAmbientMaxLag = 2048;
+/// Band-pass applied before correlation (ambient energy concentrates in
+/// the low band; mic self-noise is broadband). Hz.
+inline constexpr double kAmbientBandLowHz = 80.0;
+inline constexpr double kAmbientBandHighHz = 2500.0;
+/// Similarity below this declares "not co-located".
+inline constexpr double kAmbientSimilarityThreshold = 0.55;
 
 /// Max absolute normalized cross-correlation coefficient over the lag
 /// range, after band-passing both inputs. Returns 0 for degenerate
 /// (too-short or silent) inputs.
 double AmbientSimilarity(const audio::Samples& phone_ambient,
-                         const audio::Samples& watch_ambient,
-                         const AmbientSimilarityConfig& config = {});
+                         const audio::Samples& watch_ambient);
 
 }  // namespace wearlock::protocol

@@ -256,9 +256,8 @@ AttackReport Probe(const ScenarioConfig& base, const sim::AttackSpec& spec) {
   AttackInjection inj;
   inj.phase2_interference = [&spec, &scenario](double victim_volume) {
     const audio::Samples chirp = modem::MakePreamble(scenario.phone.frame);
-    const std::size_t span = scenario.scene.lead_in_samples +
-                             16 * chirp.size() +
-                             scenario.scene.lead_out_samples;
+    const std::size_t span = audio::kLeadInSamples + 16 * chirp.size() +
+                             audio::kSceneLeadOutSamples;
     audio::Samples train;
     train.reserve(span + chirp.size());
     while (train.size() < span) audio::Append(train, chirp);
@@ -310,8 +309,7 @@ AttackReport Overshadow(const ScenarioConfig& base,
     const audio::PropagationModel path(scenario.scene.propagation);
     // Aligned with the legitimate frame start (the overshadower is
     // synchronized up to its own propagation delay).
-    audio::Samples interference =
-        audio::Silence(scenario.scene.lead_in_samples);
+    audio::Samples interference = audio::Silence(audio::kLeadInSamples);
     audio::Append(interference, path.Propagate(emitted, spec.distance_m));
     inj.phase2_interference = [interference](double) { return interference; };
     dev.Record("overshadow-emit", spec.level);

@@ -13,6 +13,8 @@
 #include "modem/snr.h"
 #include "obs/instrument.h"
 #include "obs/log.h"
+#include "protocol/ambient.h"
+#include "sensors/filter.h"
 
 namespace wearlock::protocol {
 namespace {
@@ -63,7 +65,6 @@ AttemptMachine::AttemptMachine(const PhoneConfig& config, OtpService* otp,
                                sim::FaultInjector* faults,
                                sim::EventQueue& queue, AttemptHooks hooks)
     : config_(config),
-      res_(config.resilience),
       otp_(otp),
       keyguard_(keyguard),
       session_id_(session_id),
@@ -79,7 +80,7 @@ AttemptMachine::AttemptMachine(const PhoneConfig& config, OtpService* otp,
       hooks_(std::move(hooks)),
       resilient_(faults != nullptr && !config.force_transmit),
       chan_(scene.impairments()),
-      hardened_(config.channel.enable && chan_ != nullptr),
+      hardened_(config.enable_channel_hardening && chan_ != nullptr),
       effective_(offload) {}
 
 void AttemptMachine::Start() {
@@ -203,7 +204,7 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
   // Phone self-records a short ambient window to size the probe volume
   // (paper: "The noise level is also used to set proper speaker volume").
   const std::size_t ambient_n =
-      audio::SamplesFromSeconds(config_.ambient_window_s);
+      audio::SamplesFromSeconds(PhoneConfig::ambient_window_s);
   WL_SPAN_V(ambient_span, "phase1.ambient_record");
   std::tie(phone_ambient_pre_, watch_ambient_pre_) =
       scene_.RecordAmbientPair(ambient_n);
@@ -215,10 +216,9 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
 
   WL_SPAN_V(volume_span, "phase1.volume_rule");
   const double target_spl =
-      modem::ProbeTxSpl(report_.ambient_spl_db, config_.snr_min_db,
-                        config_.secure_range_m,
-                        scene_.config().propagation.reference_distance_m) +
-      config_.frame_papr_db;
+      modem::ProbeTxSpl(report_.ambient_spl_db, kSnrMinDb, kSecureRangeM,
+                        audio::kReferenceDistanceM) +
+      kFramePaprDb;
   report_.probe_volume =
       scene_.config().phone_speaker.VolumeForSpl(target_spl);
   WL_SPAN_ATTR(volume_span, "probe_volume", report_.probe_volume);
@@ -228,7 +228,7 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
 
   // Emit the RTS probe; both mics record. Under the resilience policy a
   // probe the watch did not hear (e.g. the capture was truncated or
-  // lost) is re-emitted up to max_probe_retransmits times.
+  // lost) is re-emitted up to kMaxProbeRetransmits times.
   const modem::TxFrame probe_tx = modem_->MakeProbeFrame();
   for (int round = 0;; ++round) {
     if (!co_await MacAcquire("probe", report_.timings.phase1_audio_ms)) {
@@ -289,7 +289,7 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
     // A hardened receiver on an impaired channel retries sync like the
     // fault-resilient path does; past the budget it fails closed with
     // the channel verdict rather than blaming range.
-    if ((!resilient_ && !hardened_) || round >= res_.max_probe_retransmits ||
+    if ((!resilient_ && !hardened_) || round >= kMaxProbeRetransmits ||
         TotalLeft() <= 0.0) {
       if (hardened_) {
         Trace("probe-analysis",
@@ -321,12 +321,10 @@ AttemptMachine::Step AttemptMachine::RunProbe() {
 // through the fractional resampler and the probe analysis - pilot
 // equalizer included - re-estimated on the de-warped audio.
 sim::CoTask<> AttemptMachine::TrackDrift() {
-  const ChannelHardeningConfig& hard = config_.channel;
-  const modem::DriftEstimate drift =
-      modem::EstimateDrift(phase1_.recording, config_.frame,
-                           scene_.config().lead_in_samples, hard.drift);
+  const modem::DriftEstimate drift = modem::EstimateDrift(
+      phase1_.recording, config_.frame, audio::kLeadInSamples);
   std::optional<modem::ProbeAnalysis> reprobe;
-  if (drift.valid && std::abs(drift.rate_ppm) >= hard.min_compensate_ppm) {
+  if (drift.valid && std::abs(drift.rate_ppm) >= kMinCompensatePpm) {
     reprobe = modem_->AnalyzeProbe(
         modem::CompensateRate(phase1_.recording, drift.rate_ppm));
   }
@@ -361,25 +359,25 @@ std::optional<UnlockOutcome> AttemptMachine::RunFilters() {
   // pre-signal windows of both sides.
   {
     WL_SPAN_V(ambient_filter_span, "phase1.ambient_filter");
-    report_.ambient_similarity = AmbientSimilarity(
-        phone_ambient_pre_, watch_ambient_pre_, config_.ambient);
+    report_.ambient_similarity =
+        AmbientSimilarity(phone_ambient_pre_, watch_ambient_pre_);
     WL_SPAN_ATTR(ambient_filter_span, "similarity",
                  report_.ambient_similarity);
-    if (report_.ambient_similarity < config_.ambient.threshold) {
+    if (report_.ambient_similarity < kAmbientSimilarityThreshold) {
       Trace("ambient-filter",
             "similarity " + Fmt(report_.ambient_similarity) + " below " +
-                Fmt(config_.ambient.threshold) + ": not co-located");
+                Fmt(kAmbientSimilarityThreshold) + ": not co-located");
       return UnlockOutcome::kAmbientMismatch;
     }
     Trace("ambient-filter", "similarity " + Fmt(report_.ambient_similarity));
   }
 
   // Motion filter (Algorithm 1).
-  double required_ber = config_.adaptive.max_ber;
+  double required_ber = modem::kMaxBer;
   if (config_.enable_sensor_filter) {
     WL_SPAN_V(motion_span, "phase1.motion_filter");
-    const sensors::FilterResult motion_result = sensors::SensorBasedFilter(
-        motion_.phone, phase1_.sensor_trace, config_.sensor_thresholds);
+    const sensors::FilterResult motion_result =
+        sensors::SensorBasedFilter(motion_.phone, phase1_.sensor_trace);
     report_.dtw_score = motion_result.score;
     WL_SPAN_ATTR(motion_span, "dtw_score", motion_result.score);
     Trace("motion-filter", "DTW score " + Fmt(motion_result.score, 3));
@@ -390,7 +388,7 @@ std::optional<UnlockOutcome> AttemptMachine::RunFilters() {
         if (config_.sensor_policy == SensorSkipPolicy::kSkipSecondPhase) {
           skip_phase2_ = true;
         } else {
-          required_ber = std::max(required_ber, config_.sensor_relaxed_ber);
+          required_ber = std::max(required_ber, kSensorRelaxedBer);
         }
         break;
       case sensors::FilterDecision::kContinue:
@@ -403,26 +401,24 @@ std::optional<UnlockOutcome> AttemptMachine::RunFilters() {
     if (config_.nlos_policy == NlosPolicy::kAbort) {
       return UnlockOutcome::kNlosAborted;
     }
-    required_ber = std::max(required_ber, config_.nlos_relaxed_ber);
+    required_ber = std::max(required_ber, kNlosRelaxedBer);
   }
   report_.required_ber = required_ber;
 
-  // Secure-range bound: a receiver at secure_range_m, given the volume
+  // Secure-range bound: a receiver at kSecureRangeM, given the volume
   // actually used, would measure this much pilot SNR; anything below it
   // is farther away. Do NOT adapt the modulation down to reach it.
   WL_SPAN_V(gate_span, "phase1.range_gate");
   const double achieved_tx_spl =
       scene_.config().phone_speaker.SplAtVolume(report_.probe_volume);
   const double expected_at_range =
-      achieved_tx_spl - config_.frame_papr_db -
-      dsp::SpreadingLossDb(config_.secure_range_m,
-                           scene_.config().propagation.reference_distance_m) -
+      achieved_tx_spl - kFramePaprDb -
+      dsp::SpreadingLossDb(kSecureRangeM, audio::kReferenceDistanceM) -
       report_.ambient_spl_db;
-  double gate = std::max(expected_at_range - config_.pilot_snr_domain_offset_db,
-                         config_.min_pilot_snr_floor_db);
+  double gate = std::max(expected_at_range - kPilotSnrDomainOffsetDb,
+                         kMinPilotSnrFloorDb);
   if (report_.nlos && config_.nlos_policy == NlosPolicy::kRelaxMaxBer) {
-    gate = std::max(gate - config_.nlos_gate_relief_db,
-                    config_.min_pilot_snr_floor_db);
+    gate = std::max(gate - kNlosGateReliefDb, kMinPilotSnrFloorDb);
   }
   WL_SPAN_ATTR(gate_span, "gate_db", gate);
   if (report_.pilot_snr_db < gate && !config_.force_transmit) {
@@ -441,24 +437,23 @@ AttemptMachine::Step AttemptMachine::RunRanging() {
   // re-emit latency inflates the round-trip estimate past the bound no
   // matter how much it amplifies. Runs before the motion fast path so a
   // wormhole cannot ride the skip-phase-2 shortcut; fails closed.
-  if (config_.distance_bounding.enable) {
+  if (config_.enable_distance_bounding) {
     WL_SPAN_V(bound_span, "phase1.distance_bounding");
-    const DistanceBoundingPolicy& db = config_.distance_bounding;
     // Ranging noise draws come from a session-salted stream of their
     // own: deterministic per seed, invisible to the scene stream.
-    sim::Rng ranging_rng(db.seed ^ (session_id_ * 0x9E3779B97F4A7C15ULL));
+    sim::Rng ranging_rng(kRangingSeed ^ (session_id_ * 0x9E3779B97F4A7C15ULL));
     const RangingResult ranging = AcousticRangeMedian(
-        scene_, config_.frame, report_.probe_volume, ranging_rng, db.rounds,
-        db.ranging, attack_.ranging_extra_delay_ms,
+        scene_, config_.frame, report_.probe_volume, ranging_rng,
+        kRangingRounds, attack_.ranging_extra_delay_ms,
         attack_.channel_splice ? &attack_.channel_splice : nullptr);
     report_.ranging_distance_m = ranging.estimated_distance_m;
     // Each round's chirp exchange is real audio time (lead-in + chirp +
     // lead-out at both ends of the synchronized clock); the whole
     // exchange is one scheduled wait.
-    const std::size_t chirp_n = scene_.config().lead_in_samples +
+    const std::size_t chirp_n = audio::kLeadInSamples +
                                 modem::MakePreamble(config_.frame).size() +
-                                scene_.config().lead_out_samples;
-    const sim::Millis ranging_audio_ms = db.rounds * AudioMs(chirp_n);
+                                audio::kSceneLeadOutSamples;
+    const sim::Millis ranging_audio_ms = kRangingRounds * AudioMs(chirp_n);
     report_.timings.phase1_audio_ms += ranging_audio_ms;
     co_await Charge(ranging_audio_ms);
     WL_SPAN_ATTR(bound_span, "estimate_m", ranging.estimated_distance_m);
@@ -468,7 +463,7 @@ AttemptMachine::Step AttemptMachine::RunRanging() {
       Trace("distance-bounding",
             ranging.chirp_detected
                 ? "estimate " + Fmt(ranging.estimated_distance_m) +
-                      " m beyond bound " + Fmt(db.ranging.max_distance_m) +
+                      " m beyond bound " + Fmt(kMaxRangingDistanceM) +
                       " m: relay suspected"
                 : "ranging chirp not heard: relay suspected");
       co_return UnlockOutcome::kDistanceBoundViolation;
@@ -476,7 +471,7 @@ AttemptMachine::Step AttemptMachine::RunRanging() {
     Trace("distance-bounding", "estimate " +
                                    Fmt(ranging.estimated_distance_m) +
                                    " m within bound " +
-                                   Fmt(db.ranging.max_distance_m) + " m");
+                                   Fmt(kMaxRangingDistanceM) + " m");
   }
 
   if (skip_phase2_) {
@@ -519,7 +514,7 @@ AttemptMachine::Step AttemptMachine::RunAdapt() {
   // the candidate set shrinks to the robust modes, matching the paper's
   // field test where every body-blocked cell ran QPSK.
   WL_SPAN_V(mode_span, "phase1.mode_select");
-  modem::AdaptiveConfig adaptive = config_.adaptive;
+  modem::AdaptiveConfig adaptive;
   adaptive.max_ber = report_.required_ber;
   if (report_.nlos) {
     adaptive.modes = {modem::Modulation::kQpsk, modem::Modulation::kQask};
@@ -527,8 +522,7 @@ AttemptMachine::Step AttemptMachine::RunAdapt() {
   // Extended degrade ladder: repeated sync losses mean the channel
   // estimate cannot be trusted at dense constellations - restrict the
   // candidate set to the robust low-rate modes before adapting.
-  if (hardened_ &&
-      sync_failures_ >= config_.channel.robust_after_sync_failures) {
+  if (hardened_ && sync_failures_ >= kRobustAfterSyncFailures) {
     adaptive.modes = {modem::Modulation::kBpsk, modem::Modulation::kQpsk};
     chan_->RecordEvent("degrade-robust",
                        std::to_string(sync_failures_) +
@@ -588,12 +582,12 @@ sim::CoTask<UnlockOutcome> AttemptMachine::RunPhase2() {
   WL_SPAN_END(otp_span);
 
   // ARQ over the acoustic hop: the SAME token frame is re-emitted up to
-  // max_phase2_retransmits times, and the receiver chase-combines the
+  // kMaxPhase2Retransmits times, and the receiver chase-combines the
   // per-bit LLRs of every copy before each decision, so late rounds
   // decode at the summed SNR instead of starting blind
   // (docs/robustness.md). Fault-free sessions run exactly one round.
   const modem::TxFrame data_tx = modem_->Modulate(*report_.mode, token_bits);
-  const bool want_soft = resilient_ && res_.enable_chase_combining;
+  const bool want_soft = resilient_ && config_.enable_chase_combining;
   const std::size_t payload_bits = phase2_config_.payload_bits;
   modem::SoftCombiner combiner;
   for (int round = 0;; ++round) {
@@ -648,7 +642,7 @@ sim::CoTask<UnlockOutcome> AttemptMachine::RunPhase2() {
                            clock_.now());
       }
     }
-    if ((!resilient_ && !hardened_) || round >= res_.max_phase2_retransmits ||
+    if ((!resilient_ && !hardened_) || round >= kMaxPhase2Retransmits ||
         TotalLeft() <= 0.0) {
       if (hardened_ && !synced) {
         // The channel, not the token, is at fault: fail closed with the
@@ -724,7 +718,7 @@ AttemptMachine::Step AttemptMachine::Phase2Round(
     WL_SPAN("phase2.timing_gate");
     const sim::Millis observed_audio_ms =
         round_audio_ms + attack_.extra_acoustic_delay_ms;
-    if (observed_audio_ms > round_audio_ms + config_.timing_slack_ms) {
+    if (observed_audio_ms > round_audio_ms + kTimingSlackMs) {
       keyguard_->ReportFailure();
       co_return UnlockOutcome::kTimingViolation;
     }
@@ -798,7 +792,7 @@ sim::CoTask<> AttemptMachine::Charge(sim::Millis ms) {
 }
 
 sim::Millis AttemptMachine::TotalLeft() const {
-  return res_.total_deadline_ms - proto_ms_;
+  return kTotalDeadlineMs - proto_ms_;
 }
 
 void AttemptMachine::Trace(const std::string& step,
@@ -808,7 +802,7 @@ void AttemptMachine::Trace(const std::string& step,
 
 void AttemptMachine::MaybeDegrade() {
   if (effective_.site == ProcessingSite::kOffloadToPhone &&
-      link_faults_ >= res_.degrade_after_link_faults) {
+      link_faults_ >= kDegradeAfterLinkFaults) {
     effective_.site = ProcessingSite::kWatchLocal;
     WL_COUNT("protocol.degrade.count");
     Trace("degrade", "flaky link: processing falls back to watch-local");
@@ -819,7 +813,8 @@ void AttemptMachine::MaybeDegrade() {
 // virtual clock like every other wait.
 sim::CoTask<> AttemptMachine::BackoffPause(int attempt,
                                            sim::Millis& comm_ms) {
-  const sim::Millis backoff = res_.BackoffMs(attempt);
+  const sim::Millis backoff =
+      BackoffMs(attempt, kRetryBackoffBaseMs, kRetryBackoffMaxMs);
   WL_HIST("protocol.backoff_ms", backoff);
   comm_ms += backoff;
   co_await Charge(backoff);
@@ -859,14 +854,13 @@ AttemptMachine::Step AttemptMachine::WaitOutLink(sim::Millis stage_left,
 
 // The resilience policy around one send through the fault injector: a
 // try that is lost, or delivered later than `max_delay_ms`, is presumed
-// lost after message_timeout_ms of silence and retransmitted with
+// lost after kMessageTimeoutMs of silence and retransmitted with
 // bounded backoff; outage waits are charged but not counted against the
 // retry budget. On delivery, *delay_ms is the delivered latency.
 AttemptMachine::Step AttemptMachine::Deliver(
     const std::function<sim::FaultInjector::SendResult()>& send,
     sim::Millis max_delay_ms, sim::Millis& comm_ms, sim::Millis* delay_ms) {
-  const sim::Millis stage_budget =
-      std::min(res_.stage_budget_ms, TotalLeft());
+  const sim::Millis stage_budget = std::min(kStageBudgetMs, TotalLeft());
   const sim::Millis stage_start = proto_ms_;
   int sends = 0;
   while (true) {
@@ -888,13 +882,13 @@ AttemptMachine::Step AttemptMachine::Deliver(
       co_return std::nullopt;
     }
     // Dropped, or delay-spiked past the timeout: the sender sees only
-    // silence for message_timeout_ms, then retransmits.
+    // silence for kMessageTimeoutMs, then retransmits.
     ++link_faults_;
     MaybeDegrade();
     WL_COUNT("protocol.timeout.count");
-    comm_ms += res_.message_timeout_ms;
-    co_await Charge(res_.message_timeout_ms);
-    if (sends >= res_.max_message_retries) {
+    comm_ms += kMessageTimeoutMs;
+    co_await Charge(kMessageTimeoutMs);
+    if (sends >= kMaxMessageRetries) {
       WL_COUNT("protocol.retries_exhausted");
       co_return UnlockOutcome::kRetriesExhausted;
     }
@@ -905,7 +899,7 @@ AttemptMachine::Step AttemptMachine::Deliver(
 }
 
 // One control message. Under faults it is presumed lost once
-// message_timeout_ms pass without delivery.
+// kMessageTimeoutMs pass without delivery.
 AttemptMachine::Step AttemptMachine::SendControl(const std::string& stage,
                                                  sim::Millis& comm_ms) {
   sim::Millis delay_ms = 0.0;
@@ -913,7 +907,7 @@ AttemptMachine::Step AttemptMachine::SendControl(const std::string& stage,
     delay_ms = link_.SampleMessageDelay();
   } else if (auto fail = co_await Deliver(
                  [&] { return faults_->SendMessage(link_, stage); },
-                 res_.message_timeout_ms, comm_ms, &delay_ms)) {
+                 kMessageTimeoutMs, comm_ms, &delay_ms)) {
     co_return fail;
   }
   comm_ms += delay_ms;
@@ -981,15 +975,14 @@ sim::CoTask<StepCost> AttemptMachine::ChargeCost(sim::Millis transfer_ms,
 sim::CoTask<bool> AttemptMachine::MacAcquire(const char* stage,
                                              sim::Millis& audio_ms) {
   if (!hardened_ || !chan_->has_neighbors()) co_return true;
-  const AcousticMacConfig& mac = config_.channel.mac;
-  for (int attempt = 0; attempt <= mac.max_attempts; ++attempt) {
-    const std::size_t n = mac.sense_window_samples;
+  for (int attempt = 0; attempt <= kMacMaxAttempts; ++attempt) {
+    const std::size_t n = kMacSenseWindowSamples;
     const auto [phone_sense, watch_sense] = scene_.RecordAmbientPair(n);
     (void)watch_sense;
     const sim::Millis sense_ms = AudioMs(n);
     audio_ms += sense_ms;
     co_await Charge(sense_ms);
-    sense_ = SenseChannel(config_.frame, phone_sense, mac.busy_over_floor_db);
+    sense_ = SenseChannel(config_.frame, phone_sense);
     if (!sense_->busy) {
       chan_->RecordEvent("mac-clear",
                          std::string(stage) + ": in-band " +
@@ -998,8 +991,9 @@ sim::CoTask<bool> AttemptMachine::MacAcquire(const char* stage,
                          clock_.now());
       co_return true;
     }
-    if (attempt == mac.max_attempts || TotalLeft() <= 0.0) break;
-    const sim::Millis backoff = mac.BackoffMs(attempt);
+    if (attempt == kMacMaxAttempts || TotalLeft() <= 0.0) break;
+    const sim::Millis backoff =
+        BackoffMs(attempt, kMacBackoffBaseMs, kMacBackoffMaxMs);
     WL_COUNT("protocol.mac.defer");
     chan_->RecordEvent("mac-defer",
                        std::string(stage) + ": busy, backoff " +

@@ -145,7 +145,6 @@ class AttemptMachine {
   sim::CoTask<bool> MacAcquire(const char* stage, sim::Millis& audio_ms);
 
   const PhoneConfig& config_;
-  const ResilienceConfig& res_;
   OtpService* otp_;
   Keyguard* keyguard_;
   const std::uint64_t session_id_;
@@ -176,7 +175,7 @@ class AttemptMachine {
   /// DSP compute. Budget and deadline decisions run on this accumulator;
   /// the virtual clock also carries compute for the latency reports.
   sim::Millis proto_ms_ = 0.0;
-  /// Degrade ladder: after degrade_after_link_faults link faults, the
+  /// Degrade ladder: after kDegradeAfterLinkFaults link faults, the
   /// rest of the attempt processes watch-local instead of offloading.
   OffloadPlanner effective_;
   int link_faults_ = 0;

@@ -10,8 +10,7 @@ namespace wearlock::protocol {
 
 RangingResult AcousticRange(audio::TwoMicScene& scene,
                             const modem::FrameSpec& frame_spec, double volume,
-                            sim::Rng& rng, const RangingConfig& config,
-                            double relay_delay_ms,
+                            sim::Rng& rng, double relay_delay_ms,
                             const AcousticSplice* splice) {
   RangingResult result;
 
@@ -23,7 +22,7 @@ RangingResult AcousticRange(audio::TwoMicScene& scene,
   std::size_t signal_start = 0;
   if (splice != nullptr && *splice) {
     watch_recording = (*splice)(chirp, volume);
-    signal_start = scene.config().lead_in_samples;
+    signal_start = audio::kLeadInSamples;
   } else {
     audio::SceneReception rx = scene.TransmitFromPhone(chirp, volume);
     watch_recording = std::move(rx.watch_recording);
@@ -40,33 +39,32 @@ RangingResult AcousticRange(audio::TwoMicScene& scene,
   const double arrival_ms =
       static_cast<double>(detection->preamble_start - signal_start) /
           audio::kSampleRate * 1000.0 +
-      relay_delay_ms + rng.Gaussian(config.clock_sync_error_std_ms) +
-      rng.Gaussian(config.detection_jitter_std_ms);
+      relay_delay_ms + rng.Gaussian(kClockSyncErrorStdMs) +
+      rng.Gaussian(kDetectionJitterStdMs);
 
   result.estimated_distance_m =
       std::max(0.0, arrival_ms / 1000.0 * audio::kSpeedOfSound);
-  result.within_bound = result.estimated_distance_m <= config.max_distance_m;
+  result.within_bound = result.estimated_distance_m <= kMaxRangingDistanceM;
   return result;
 }
 
 RangingResult AcousticRangeMedian(audio::TwoMicScene& scene,
                                   const modem::FrameSpec& frame_spec,
                                   double volume, sim::Rng& rng, int rounds,
-                                  const RangingConfig& config,
                                   double relay_delay_ms,
                                   const AcousticSplice* splice) {
   RangingResult result;
   std::vector<double> estimates;
   for (int i = 0; i < rounds; ++i) {
     const RangingResult one = AcousticRange(scene, frame_spec, volume, rng,
-                                            config, relay_delay_ms, splice);
+                                            relay_delay_ms, splice);
     if (one.chirp_detected) estimates.push_back(one.estimated_distance_m);
   }
   if (estimates.empty()) return result;
   result.chirp_detected = true;
   std::sort(estimates.begin(), estimates.end());
   result.estimated_distance_m = estimates[estimates.size() / 2];
-  result.within_bound = result.estimated_distance_m <= config.max_distance_m;
+  result.within_bound = result.estimated_distance_m <= kMaxRangingDistanceM;
   return result;
 }
 

@@ -25,23 +25,22 @@ namespace wearlock::protocol {
 /// captures instead of the scene's direct rendering - the relay
 /// attacker's hook (attack_agents.h). The splice owns alignment: the
 /// scene convention that emission time zero sits at
-/// `scene.config().lead_in_samples` is preserved, so any path or
+/// audio::kLeadInSamples is preserved, so any path or
 /// handling latency the attacker adds lands as a *later* signal offset
 /// in the returned capture - exactly what the ranging below measures.
 using AcousticSplice =
     std::function<audio::Samples(const audio::Samples& emission,
                                  double volume)>;
 
-struct RangingConfig {
-  /// Stddev of the phone-watch clock synchronization error (ms). 0.3 ms
-  /// ~= 10 cm of ranging error.
-  double clock_sync_error_std_ms = 0.3;
-  /// Fixed processing latency between "sample hits the mic" and the
-  /// watch's timestamp (known and compensated; only its jitter hurts).
-  double detection_jitter_std_ms = 0.15;
-  /// The secure bound: estimates beyond this are rejected.
-  double max_distance_m = 1.3;
-};
+/// Stddev of the phone-watch clock synchronization error (ms). 0.3 ms
+/// ~= 10 cm of ranging error.
+inline constexpr double kClockSyncErrorStdMs = 0.3;
+/// Jitter (stddev, ms) of the fixed processing latency between "sample
+/// hits the mic" and the watch's timestamp; the latency itself is known
+/// and compensated.
+inline constexpr double kDetectionJitterStdMs = 0.15;
+/// The secure bound: estimates beyond this are rejected.
+inline constexpr double kMaxRangingDistanceM = 1.3;
 
 struct RangingResult {
   bool chirp_detected = false;
@@ -57,8 +56,7 @@ struct RangingResult {
 /// relay_delay_ms.
 RangingResult AcousticRange(audio::TwoMicScene& scene,
                             const modem::FrameSpec& frame_spec, double volume,
-                            sim::Rng& rng, const RangingConfig& config = {},
-                            double relay_delay_ms = 0.0,
+                            sim::Rng& rng, double relay_delay_ms = 0.0,
                             const AcousticSplice* splice = nullptr);
 
 /// Multi-round ranging: median of `rounds` estimates (robust to single
@@ -66,7 +64,6 @@ RangingResult AcousticRange(audio::TwoMicScene& scene,
 RangingResult AcousticRangeMedian(audio::TwoMicScene& scene,
                                   const modem::FrameSpec& frame_spec,
                                   double volume, sim::Rng& rng, int rounds,
-                                  const RangingConfig& config = {},
                                   double relay_delay_ms = 0.0,
                                   const AcousticSplice* splice = nullptr);
 

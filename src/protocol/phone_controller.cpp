@@ -26,16 +26,10 @@ std::string ToString(UnlockOutcome outcome) {
   return "?";
 }
 
-sim::Millis ResilienceConfig::BackoffMs(int attempt) const {
-  sim::Millis backoff = backoff_base_ms;
-  for (int i = 0; i < attempt && backoff < backoff_max_ms; ++i) backoff *= 2.0;
-  return std::min(backoff, backoff_max_ms);
-}
-
-sim::Millis AcousticMacConfig::BackoffMs(int attempt) const {
-  sim::Millis backoff = backoff_base_ms;
-  for (int i = 0; i < attempt && backoff < backoff_max_ms; ++i) backoff *= 2.0;
-  return std::min(backoff, backoff_max_ms);
+sim::Millis BackoffMs(int attempt, sim::Millis base_ms, sim::Millis max_ms) {
+  sim::Millis backoff = base_ms;
+  for (int i = 0; i < attempt && backoff < max_ms; ++i) backoff *= 2.0;
+  return std::min(backoff, max_ms);
 }
 
 }  // namespace wearlock::protocol

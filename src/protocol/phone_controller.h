@@ -4,6 +4,7 @@
 // protocol for one power-button press - is protocol/attempt_machine.h.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -11,11 +12,8 @@
 #include <vector>
 
 #include "audio/scene.h"
-#include "modem/drift.h"
 #include "modem/modem.h"
-#include "protocol/ambient.h"
 #include "protocol/distance_bounding.h"
-#include "sensors/filter.h"
 #include "sim/clock.h"
 
 namespace wearlock::protocol {
@@ -46,82 +44,113 @@ enum class UnlockOutcome {
 
 std::string ToString(UnlockOutcome outcome);
 
-/// Timeout, retry and degradation policy for one unlock attempt. All
-/// waits are charged to the virtual clock; all budgets are virtual
-/// time, so a faulted attempt still terminates with a defined outcome
-/// before total_deadline_ms (docs/robustness.md).
-struct ResilienceConfig {
-  /// A control message unacknowledged past this is presumed lost.
-  sim::Millis message_timeout_ms = 600.0;
-  /// Per-stage budget (RTS/CTS, Phase-1 upload, Phase-2 exchange).
-  sim::Millis stage_budget_ms = 6000.0;
-  /// Hard ceiling on one Attempt() - the user is standing at the
-  /// lockscreen; past this we fail with kStageTimeout no matter what.
-  sim::Millis total_deadline_ms = 20000.0;
-  /// Retransmissions per control message before kRetriesExhausted.
-  int max_message_retries = 3;
-  /// Extra RTS probe emissions when the watch hears no preamble.
-  int max_probe_retransmits = 1;
-  /// Extra Phase-2 OTP frame transmissions (chase-combined).
-  int max_phase2_retransmits = 2;
-  /// Bounded exponential backoff between retransmissions:
-  /// min(backoff_max_ms, backoff_base_ms * 2^attempt).
-  sim::Millis backoff_base_ms = 50.0;
-  sim::Millis backoff_max_ms = 800.0;
-  /// Sum per-bit LLRs across Phase-2 retransmissions before the final
-  /// decision (chase combining) instead of judging each copy alone.
-  bool enable_chase_combining = true;
-  /// Degrade ladder: after this many link faults in one attempt, stop
-  /// offloading and fall back to watch-local processing.
-  int degrade_after_link_faults = 2;
+/// The paper's operating point (§III-7 "How adaptive modulation
+/// works"): the probe volume is set so that a receiver anywhere within
+/// kSecureRangeM clears kSnrMinDb over the ambient noise.
+inline constexpr double kSnrMinDb = 18.0;
+inline constexpr double kSecureRangeM = 1.0;
+/// OFDM frames are peak- not rms-normalized; their rms sits roughly this
+/// far below a full-scale sine, and the volume rule compensates.
+inline constexpr double kFramePaprDb = 15.0;
+/// The receive-side face of the same rule: WearLock has no explicit
+/// ranging, so a pilot SNR below what a receiver *at* kSecureRangeM
+/// would measure (given the volume actually used) means the recorder
+/// sits beyond the secure range - abort instead of adapting the
+/// modulation down to reach it ("if a receiver falls within this range,
+/// it will be able to receive the signal which is beyond the minimal
+/// SNR"). The expected value is computed from the achieved transmit SPL;
+/// this offset converts the broadband SPL arithmetic into the pilot-SNR
+/// domain (calibrated on the default plan).
+inline constexpr double kPilotSnrDomainOffsetDb = 6.5;
+/// Absolute floor on the range gate (saturated-volume loud rooms).
+inline constexpr double kMinPilotSnrFloorDb = 2.0;
+/// Gate relief when the legitimate user's own body blocks the path
+/// (detected NLOS under kRelaxMaxBer; the case study's scenario).
+inline constexpr double kNlosGateReliefDb = 12.0;
+/// MaxBER used when the motion filter says "same body, high confidence"
+/// under SensorSkipPolicy::kRelaxMaxBer.
+inline constexpr double kSensorRelaxedBer = 0.15;
+/// The case study relaxes required BER to 0.25 for detected-NLOS cases.
+inline constexpr double kNlosRelaxedBer = 0.25;
+/// Replay defense: tolerated slack between expected and observed
+/// acoustic-phase latency (software stack + wireless RTT variance).
+inline constexpr sim::Millis kTimingSlackMs = 350.0;
 
-  /// min(backoff_max_ms, backoff_base_ms * 2^attempt).
-  sim::Millis BackoffMs(int attempt) const;
-};
+// Timeout, retry and degradation policy for one unlock attempt. All
+// waits are charged to the virtual clock; all budgets are virtual time,
+// so a faulted attempt still terminates with a defined outcome before
+// kTotalDeadlineMs (docs/robustness.md).
 
-/// Listen-before-talk on the acoustic band (docs/channels.md). Before
-/// emitting the probe or a Phase-2 frame in a contended scene, the phone
-/// senses the band through its own mic; a busy verdict defers the
-/// emission with bounded-exponential backoff on modeled time. Engages
-/// only when channel impairments are armed with contending pairs, so
-/// clean-scene sessions never consult it (or the scene's draws).
-struct AcousticMacConfig {
-  /// Sense-window length (samples of self-recorded ambient).
-  std::size_t sense_window_samples = 1024;
-  /// Busy when the loudest in-band data bin exceeds the robust floor
-  /// (lower-quartile bin) by this many dB.
-  double busy_over_floor_db = 9.0;
-  /// Bounded exponential backoff between sense attempts:
-  /// min(backoff_max_ms, backoff_base_ms * 2^attempt).
-  sim::Millis backoff_base_ms = 80.0;
-  sim::Millis backoff_max_ms = 1280.0;
-  /// Sense attempts before declaring the channel unusable.
-  int max_attempts = 6;
+/// A control message unacknowledged past this is presumed lost.
+inline constexpr sim::Millis kMessageTimeoutMs = 600.0;
+/// Per-stage budget (RTS/CTS, Phase-1 upload, Phase-2 exchange).
+inline constexpr sim::Millis kStageBudgetMs = 6000.0;
+/// Hard ceiling on one attempt - the user is standing at the
+/// lockscreen; past this we fail with kStageTimeout no matter what.
+inline constexpr sim::Millis kTotalDeadlineMs = 20000.0;
+/// Retransmissions per control message before kRetriesExhausted.
+inline constexpr int kMaxMessageRetries = 3;
+/// Extra RTS probe emissions when the watch hears no preamble.
+inline constexpr int kMaxProbeRetransmits = 1;
+/// Extra Phase-2 OTP frame transmissions (chase-combined).
+inline constexpr int kMaxPhase2Retransmits = 2;
+/// Bounded exponential backoff between retransmissions and between
+/// press-and-retry attempts.
+inline constexpr sim::Millis kRetryBackoffBaseMs = 50.0;
+inline constexpr sim::Millis kRetryBackoffMaxMs = 800.0;
+/// Degrade ladder: after this many link faults in one attempt, stop
+/// offloading and fall back to watch-local processing.
+inline constexpr int kDegradeAfterLinkFaults = 2;
 
-  [[nodiscard]] sim::Millis BackoffMs(int attempt) const;
-};
+// Listen-before-talk on the acoustic band (docs/channels.md). Before
+// emitting the probe or a Phase-2 frame in a contended scene, the phone
+// senses the band through its own mic (SenseChannel); a busy verdict
+// defers the emission with bounded-exponential backoff on modeled time.
+// Engages only when channel impairments are armed with contending
+// pairs, so clean-scene sessions never consult it (or the scene's
+// draws).
 
-/// Receiver hardening against crowded-world channel impairments
-/// (audio/impairments.h; model and math in docs/channels.md). Every
-/// branch is gated on the scene actually having impairments armed, so
-/// the clean-channel protocol path - and all its goldens - is
-/// byte-identical whether hardening is enabled or not.
-struct ChannelHardeningConfig {
-  bool enable = true;
-  /// Extra capture the watch tacks onto its nominal window so a
-  /// drift-shifted frame keeps its tail (covers the accumulated clock
-  /// offset of ~130 ppm SRO at the default clock age).
-  std::size_t rx_window_guard_samples = 8192;
-  /// Sync-driven drift estimation over the probe frame (modem/drift.h).
-  modem::DriftConfig drift{};
-  /// Measured warp below this is left uncompensated (resampling a clean
-  /// capture only adds interpolation noise).
-  double min_compensate_ppm = 200.0;
-  AcousticMacConfig mac{};
-  /// After this many sync failures in one attempt, mode adaptation is
-  /// restricted to the most robust low-rate constellations.
-  int robust_after_sync_failures = 2;
-};
+/// Sense-window length (samples of self-recorded ambient).
+inline constexpr std::size_t kMacSenseWindowSamples = 1024;
+/// Bounded exponential backoff between sense attempts.
+inline constexpr sim::Millis kMacBackoffBaseMs = 80.0;
+inline constexpr sim::Millis kMacBackoffMaxMs = 1280.0;
+/// Sense attempts before declaring the channel unusable.
+inline constexpr int kMacMaxAttempts = 6;
+
+// Receiver hardening against crowded-world channel impairments
+// (audio/impairments.h; model and math in docs/channels.md). Every
+// branch is gated on the scene actually having impairments armed, so
+// the clean-channel protocol path - and all its goldens - is
+// byte-identical whether hardening is enabled or not.
+
+/// Extra capture the watch tacks onto its nominal window so a
+/// drift-shifted frame keeps its tail (covers the accumulated clock
+/// offset of ~130 ppm SRO at audio::kClockAgeS).
+inline constexpr std::size_t kRxWindowGuardSamples = 8192;
+/// Measured warp below this is left uncompensated (resampling a clean
+/// capture only adds interpolation noise).
+inline constexpr double kMinCompensatePpm = 200.0;
+/// After this many sync failures in one attempt, mode adaptation is
+/// restricted to the most robust low-rate constellations.
+inline constexpr int kRobustAfterSyncFailures = 2;
+
+// The relay defense's schedule (docs/security.md); the ranging itself
+// is protocol/distance_bounding.h.
+
+/// Ranging rounds per attempt; the median estimate is judged.
+inline constexpr int kRangingRounds = 3;
+/// Seed for the ranging-noise Rng (mixed with the session id, so
+/// retries draw fresh noise), kept off the scene stream so enabling the
+/// defense never perturbs the scene draws of a given scenario seed.
+/// Estimates are a pure function of (this seed, session id).
+inline constexpr std::uint64_t kRangingSeed = 0xD157B0D5ULL;
+
+/// Bounded exponential backoff: min(max_ms, base_ms * 2^attempt), the
+/// one ladder behind ARQ retransmissions, press-and-retry rounds and
+/// the acoustic MAC's deferrals.
+[[nodiscard]] sim::Millis BackoffMs(int attempt, sim::Millis base_ms,
+                                    sim::Millis max_ms);
 
 /// What to do when the motion filter reports strong co-location
 /// (score < d_l). Algorithm 1 says "skip second phase"; the evaluation
@@ -130,58 +159,12 @@ enum class SensorSkipPolicy { kSkipSecondPhase, kRelaxMaxBer };
 
 enum class NlosPolicy { kAbort, kRelaxMaxBer };
 
-/// The relay defense (docs/security.md): Brands-Chaum-style acoustic
-/// round-trip ranging run after the range gate and before any Phase-2
-/// shortcut. Off by default - enabling it consumes scene draws, so the
-/// fault/modem goldens pin the defense-off acoustics; security configs
-/// turn it on explicitly.
-struct DistanceBoundingPolicy {
-  bool enable = false;
-  /// Ranging rounds per attempt; the median estimate is judged.
-  int rounds = 3;
-  RangingConfig ranging{};
-  /// Seed for the ranging-noise Rng (mixed with the session id, so
-  /// retries draw fresh noise), kept off the scene stream so enabling
-  /// the defense never perturbs the scene draws of a given scenario
-  /// seed. Estimates are a pure function of (this seed, session id);
-  /// campaigns wanting cross-scenario ranging diversity salt it.
-  std::uint64_t seed = 0xD157B0D5ULL;
-};
-
+/// What a deployment, a bench or a CLI chooses for the phone side of an
+/// attempt; everything else about the protocol is a constant above.
 struct PhoneConfig {
   modem::FrameSpec frame{};
-  modem::AdaptiveConfig adaptive{};
-  /// Probe volume rule: receiver anywhere within secure_range_m clears
-  /// this SNR over ambient (paper §III-7 "How adaptive modulation works").
-  double snr_min_db = 18.0;
-  double secure_range_m = 1.0;
-  /// The receive-side face of the same rule: WearLock has no explicit
-  /// ranging, so a pilot SNR below what a receiver *at* secure_range_m
-  /// would measure (given the volume actually used) means the recorder
-  /// sits beyond the secure range - abort instead of adapting the
-  /// modulation down to reach it ("if a receiver falls within this
-  /// range, it will be able to receive the signal which is beyond the
-  /// minimal SNR"). The expected value is computed from the achieved
-  /// transmit SPL; this offset converts the broadband SPL arithmetic
-  /// into the pilot-SNR domain (calibrated on the default plan).
-  double pilot_snr_domain_offset_db = 6.5;
-  /// Absolute floor on the range gate (saturated-volume loud rooms).
-  double min_pilot_snr_floor_db = 2.0;
-  /// Gate relief when the legitimate user's own body blocks the path
-  /// (detected NLOS under kRelaxMaxBer; the case study's scenario).
-  double nlos_gate_relief_db = 12.0;
-  /// OFDM frames are peak- not rms-normalized; their rms sits roughly
-  /// this far below a full-scale sine, and the volume rule compensates.
-  double frame_papr_db = 15.0;
-  sensors::FilterThresholds sensor_thresholds{};
   SensorSkipPolicy sensor_policy = SensorSkipPolicy::kRelaxMaxBer;
-  /// MaxBER used when the motion filter says "same body, high confidence"
-  /// under kRelaxMaxBer.
-  double sensor_relaxed_ber = 0.15;
   NlosPolicy nlos_policy = NlosPolicy::kRelaxMaxBer;
-  /// The case study relaxes required BER to 0.25 for detected-NLOS cases.
-  double nlos_relaxed_ber = 0.25;
-  AmbientSimilarityConfig ambient{};
   bool enable_sensor_filter = true;
   /// Measurement-campaign mode (the paper's Table I procedure): transmit
   /// even when no mode meets MaxBER or the secure-range gate fails, using
@@ -189,19 +172,22 @@ struct PhoneConfig {
   /// keep this off; benches that reproduce the paper's field measurements
   /// turn it on.
   bool force_transmit = false;
-  /// Replay defense: tolerated slack between expected and observed
-  /// acoustic-phase latency (software stack + wireless RTT variance).
-  sim::Millis timing_slack_ms = 350.0;
-  /// Relay defense: acoustic distance bounding (default off; see
-  /// DistanceBoundingPolicy).
-  DistanceBoundingPolicy distance_bounding{};
-  /// Ambient window the phone self-records before probing (seconds).
-  double ambient_window_s = 0.10;
-  ResilienceConfig resilience{};
+  /// The relay defense (docs/security.md): Brands-Chaum-style acoustic
+  /// round-trip ranging run after the range gate and before any Phase-2
+  /// shortcut. Off by default - enabling it consumes scene draws, so the
+  /// fault/modem goldens pin the defense-off acoustics; security configs
+  /// turn it on explicitly.
+  bool enable_distance_bounding = false;
+  /// Sum per-bit LLRs across Phase-2 retransmissions before the final
+  /// decision (chase combining) instead of judging each copy alone.
+  bool enable_chase_combining = true;
   /// Crowded-world hardening: drift tracking, acoustic MAC, carrier-
   /// sense sub-band reselection, extended degrade ladder. Inert unless
   /// the scene has channel impairments armed.
-  ChannelHardeningConfig channel{};
+  bool enable_channel_hardening = true;
+
+  /// Ambient window the phone self-records before probing (seconds).
+  static constexpr double ambient_window_s = 0.10;
 };
 
 struct PhaseTimings {
@@ -273,7 +259,7 @@ struct AttackInjection {
   /// Phase-2 data) arrives through this transform instead of the
   /// scene's direct rendering - the relay attacker's hook. The splice
   /// keeps the scene's alignment convention (emission time zero at
-  /// lead_in_samples), so attacker-added latency lands as a later
+  /// audio::kLeadInSamples), so attacker-added latency lands as a later
   /// signal offset - which is what the timing defenses measure.
   AcousticSplice channel_splice;
   /// Additive co-channel pressure mixed into the watch's Phase-2

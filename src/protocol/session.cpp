@@ -55,7 +55,7 @@ UnlockSession::UnlockSession(ScenarioConfig config)
       otp_(config.otp_key),
       watch_controller_(config.phone.frame),
       offload_{.site = config.processing,
-               .watch = config.watch_profile,
+               .watch = sim::DeviceProfile::Moto360(),
                .phone = config.phone_profile},
       motion_sim_(rng_.Fork()) {
   // The injector's stream forks AFTER scene/link/motion, so adding (or
@@ -71,10 +71,9 @@ UnlockSession::UnlockSession(ScenarioConfig config)
   // scene never consults the fork.
   sim::Rng impairment_rng = rng_.Fork();
   if (!config_.impairments.empty()) {
-    scene_.ArmImpairments(config_.impairments, std::move(impairment_rng),
-                          config_.phone.channel.enable
-                              ? config_.phone.channel.rx_window_guard_samples
-                              : 0);
+    scene_.ArmImpairments(
+        config_.impairments, std::move(impairment_rng),
+        config_.phone.enable_channel_hardening ? kRxWindowGuardSamples : 0);
   }
   tracer_.BindClock([this] { return clock_.now(); });
 }
@@ -185,8 +184,8 @@ void UnlockSession::HandleAttemptDone() {
   // the event fires, preserving the blocking path's ordering.
   obs::ScopedTracer install_tracer(&tracer_);
   obs::ScopedMetricsRegistry install_metrics(&metrics_);
-  const sim::Millis backoff =
-      config_.phone.resilience.BackoffMs(round.retries_used);
+  const sim::Millis backoff = BackoffMs(
+      round.retries_used, kRetryBackoffBaseMs, kRetryBackoffMaxMs);
   WL_COUNT("protocol.retry.count");
   WL_HIST("protocol.retry.backoff_ms", backoff);
   round.queue->ScheduleAfter(backoff, [this, backoff] {
@@ -247,12 +246,12 @@ void UnlockSession::EmitRecord(const UnlockReport& report, int retries) {
   if (record_sink_) record_sink_(r);
 }
 
-sim::Millis PinEntryModel::Sample4Digit(sim::Rng& rng) const {
-  return median_4digit_ms * std::exp(rng.Gaussian(jitter_sigma));
+sim::Millis SamplePin4DigitMs(sim::Rng& rng) {
+  return kPin4DigitMedianMs * std::exp(rng.Gaussian(kPinJitterSigma));
 }
 
-sim::Millis PinEntryModel::Sample6Digit(sim::Rng& rng) const {
-  return median_6digit_ms * std::exp(rng.Gaussian(jitter_sigma));
+sim::Millis SamplePin6DigitMs(sim::Rng& rng) {
+  return kPin6DigitMedianMs * std::exp(rng.Gaussian(kPinJitterSigma));
 }
 
 }  // namespace wearlock::protocol

@@ -43,8 +43,8 @@ struct ScenarioConfig {
   bool wireless_connected = true;
   /// Where the DSP runs.
   ProcessingSite processing = ProcessingSite::kOffloadToPhone;
+  /// The phone's device profile; the watch is always a Moto 360.
   sim::DeviceProfile phone_profile = sim::DeviceProfile::Nexus6();
-  sim::DeviceProfile watch_profile = sim::DeviceProfile::Moto360();
   /// Shared OTP secret (defaults to the RFC 4226 test key).
   std::vector<std::uint8_t> otp_key = {'1', '2', '3', '4', '5', '6', '7',
                                        '8', '9', '0', '1', '2', '3', '4',
@@ -186,13 +186,13 @@ class UnlockSession {
 /// the medians reported by Harbach et al. (SOUPS'14), the paper's [2]:
 /// unlocking with a PIN takes seconds once reaction and input time are
 /// counted.
-struct PinEntryModel {
-  sim::Millis median_4digit_ms = 4200.0;
-  sim::Millis median_6digit_ms = 5300.0;
-  double jitter_sigma = 0.18;  ///< lognormal spread across attempts
+inline constexpr sim::Millis kPin4DigitMedianMs = 4200.0;
+inline constexpr sim::Millis kPin6DigitMedianMs = 5300.0;
+/// Lognormal spread across attempts.
+inline constexpr double kPinJitterSigma = 0.18;
 
-  sim::Millis Sample4Digit(sim::Rng& rng) const;
-  sim::Millis Sample6Digit(sim::Rng& rng) const;
-};
+/// One manual PIN entry: the median times a lognormal jitter draw.
+sim::Millis SamplePin4DigitMs(sim::Rng& rng);
+sim::Millis SamplePin6DigitMs(sim::Rng& rng);
 
 }  // namespace wearlock::protocol

@@ -36,21 +36,18 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Virtual time of the queue: the due time of the last event run
-  /// (0 before any). Monotonic across a drain.
-  Millis now() const { return now_ms_; }
-
   /// Schedule `fn` at absolute queue time `at_ms`. Throws
-  /// std::invalid_argument when `at_ms` precedes now(), is not finite,
-  /// or `fn` is empty.
+  /// std::invalid_argument when `at_ms` precedes the queue time, is not
+  /// finite, or `fn` is empty.
   void ScheduleAt(Millis at_ms, Callback fn);
 
-  /// Schedule `fn` `delay_ms` after now(). Throws std::invalid_argument
-  /// when `delay_ms` is negative or not finite, or `fn` is empty.
+  /// Schedule `fn` `delay_ms` after the queue time. Throws
+  /// std::invalid_argument when `delay_ms` is negative or not finite, or
+  /// `fn` is empty.
   void ScheduleAfter(Millis delay_ms, Callback fn);
 
-  /// Run the earliest pending event, advancing now() to its due time.
-  /// Returns false when the queue is idle.
+  /// Run the earliest pending event, advancing the queue time to its due
+  /// time. Returns false when the queue is idle.
   bool RunOne();
 
   /// Drain until no event is pending (events may schedule more events);
@@ -68,6 +65,8 @@ class EventQueue {
   /// lower".
   static bool Later(const Event& a, const Event& b);
 
+  /// The queue time: the due time of the last event run (0 before any),
+  /// monotonic across a drain.
   Millis now_ms_ = 0.0;
   std::uint64_t next_sequence_ = 1;
   std::vector<Event> heap_;

@@ -132,7 +132,6 @@ class FaultInjector {
   bool flap_down() const { return flap_down_; }
   Millis reconnect_at_ms() const { return reconnect_at_ms_; }
 
-  const FaultPlan& plan() const { return plan_; }
   const std::vector<FaultEvent>& events() const { return events_; }
 
  private:

@@ -458,9 +458,9 @@ TEST(Channel, ReceptionGeometry) {
   AcousticChannel channel(config, std::move(rng));
   const Samples signal = Tone(3000.0, 2000, 0.5);
   const Reception r = channel.Transmit(signal, 0.8);
-  EXPECT_EQ(r.signal_start, config.lead_in_samples);
+  EXPECT_EQ(r.signal_start, kLeadInSamples);
   EXPECT_GT(r.recording.size(),
-            config.lead_in_samples + signal.size() + config.lead_out_samples - 1);
+            kLeadInSamples + signal.size() + kChannelLeadOutSamples - 1);
   EXPECT_GT(r.spl_signal_at_rx, r.spl_noise_at_rx);  // quiet room, close
 }
 
@@ -515,8 +515,8 @@ TEST(Scene, PhoneSelfRecordingIsLouderThanWatch) {
   const Samples tone = Tone(3000.0, 2000, 0.5);
   const auto r = scene.TransmitFromPhone(tone, 0.5);
   // The phone's own mic sits at d0; the watch is 0.8 m away.
-  const Samples self = scene.RecordAtDistance(
-      tone, 0.5, config.propagation.reference_distance_m, config.propagation);
+  const Samples self = scene.RecordAtDistance(tone, 0.5, kReferenceDistanceM,
+                                              config.propagation);
   Samples phone_sig(self.begin() + 4096, self.begin() + 6000);
   Samples watch_sig(r.watch_recording.begin() + 4096,
                     r.watch_recording.begin() + 6000);
@@ -544,13 +544,12 @@ class ReferenceScene {
   SceneReception TransmitFromPhone(const Samples& signal, double volume) {
     const Samples emitted = config_.phone_speaker.Emit(signal, volume);
     Samples at_watch = ApplyPhaseJitter(
-        propagation_.Propagate(emitted, config_.distance_m),
-        config_.phase_noise_rad, config_.phase_noise_bw_hz, rng_);
+        propagation_.Propagate(emitted, config_.distance_m), rng_);
     if (impairments_) {
       at_watch = impairments_->ApplyWatchPath(std::move(at_watch));
     }
     const std::size_t total =
-        config_.lead_in_samples + at_watch.size() + config_.lead_out_samples +
+        kLeadInSamples + at_watch.size() + kSceneLeadOutSamples +
         (impairments_ ? impairments_->rx_guard_samples() : 0);
     Samples shared = shared_ambient_.Generate(total);
     Samples watch_pressure =
@@ -568,27 +567,27 @@ class ReferenceScene {
       if (!burst.empty()) MixInto(watch_pressure, burst);
     }
     const double watch_noise_spl = wearlock::dsp::SplOf(watch_pressure);
-    MixIntoAt(watch_pressure, at_watch, config_.lead_in_samples);
+    MixIntoAt(watch_pressure, at_watch, kLeadInSamples);
 
-    const Samples at_phone = propagation_.Propagate(
-        emitted, propagation_.spec().reference_distance_m);
+    const Samples at_phone =
+        propagation_.Propagate(emitted, kReferenceDistanceM);
     Samples phone_pressure = std::move(shared);
     phone_pressure.resize(total, 0.0);
-    MixInto(phone_pressure, MicNoise(total, config_.phone_mic));
+    MixInto(phone_pressure, MicNoise(total, MicrophoneModel::Phone()));
     if (!neighbor.empty()) MixInto(phone_pressure, neighbor);
     if (!burst.empty()) MixInto(phone_pressure, burst);
-    MixIntoAt(phone_pressure, at_phone, config_.lead_in_samples);
+    MixIntoAt(phone_pressure, at_phone, kLeadInSamples);
 
     if (impairments_) {
       watch_pressure = impairments_->ShiftCaptureWindow(
-          std::move(watch_pressure), config_.lead_in_samples);
+          std::move(watch_pressure), kLeadInSamples);
       impairments_->AdvanceCursor(total);
     }
     SceneReception r;
-    r.signal_start = config_.lead_in_samples;
+    r.signal_start = kLeadInSamples;
     r.watch_spl_signal = wearlock::dsp::SplOf(at_watch);
     r.watch_spl_noise = watch_noise_spl;
-    r.phone_recording = config_.phone_mic.Capture(phone_pressure);
+    r.phone_recording = MicrophoneModel::Phone().Capture(phone_pressure);
     r.watch_recording = config_.watch_mic.Capture(watch_pressure);
     return r;
   }
@@ -596,7 +595,7 @@ class ReferenceScene {
   std::pair<Samples, Samples> RecordAmbientPair(std::size_t n) {
     Samples shared = shared_ambient_.Generate(n);
     Samples phone_pressure = shared;
-    MixInto(phone_pressure, MicNoise(n, config_.phone_mic));
+    MixInto(phone_pressure, MicNoise(n, MicrophoneModel::Phone()));
     Samples watch_pressure = config_.co_located ? std::move(shared)
                                                 : watch_ambient_.Generate(n);
     MixInto(watch_pressure, MicNoise(n, config_.watch_mic));
@@ -614,7 +613,7 @@ class ReferenceScene {
       }
       impairments_->AdvanceCursor(n);
     }
-    return {config_.phone_mic.Capture(phone_pressure),
+    return {MicrophoneModel::Phone().Capture(phone_pressure),
             config_.watch_mic.Capture(watch_pressure)};
   }
 

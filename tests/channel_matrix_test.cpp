@@ -37,7 +37,6 @@ namespace wearlock {
 namespace {
 
 using audio::ImpairmentPlan;
-using protocol::ResilienceConfig;
 using protocol::ScenarioConfig;
 using protocol::UnlockOutcome;
 using protocol::UnlockReport;
@@ -123,10 +122,9 @@ TEST(ChannelMatrixTest, EveryCellTerminatesWithDefinedOutcome) {
     // audio slack, including MAC backoffs) may run past it - but never
     // unboundedly. It governs modeled protocol time, which excludes the
     // modeled compute the clock also carries.
-    const ResilienceConfig& res = config.phone.resilience;
     EXPECT_LT(session.clock().now() - (report.timings.phase1_compute_ms +
                                        report.timings.phase2_compute_ms),
-              res.total_deadline_ms + res.stage_budget_ms + 15000.0);
+              protocol::kTotalDeadlineMs + protocol::kStageBudgetMs + 15000.0);
 
     // No false unlock: unlocking through impairments still requires
     // the token BER to clear the bound the adaptation chose.
@@ -194,7 +192,7 @@ std::pair<bool, bool> HardenedVsNaive(ScenarioConfig config) {
     hardened = session.Attempt().unlocked;
   }
   {
-    config.phone.channel.enable = false;
+    config.phone.enable_channel_hardening = false;
     UnlockSession session(config);
     naive = session.Attempt().unlocked;
   }

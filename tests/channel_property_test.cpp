@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "audio/impairments.h"
+#include "audio/scene.h"
 #include "audio/signal.h"
 #include "dsp/resample.h"
 #include "modem/drift.h"
@@ -31,8 +32,8 @@ namespace {
 
 using audio::Samples;
 
-constexpr std::size_t kLeadIn = 4096;
-constexpr std::size_t kLeadOut = 2048;
+constexpr std::size_t kLeadIn = audio::kLeadInSamples;
+constexpr std::size_t kLeadOut = audio::kSceneLeadOutSamples;
 
 /// A probe frame sitting `shift` samples late in quiet ambient - the
 /// capture a drifted watch records (audio/impairments.h).
@@ -52,16 +53,15 @@ Samples ProbeInAmbient(const Samples& probe, std::size_t shift,
 TEST(DriftEstimatorTest, RecoversSroWithinTwoPpmAcrossTheEnvelope) {
   const modem::FrameSpec spec;
   const Samples probe = modem::Modulator(spec).MakeProbeFrame().samples;
-  const modem::DriftConfig config;
   for (const double sro_ppm : {10.0, 30.0, 50.0, 80.0}) {
     SCOPED_TRACE("sro " + std::to_string(sro_ppm));
     // The accumulated offset over the clock age, exactly as the channel
     // model computes its window shift.
     const std::size_t shift = static_cast<std::size_t>(std::llround(
-        sro_ppm * 1e-6 * config.clock_age_s * audio::kSampleRate));
+        sro_ppm * 1e-6 * audio::kClockAgeS * audio::kSampleRate));
     const Samples recording = ProbeInAmbient(probe, shift, /*seed=*/11);
     const modem::DriftEstimate est =
-        modem::EstimateDrift(recording, spec, kLeadIn, config);
+        modem::EstimateDrift(recording, spec, kLeadIn);
     ASSERT_TRUE(est.valid);
     EXPECT_NEAR(static_cast<double>(est.shift_samples),
                 static_cast<double>(shift), 2.0);
@@ -76,10 +76,9 @@ TEST(DriftEstimatorTest, UndriftedCaptureMeasuresNearZero) {
       ProbeInAmbient(probe, 0, /*seed=*/11), spec, kLeadIn);
   ASSERT_TRUE(est.valid);
   EXPECT_LE(std::abs(est.shift_samples), 2);
-  // Below the product's min_compensate_ppm gate: a clean capture is
+  // Below the product's kMinCompensatePpm gate: a clean capture is
   // never resampled.
-  EXPECT_LT(std::abs(est.rate_ppm),
-            protocol::ChannelHardeningConfig{}.min_compensate_ppm);
+  EXPECT_LT(std::abs(est.rate_ppm), protocol::kMinCompensatePpm);
 }
 
 // --- Warp-rate estimation (Doppler + SRO) ----------------------------
@@ -96,7 +95,7 @@ TEST(DriftEstimatorTest, PilotSpacingTracksWalkingSpeedWarp) {
     const modem::DriftEstimate est = modem::EstimateDrift(
         ProbeInAmbient(warped, 0, /*seed=*/11), spec, kLeadIn);
     ASSERT_TRUE(est.valid);
-    EXPECT_GE(est.rate_score, modem::DriftConfig{}.min_rate_score);
+    EXPECT_GE(est.rate_score, modem::kMinRateScore);
     // One-sample lag over the 768-sample pilot span is ~1300 ppm;
     // parabolic refinement buys back the sub-sample part.
     EXPECT_NEAR(est.rate_ppm, rate_ppm, 400.0);
@@ -118,7 +117,7 @@ TEST(DriftEstimatorTest, CompensateRateInvertsTheWarp) {
   // The round trip restores the original timeline to interpolation
   // accuracy over the frame body (edges lose half a sinc kernel).
   const std::size_t n = std::min(restored.size(), probe.size());
-  ASSERT_GT(n, spec.FrameSamples(spec.probe_symbols) - 64);
+  ASSERT_GT(n, spec.FrameSamples(modem::kProbeSymbols) - 64);
   double err = 0.0, ref = 0.0;
   for (std::size_t i = 64; i + 64 < n; ++i) {
     err += (restored[i] - probe[i]) * (restored[i] - probe[i]);
@@ -168,15 +167,14 @@ TEST(CarrierSenseTest, ReselectionAvoidsNeighborOccupiedBins) {
   const Samples capture = CaptureWithNeighbors(chan, window, ambient_rng);
 
   // The sense window sees the neighbors loud and clear...
-  const protocol::CarrierSenseReport sense = protocol::SenseChannel(
-      spec, capture, protocol::AcousticMacConfig{}.busy_over_floor_db);
+  const protocol::CarrierSenseReport sense =
+      protocol::SenseChannel(spec, capture);
   EXPECT_TRUE(sense.busy);
   ASSERT_EQ(sense.bin_power.size(), spec.fft_size());
 
   // ...and a quiet window does not.
-  const protocol::CarrierSenseReport quiet = protocol::SenseChannel(
-      spec, ambient_rng.GaussianVector(window, 1e-4),
-      protocol::AcousticMacConfig{}.busy_over_floor_db);
+  const protocol::CarrierSenseReport quiet =
+      protocol::SenseChannel(spec, ambient_rng.GaussianVector(window, 1e-4));
   EXPECT_FALSE(quiet.busy);
 
   // Merge the sense spectrum into a flat probe-noise ranking exactly as
@@ -198,15 +196,18 @@ TEST(CarrierSenseTest, ReselectionAvoidsNeighborOccupiedBins) {
 // --- MAC backoff ladder ----------------------------------------------
 
 TEST(AcousticMacTest, BackoffLadderIsBoundedExponential) {
-  const protocol::AcousticMacConfig mac;
-  EXPECT_DOUBLE_EQ(mac.BackoffMs(0), 80.0);
-  EXPECT_DOUBLE_EQ(mac.BackoffMs(1), 160.0);
-  EXPECT_DOUBLE_EQ(mac.BackoffMs(2), 320.0);
-  EXPECT_DOUBLE_EQ(mac.BackoffMs(3), 640.0);
-  EXPECT_DOUBLE_EQ(mac.BackoffMs(4), 1280.0);
+  const auto backoff = [](int attempt) {
+    return protocol::BackoffMs(attempt, protocol::kMacBackoffBaseMs,
+                               protocol::kMacBackoffMaxMs);
+  };
+  EXPECT_DOUBLE_EQ(backoff(0), 80.0);
+  EXPECT_DOUBLE_EQ(backoff(1), 160.0);
+  EXPECT_DOUBLE_EQ(backoff(2), 320.0);
+  EXPECT_DOUBLE_EQ(backoff(3), 640.0);
+  EXPECT_DOUBLE_EQ(backoff(4), 1280.0);
   // Bounded: the cap holds no matter how deep the ladder goes.
-  EXPECT_DOUBLE_EQ(mac.BackoffMs(5), 1280.0);
-  EXPECT_DOUBLE_EQ(mac.BackoffMs(30), 1280.0);
+  EXPECT_DOUBLE_EQ(backoff(5), 1280.0);
+  EXPECT_DOUBLE_EQ(backoff(30), 1280.0);
 }
 
 // --- 2-pair MAC liveness ---------------------------------------------

@@ -42,6 +42,11 @@ expect_usage_error(${FLEET} --sessions 3 --distances 0.05
                    --out ${WORK_DIR}/never.json)
 expect_usage_error(${UNLOCK_CLI} --attempts two)
 expect_usage_error(${UNLOCK_CLI} --attempts 0)
+# Retry budgets past INT_MAX are refused, never wrapped to 1 or negative.
+expect_usage_error(${FLEET} --sessions 3 --retries 4294967297
+                   --out ${WORK_DIR}/never.json)
+expect_usage_error(${FLEET} --sessions 3 --retries 2147483648
+                   --out ${WORK_DIR}/never.json)
 expect_usage_error(${UNLOCK_CLI} --config 7)
 expect_usage_error(${UNLOCK_CLI} --env kitchen)
 expect_usage_error(${UNLOCK_CLI} --activity jogging)

@@ -4,10 +4,13 @@
 // that detection - and, at moderate speeds, the whole modem - survives.
 #include <gtest/gtest.h>
 
-#include "audio/medium.h"
+#include <string>
+
+#include "audio/impairments.h"
+#include "audio/scene.h"
+#include "dsp/fft.h"
 #include "dsp/resample.h"
 #include "modem/modem.h"
-#include "dsp/fft.h"
 #include "sim/rng.h"
 
 namespace wearlock {
@@ -51,18 +54,28 @@ TEST(WarpTimeSinc, ShiftsToneFrequency) {
 
 class DopplerSweep : public ::testing::TestWithParam<double> {};
 
+/// A scene whose watch path carries the walker's Doppler warp: the
+/// production `doppler=V` impairment (positive V recedes, stretching
+/// the frame; negative approaches).
+audio::TwoMicScene WalkingScene(double v_mps, sim::Rng& rng) {
+  audio::SceneConfig config;
+  config.distance_m = 0.4;
+  audio::TwoMicScene scene(config, rng.Fork());
+  scene.ArmImpairments(
+      audio::ImpairmentPlan::Parse("doppler=" + std::to_string(v_mps)),
+      rng.Fork(), /*rx_guard_samples=*/0);
+  return scene;
+}
+
 TEST_P(DopplerSweep, PreambleSurvivesMotion) {
   // Even at a 3 m/s jog (0.9% frequency shift) the chirp must still be
   // found with a solid score.
   sim::Rng rng(60);
   modem::AcousticModem modem;
-  audio::ChannelConfig cfg;
-  cfg.distance_m = 0.4;
-  cfg.radial_velocity_mps = GetParam();
-  audio::AcousticChannel channel(cfg, rng.Fork());
+  audio::TwoMicScene scene = WalkingScene(GetParam(), rng);
   const auto tx = modem.MakeProbeFrame();
-  const auto rx = channel.Transmit(tx.samples, 0.5);
-  const auto probe = modem.AnalyzeProbe(rx.recording);
+  const auto rx = scene.TransmitFromPhone(tx.samples, 0.5);
+  const auto probe = modem.AnalyzeProbe(rx.watch_recording);
   ASSERT_TRUE(probe.has_value()) << "v=" << GetParam();
   EXPECT_GT(probe->preamble_score, 0.3) << "v=" << GetParam();
 }
@@ -74,16 +87,13 @@ TEST_P(DopplerSweep, ModemToleratesWalkingSpeeds) {
   if (std::abs(v) > 1.5) GTEST_SKIP() << "payload test covers walking pace";
   sim::Rng rng(61);
   modem::AcousticModem modem;
-  audio::ChannelConfig cfg;
-  cfg.distance_m = 0.4;
-  cfg.radial_velocity_mps = v;
-  audio::AcousticChannel channel(cfg, rng.Fork());
+  audio::TwoMicScene scene = WalkingScene(v, rng);
   std::vector<std::uint8_t> bits(64);
   for (auto& b : bits) b = static_cast<std::uint8_t>(rng.UniformInt(0, 1));
   const auto tx = modem.Modulate(modem::Modulation::kQpsk, bits);
-  const auto rx = channel.Transmit(tx.samples, 0.5);
-  const auto result = modem.Demodulate(rx.recording, modem::Modulation::kQpsk,
-                                       bits.size());
+  const auto rx = scene.TransmitFromPhone(tx.samples, 0.5);
+  const auto result = modem.Demodulate(rx.watch_recording,
+                                       modem::Modulation::kQpsk, bits.size());
   ASSERT_TRUE(result.has_value()) << "v=" << v;
   EXPECT_LE(modem::BitErrorRate(result->bits, bits), 0.1) << "v=" << v;
 }

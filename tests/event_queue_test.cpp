@@ -20,13 +20,21 @@ TEST(EventQueueTest, RunsInDueTimeOrderAndAdvancesNow) {
   queue.ScheduleAt(30.0, [&] { order.push_back("c"); });
   queue.ScheduleAt(10.0, [&] { order.push_back("a"); });
   queue.ScheduleAt(20.0, [&] { order.push_back("b"); });
+  queue.ScheduleAt(14.0, [&] { order.push_back("ref14"); });
+  queue.ScheduleAt(16.0, [&] { order.push_back("ref16"); });
 
   EXPECT_TRUE(queue.RunOne());
-  EXPECT_DOUBLE_EQ(queue.now(), 10.0);
-  EXPECT_EQ(queue.RunUntilIdle(), 2u);
-  EXPECT_DOUBLE_EQ(queue.now(), 30.0);
-  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(order, (std::vector<std::string>{"a"}));
+  // The queue time now reads 10 ms: a 5 ms delay lands between the
+  // 14 and 16 ms reference events.
+  queue.ScheduleAfter(5.0, [&] { order.push_back("a+5"); });
+  EXPECT_EQ(queue.RunUntilIdle(), 5u);
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "ref14", "a+5", "ref16",
+                                             "b", "c"}));
   EXPECT_FALSE(queue.RunOne()) << "idle queue must report no work";
+  // The queue time stopped at the last event, 30 ms.
+  EXPECT_THROW(queue.ScheduleAt(29.0, [] {}), std::invalid_argument);
+  EXPECT_NO_THROW(queue.ScheduleAt(30.0, [] {}));
 }
 
 TEST(EventQueueTest, TiesRunInScheduleOrder) {
@@ -44,14 +52,17 @@ TEST(EventQueueTest, TiesRunInScheduleOrder) {
 
 TEST(EventQueueTest, ScheduleAfterIsRelativeToNow) {
   sim::EventQueue queue;
-  double fired_at = -1.0;
+  std::vector<std::string> order;
+  queue.ScheduleAt(14.0, [&] { order.push_back("ref14"); });
+  queue.ScheduleAt(16.0, [&] { order.push_back("ref16"); });
   queue.ScheduleAfter(10.0, [&] {
     // Re-entrant scheduling: events may schedule more events; the
-    // drain keeps going and the delay is relative to the new now().
-    queue.ScheduleAfter(5.0, [&] { fired_at = queue.now(); });
+    // drain keeps going and the delay is relative to the new queue
+    // time, so this one is due at 15 ms.
+    queue.ScheduleAfter(5.0, [&] { order.push_back("inner"); });
   });
-  EXPECT_EQ(queue.RunUntilIdle(), 2u);
-  EXPECT_DOUBLE_EQ(fired_at, 15.0);
+  EXPECT_EQ(queue.RunUntilIdle(), 4u);
+  EXPECT_EQ(order, (std::vector<std::string>{"ref14", "inner", "ref16"}));
 
   // A zero delay is valid: "next tick", after already-due peers.
   bool ran = false;
@@ -82,7 +93,7 @@ TEST(EventQueueTest, SchedulingValidatesItsArguments) {
   queue.ScheduleAt(10.0, noop);
   EXPECT_TRUE(queue.RunOne());
   EXPECT_THROW(queue.ScheduleAt(9.0, noop), std::invalid_argument);
-  // At exactly now() is fine: "due immediately".
+  // At exactly the queue time is fine: "due immediately".
   queue.ScheduleAt(10.0, noop);
   EXPECT_EQ(queue.RunUntilIdle(), 1u);
 
@@ -102,7 +113,6 @@ TEST(EventQueueTest, CallbackMayScheduleDuringDrain) {
   });
   EXPECT_EQ(queue.RunUntilIdle(), 3u);
   EXPECT_EQ(order, (std::vector<std::string>{"reply", "next", "timeout"}));
-  EXPECT_DOUBLE_EQ(queue.now(), 100.0);
 }
 
 }  // namespace

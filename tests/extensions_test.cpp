@@ -307,7 +307,7 @@ TEST(DistanceBounding, RelayLatencyInflatesEstimate) {
   sc.distance_m = 0.4;
   audio::TwoMicScene scene(sc, rng.Fork());
   const auto relayed = protocol::AcousticRangeMedian(
-      scene, modem::FrameSpec{}, 0.4, rng, 5, {}, /*relay_delay_ms=*/10.0);
+      scene, modem::FrameSpec{}, 0.4, rng, 5, /*relay_delay_ms=*/10.0);
   ASSERT_TRUE(relayed.chirp_detected);
   EXPECT_GT(relayed.estimated_distance_m, 3.0);
   EXPECT_FALSE(relayed.within_bound);

@@ -31,7 +31,6 @@
 namespace wearlock {
 namespace {
 
-using protocol::ResilienceConfig;
 using protocol::ScenarioConfig;
 using protocol::UnlockOutcome;
 using protocol::UnlockReport;
@@ -119,10 +118,9 @@ TEST(FaultMatrixTest, EveryCellTerminatesWithDefinedOutcome) {
     // audio slack) may run past it - but never unboundedly. It governs
     // modeled protocol time, which excludes the modeled compute the
     // clock also carries.
-    const ResilienceConfig& res = config.phone.resilience;
     EXPECT_LT(session.clock().now() - (report.timings.phase1_compute_ms +
                                        report.timings.phase2_compute_ms),
-              res.total_deadline_ms + res.stage_budget_ms + 15000.0);
+              protocol::kTotalDeadlineMs + protocol::kStageBudgetMs + 15000.0);
 
     // No false unlock: unlocking under faults still requires the token
     // BER to clear the bound the adaptation chose.
@@ -248,7 +246,7 @@ TEST(ChaseCombiningTest, RescuesMarginalSnrCellThatSingleShotLoses) {
   {
     ScenarioConfig config = MarginalSnrScenario();
     config.arm_resilience = true;
-    config.phone.resilience.enable_chase_combining = false;
+    config.phone.enable_chase_combining = false;
     UnlockSession session(config);
     const UnlockReport report = session.Attempt();
     EXPECT_FALSE(report.unlocked);
@@ -265,9 +263,8 @@ TEST(ResilienceOutcomeTest, TotalMessageLossExhaustsRetries) {
   const UnlockReport report = session.Attempt();
   EXPECT_EQ(report.outcome, UnlockOutcome::kRetriesExhausted);
   EXPECT_FALSE(report.unlocked);
-  // Initial send + max_message_retries retransmissions, all dropped.
-  const int expected_drops =
-      1 + config.phone.resilience.max_message_retries;
+  // Initial send + kMaxMessageRetries retransmissions, all dropped.
+  const int expected_drops = 1 + protocol::kMaxMessageRetries;
   int drops = 0;
   for (const auto& event : session.faults()->events()) {
     if (event.kind == sim::FaultKind::kMessageDrop) ++drops;
@@ -294,10 +291,9 @@ TEST(ResilienceOutcomeTest, LostCapturesRetransmitProbeThenFailSafe) {
   const UnlockReport report = session.Attempt();
   EXPECT_EQ(report.outcome, UnlockOutcome::kNoPreamble);
   EXPECT_FALSE(report.unlocked);
-  // The probe was re-emitted: initial round + max_probe_retransmits,
+  // The probe was re-emitted: initial round + kMaxProbeRetransmits,
   // every capture dropped.
-  const int expected =
-      1 + config.phone.resilience.max_probe_retransmits;
+  const int expected = 1 + protocol::kMaxProbeRetransmits;
   int recording_drops = 0;
   for (const auto& event : session.faults()->events()) {
     if (event.kind == sim::FaultKind::kRecordingDrop) ++recording_drops;
@@ -354,15 +350,19 @@ TEST(DegradeLadderTest, LostTokenUploadDecodesTheNextRoundOnTheWatch) {
   EXPECT_EQ(record.degrades, 1);
 }
 
-// --- ResilienceConfig / FaultPlan / SoftCombiner units ---------------
+// --- Retry backoff / FaultPlan / SoftCombiner units ------------------
 
-TEST(ResilienceConfigTest, BackoffIsBoundedExponential) {
-  const ResilienceConfig res;  // base 50, cap 800
-  EXPECT_DOUBLE_EQ(res.BackoffMs(0), 50.0);
-  EXPECT_DOUBLE_EQ(res.BackoffMs(1), 100.0);
-  EXPECT_DOUBLE_EQ(res.BackoffMs(2), 200.0);
-  EXPECT_DOUBLE_EQ(res.BackoffMs(4), 800.0);
-  EXPECT_DOUBLE_EQ(res.BackoffMs(40), 800.0);  // capped, no overflow
+TEST(RetryBackoffTest, BackoffIsBoundedExponential) {
+  // Base 50, cap 800.
+  const auto backoff = [](int attempt) {
+    return protocol::BackoffMs(attempt, protocol::kRetryBackoffBaseMs,
+                               protocol::kRetryBackoffMaxMs);
+  };
+  EXPECT_DOUBLE_EQ(backoff(0), 50.0);
+  EXPECT_DOUBLE_EQ(backoff(1), 100.0);
+  EXPECT_DOUBLE_EQ(backoff(2), 200.0);
+  EXPECT_DOUBLE_EQ(backoff(4), 800.0);
+  EXPECT_DOUBLE_EQ(backoff(40), 800.0);  // capped, no overflow
 }
 
 TEST(FaultPlanTest, ParsesFullSpec) {

@@ -58,6 +58,19 @@ CampaignSpec HostileSpec() {
   return spec;
 }
 
+/// tools/ci.sh's contention campaign in miniature: clean, drifted and
+/// 2-pair-contended cells, so the acoustic MAC and the hardened
+/// receiver run under every thread count and shard layout. 72 sessions
+/// visit each of the 36 cells twice.
+CampaignSpec ContentionSpec() {
+  CampaignSpec spec;
+  spec.sessions = 72;
+  spec.seed = 424242;
+  spec.impairment_specs = {"", "sro=50", "pairs=2"};
+  spec.sessions_per_shard = 24;
+  return spec;
+}
+
 std::string RollupBytes(const CampaignResult& result) {
   std::ostringstream os;
   result.sink.WriteJson(os);
@@ -99,19 +112,21 @@ TEST(FleetDeterminismTest, PlanSessionIsAPureFunctionOfTheIndex) {
 }
 
 TEST(FleetDeterminismTest, RollupBytesIdenticalAcrossThreadCounts) {
-  const CampaignSpec spec = MiniSpec();
-  const CampaignResult serial = RunCampaign(spec, 1);
-  EXPECT_EQ(serial.sessions, spec.sessions);
-  EXPECT_EQ(serial.shards, 3u);
-  EXPECT_GT(serial.queue_events, serial.sessions)
-      << "multiplexed sessions must each contribute multiple slices";
+  for (const CampaignSpec& spec : {MiniSpec(), ContentionSpec()}) {
+    SCOPED_TRACE(std::to_string(spec.CellCount()) + "-cell campaign");
+    const CampaignResult serial = RunCampaign(spec, 1);
+    EXPECT_EQ(serial.sessions, spec.sessions);
+    EXPECT_EQ(serial.shards, 3u);
+    EXPECT_GT(serial.queue_events, serial.sessions)
+        << "multiplexed sessions must each contribute multiple slices";
 
-  const std::string golden = RollupBytes(serial);
-  for (std::size_t threads : {2u, 8u}) {
-    const CampaignResult wide = RunCampaign(spec, threads);
-    EXPECT_EQ(RollupBytes(wide), golden) << threads << " threads";
-    EXPECT_EQ(wide.sessions, serial.sessions);
-    EXPECT_EQ(wide.queue_events, serial.queue_events);
+    const std::string golden = RollupBytes(serial);
+    for (std::size_t threads : {2u, 8u}) {
+      const CampaignResult wide = RunCampaign(spec, threads);
+      EXPECT_EQ(RollupBytes(wide), golden) << threads << " threads";
+      EXPECT_EQ(wide.sessions, serial.sessions);
+      EXPECT_EQ(wide.queue_events, serial.queue_events);
+    }
   }
 }
 
@@ -136,14 +151,17 @@ TEST(FleetDeterminismTest, EveryCohortCountsEachOfItsSessionsOnce) {
 
 TEST(FleetDeterminismTest, RollupBytesIdenticalAcrossShardSizes) {
   // Shard boundaries only decide which queue multiplexes a session,
-  // never what the session does - including the ragged-final-shard and
-  // one-session-per-shard extremes.
-  CampaignSpec spec = MiniSpec();
-  const std::string golden = RollupBytes(RunCampaign(spec, 2));
-  for (std::size_t per_shard : {7u, 96u, 1u}) {
-    spec.sessions_per_shard = per_shard;
-    EXPECT_EQ(RollupBytes(RunCampaign(spec, 2)), golden)
-        << per_shard << " sessions per shard";
+  // never what the session does - including the ragged-final-shard,
+  // one-shard and one-session-per-shard extremes.
+  for (CampaignSpec spec : {MiniSpec(), ContentionSpec()}) {
+    SCOPED_TRACE(std::to_string(spec.CellCount()) + "-cell campaign");
+    const std::string golden = RollupBytes(RunCampaign(spec, 2));
+    for (std::size_t per_shard : {std::size_t{7}, spec.sessions,
+                                  std::size_t{1}}) {
+      spec.sessions_per_shard = per_shard;
+      EXPECT_EQ(RollupBytes(RunCampaign(spec, 2)), golden)
+          << per_shard << " sessions per shard";
+    }
   }
 }
 

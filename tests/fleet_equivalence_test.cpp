@@ -68,7 +68,7 @@ ScenarioConfig CellScenario(int cell) {
     ScenarioConfig c = ConfigByIndex(which);
     c.scene.environment = audio::Environment::kQuietRoom;
     c.scene.distance_m = 0.4;
-    c.phone.distance_bounding.enable = true;
+    c.phone.enable_distance_bounding = true;
     c.seed = 9000 + static_cast<std::uint64_t>(which);
     return c;
   }

@@ -6,8 +6,10 @@
 #include <algorithm>
 
 #include "modem/modem.h"
+#include "protocol/ambient.h"
 #include "protocol/attack_agents.h"
 #include "protocol/session.h"
+#include "sensors/filter.h"
 
 namespace wearlock::protocol {
 namespace {
@@ -101,7 +103,7 @@ TEST(UnlockSession, DifferentRoomsCaughtByAmbientFilter) {
   UnlockSession session(config);
   const auto report = session.Attempt();
   EXPECT_EQ(report.outcome, UnlockOutcome::kAmbientMismatch);
-  EXPECT_LT(report.ambient_similarity, config.phone.ambient.threshold);
+  EXPECT_LT(report.ambient_similarity, kAmbientSimilarityThreshold);
 }
 
 TEST(UnlockSession, DifferentBodiesCaughtByMotionFilter) {
@@ -112,7 +114,7 @@ TEST(UnlockSession, DifferentBodiesCaughtByMotionFilter) {
   const auto report = session.Attempt();
   EXPECT_EQ(report.outcome, UnlockOutcome::kMotionMismatch);
   ASSERT_TRUE(report.dtw_score.has_value());
-  EXPECT_GT(*report.dtw_score, config.phone.sensor_thresholds.d_high);
+  EXPECT_GT(*report.dtw_score, sensors::FilterThresholds{}.d_high);
 }
 
 TEST(UnlockSession, SensorSkipPolicyFastPath) {
@@ -123,8 +125,8 @@ TEST(UnlockSession, SensorSkipPolicyFastPath) {
   const auto report = session.Attempt();
   // Walking co-located scores usually fall under d_low: Phase 2 skipped,
   // no acoustic token round at all.
-  if (report.dtw_score && *report.dtw_score <
-                              config.phone.sensor_thresholds.d_low) {
+  if (report.dtw_score &&
+      *report.dtw_score < sensors::FilterThresholds{}.d_low) {
     EXPECT_TRUE(report.unlocked);
     EXPECT_FALSE(report.mode.has_value());
     EXPECT_EQ(report.timings.phase2_audio_ms, 0.0);
@@ -138,7 +140,7 @@ TEST(UnlockSession, NlosRelaxesBerBound) {
   const auto report = session.Attempt();
   if (report.nlos && report.outcome != UnlockOutcome::kNoPreamble &&
       report.outcome != UnlockOutcome::kInsufficientSnr) {
-    EXPECT_NEAR(report.required_ber, config.phone.nlos_relaxed_ber, 1e-9);
+    EXPECT_NEAR(report.required_ber, kNlosRelaxedBer, 1e-9);
   }
 }
 

@@ -3,7 +3,9 @@
 // NLOS delay spread, adaptive mode selection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -97,14 +99,13 @@ TEST(Frame, WriteSymbolRejectsBadBins) {
 }
 
 TEST(Frame, NormalizeFrameHitsPeak) {
-  const FrameSpec spec = DefaultSpec();
   audio::Samples x = {0.1, -0.5, 0.2};
-  NormalizeFrame(spec, x);
+  NormalizeFrame(x);
   double peak = 0.0;
   for (double v : x) peak = std::max(peak, std::abs(v));
-  EXPECT_NEAR(peak, spec.peak_amplitude, 1e-12);
+  EXPECT_NEAR(peak, kPeakAmplitude, 1e-12);
   audio::Samples silent(10, 0.0);
-  NormalizeFrame(spec, silent);  // no-op, no NaNs
+  NormalizeFrame(silent);  // no-op, no NaNs
   for (double v : silent) EXPECT_EQ(v, 0.0);
 }
 
@@ -128,7 +129,7 @@ TEST(Modulator, FramePeakBounded) {
   const auto tx = mod.ModulateBits(Modulation::k16Qam, bits);
   double peak = 0.0;
   for (double v : tx.samples) peak = std::max(peak, std::abs(v));
-  EXPECT_LE(peak, DefaultSpec().peak_amplitude + 1e-9);
+  EXPECT_LE(peak, kPeakAmplitude + 1e-9);
 }
 
 TEST(Modulator, ProbeFrameLoadsAllDataAndPilotBins) {
@@ -174,12 +175,21 @@ TEST(Detector, SilenceYieldsNothing) {
 }
 
 TEST(Detector, BelowScoreThresholdRejected) {
-  DetectorConfig config;
-  config.score_threshold = 0.9;  // impossible bar for a noisy copy
-  const FrameSpec spec = DefaultSpec();
-  const PreambleDetector detector(spec, config);
-  sim::Rng rng(11);
-  audio::Samples rec = rng.GaussianVector(8000, 0.05);  // loud noise
+  // A loud 15 kHz tone out of silence: the energy gate opens, but the
+  // audible-band chirp never correlates with it, so every score stays
+  // under kScoreThreshold and the detector declares no preamble.
+  const PreambleDetector detector(DefaultSpec());
+  audio::Samples rec(8000, 0.0);
+  for (std::size_t i = 4000; i < rec.size(); ++i) {
+    rec[i] = 0.05 * std::sin(2.0 * std::numbers::pi * 15000.0 *
+                             static_cast<double>(i) / audio::kSampleRate);
+  }
+  ASSERT_TRUE(detector.FindSignalOnset(rec).has_value());
+  double best = 0.0;
+  for (const double score : detector.Scores(rec)) {
+    best = std::max(best, std::abs(score));
+  }
+  EXPECT_LT(best, kScoreThreshold);
   EXPECT_FALSE(detector.Detect(rec).has_value());
 }
 

@@ -149,8 +149,7 @@ TEST(Ambient, SharedNoiseScoresHigh) {
   for (auto& v : phone) v += 1e-5 * rng.Gaussian();
   for (auto& v : watch) v += 1e-5 * rng.Gaussian();
   EXPECT_GT(AmbientSimilarity(phone, watch), 0.8);
-  EXPECT_GE(AmbientSimilarity(phone, watch),
-            AmbientSimilarityConfig{}.threshold);
+  EXPECT_GE(AmbientSimilarity(phone, watch), kAmbientSimilarityThreshold);
 }
 
 TEST(Ambient, IndependentNoiseScoresLow) {
@@ -160,8 +159,7 @@ TEST(Ambient, IndependentNoiseScoresLow) {
   const auto phone = a.Generate(8192);
   const auto watch = b.Generate(8192);
   EXPECT_LT(AmbientSimilarity(phone, watch), 0.55);
-  EXPECT_LT(AmbientSimilarity(phone, watch),
-            AmbientSimilarityConfig{}.threshold);
+  EXPECT_LT(AmbientSimilarity(phone, watch), kAmbientSimilarityThreshold);
 }
 
 TEST(Ambient, SurvivesClockSkew) {

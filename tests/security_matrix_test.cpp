@@ -78,7 +78,7 @@ ScenarioConfig CellScenario(int cell) {
   ScenarioConfig c = ConfigByIndex(config);
   c.scene.environment = audio::Environment::kQuietRoom;
   c.scene.distance_m = 0.4;
-  c.phone.distance_bounding.enable = true;
+  c.phone.enable_distance_bounding = true;
   c.seed = 9000 + static_cast<std::uint64_t>(cell);
   return c;
 }
@@ -245,7 +245,7 @@ TEST(SecurityMatrixTest, GoldenRelayCliTrace) {
   ScenarioConfig c = ScenarioConfig::Config1();
   c.scene.distance_m = 0.3;
   c.seed = kCliRelaySeed;
-  c.phone.distance_bounding.enable = true;
+  c.phone.enable_distance_bounding = true;
   c.attack = AttackSpec::Parse(kCliRelaySpec);
   const AttackReport r = RunAttackScenario(c, c.attack);
   EXPECT_EQ(r.victim_outcome, UnlockOutcome::kDistanceBoundViolation);
@@ -274,14 +274,13 @@ TEST(RelayDefenseTest, DistanceBoundingBlocksTheRelayThatWinsWithoutIt) {
                                         "nothing";
 
     ScenarioConfig defended = undefended;
-    defended.phone.distance_bounding.enable = true;
+    defended.phone.enable_distance_bounding = true;
     const AttackReport held = RunAttackScenario(defended, spec);
     EXPECT_EQ(held.victim_outcome, UnlockOutcome::kDistanceBoundViolation);
     EXPECT_FALSE(held.false_unlock);
     ASSERT_TRUE(held.ranging_distance_m.has_value());
     // Two short hops + 3 ms of electronics: well past the 1.3 m bound.
-    EXPECT_GT(*held.ranging_distance_m,
-              protocol::RangingConfig{}.max_distance_m);
+    EXPECT_GT(*held.ranging_distance_m, protocol::kMaxRangingDistanceM);
   }
 }
 
@@ -291,7 +290,7 @@ TEST(ReplayDefenseTest, EveryEvasionFallsToAnotherLayer) {
   auto run = [](const char* spec, bool distance_bounding) {
     ScenarioConfig c = ScenarioConfig::Config1();
     c.seed = 9020;
-    c.phone.distance_bounding.enable = distance_bounding;
+    c.phone.enable_distance_bounding = distance_bounding;
     return RunAttackScenario(c, AttackSpec::Parse(spec));
   };
   {
@@ -360,7 +359,7 @@ TEST(OvershadowDefenseTest, NeitherPowerRegimeYieldsAnAttackerUnlock) {
   auto run = [](const char* spec) {
     ScenarioConfig c = ScenarioConfig::Config1();
     c.seed = 9001;
-    c.phone.distance_bounding.enable = true;
+    c.phone.enable_distance_bounding = true;
     return RunAttackScenario(c, AttackSpec::Parse(spec));
   };
   {
@@ -386,7 +385,7 @@ TEST(OvershadowDefenseTest, DefaultLevelSaturatesInANoisyRoom) {
     ScenarioConfig c = ConfigByIndex(config);
     c.scene.environment = audio::Environment::kOffice;
     c.seed = 9200 + static_cast<std::uint64_t>(config);
-    c.phone.distance_bounding.enable = true;
+    c.phone.enable_distance_bounding = true;
     const AttackReport r = RunAttackScenario(c, spec);
     EXPECT_FALSE(r.false_unlock);
     EXPECT_FALSE(r.events.empty());
@@ -415,8 +414,8 @@ AttackReport ProbeWithReconPass(const ScenarioConfig& base,
                            &session.clock());
   dev.Record("arm", spec.distance_m);
   const audio::Samples chirp = modem::MakePreamble(scenario.phone.frame);
-  const std::size_t span = scenario.scene.lead_in_samples +
-                           16 * chirp.size() + scenario.scene.lead_out_samples;
+  const std::size_t span = audio::kLeadInSamples + 16 * chirp.size() +
+                           audio::kSceneLeadOutSamples;
   audio::Samples train;
   while (train.size() < span) audio::Append(train, chirp);
   const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
@@ -538,7 +537,7 @@ TEST(AttackTelemetryTest, RecordsAggregateAsAttackerSuccessRate) {
   for (std::uint64_t seed = 9300; seed < 9305; ++seed) {
     ScenarioConfig c = ScenarioConfig::Config1();
     c.seed = seed;
-    c.phone.distance_bounding.enable = true;
+    c.phone.enable_distance_bounding = true;
     const AttackReport r =
         RunAttackScenario(c, AttackSpec::Parse("replay@0.5:delay=400"));
     for (const auto& rec : r.records) sink.Ingest(rec);
@@ -587,7 +586,7 @@ TEST(DistanceBoundingPropertyTest, EstimateIsMonotoneInRelayDelay) {
     for (const double delay_ms : {0.0, 1.0, 2.0, 4.0, 8.0}) {
       const protocol::RangingResult res = protocol::AcousticRangeMedian(
           scene, modem::FrameSpec{}, /*volume=*/0.8, rng, /*rounds=*/5,
-          protocol::RangingConfig{}, delay_ms);
+          delay_ms);
       ASSERT_TRUE(res.chirp_detected) << "delay " << delay_ms;
       EXPECT_GT(res.estimated_distance_m, prev) << "delay " << delay_ms;
       prev = res.estimated_distance_m;
@@ -621,7 +620,7 @@ TEST(DistanceBoundingPropertyTest, RelayDelaysOfTwoMsOrMoreAreRejected) {
       sim::Rng rng(seed * 77 + 1);
       const protocol::RangingResult res = protocol::AcousticRangeMedian(
           scene, modem::FrameSpec{}, /*volume=*/0.8, rng, /*rounds=*/5,
-          protocol::RangingConfig{}, delay_ms);
+          delay_ms);
       ASSERT_TRUE(res.chirp_detected);
       EXPECT_FALSE(res.within_bound);
     }

@@ -914,7 +914,7 @@ TEST(DiscardedOutcomeTest, ChannelHardeningApisAreCovered) {
                       "discarded-outcome"));
   EXPECT_TRUE(HasRule(RunAllOn("src/protocol/x.cpp",
                                "void F(const Spec& s, const Samples& c) {\n"
-                               "  SenseChannel(s, c, 9.0);\n"
+                               "  SenseChannel(s, c);\n"
                                "}\n"),
                       "discarded-outcome"));
   EXPECT_TRUE(HasRule(RunAllOn("src/protocol/x.cpp",
@@ -924,14 +924,14 @@ TEST(DiscardedOutcomeTest, ChannelHardeningApisAreCovered) {
                                "}\n"),
                       "discarded-outcome"));
   EXPECT_TRUE(HasRule(RunAllOn("src/protocol/x.cpp",
-                               "void F(const AcousticMacConfig& mac) {\n"
-                               "  mac.BackoffMs(2);\n"
+                               "void F() {\n"
+                               "  BackoffMs(2, kBaseMs, kMaxMs);\n"
                                "}\n"),
                       "discarded-outcome"));
   EXPECT_FALSE(HasRule(
       RunAllOn("src/protocol/x.cpp",
                "void F(const Spec& s, const Samples& c, Rec& r) {\n"
-               "  const auto sense = SenseChannel(s, c, 9.0);\n"
+               "  const auto sense = SenseChannel(s, c);\n"
                "  if (modem::EstimateDrift(r, s, 2048).valid) { Use(); }\n"
                "  auto fixed = modem::CompensateRate(r, 300.0);\n"
                "  const auto plan = audio::ImpairmentPlan::Parse(\"sro=50\");\n"

@@ -1130,9 +1130,8 @@ constexpr OutcomeApi kOutcomeApis[] = {
     {"", "SenseChannel"},
     {"", "EstimateDrift"},
     {"", "CompensateRate"},
-    // Matches both backoff ladders (resilience + acoustic MAC); member
-    // calls cannot be qualified, and every legitimate call needs the
-    // returned delay.
+    // The one bounded-exponential ladder (retries and the acoustic
+    // MAC); every legitimate call needs the returned delay.
     {"", "BackoffMs"},
 };
 

@@ -26,7 +26,6 @@
 // prints per-cohort unlock/false-accept Wilson CIs and campaign
 // throughput (sessions/sec, wall-clock) to stderr; timing lives on
 // stderr so stdout stays byte-stable for CI diffs.
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +38,7 @@
 
 #include "audio/impairments.h"
 #include "audio/propagation.h"
+#include "cli_args.h"
 #include "obs/instrument.h"
 #include "protocol/fleet.h"
 #include "sim/adversary.h"
@@ -64,16 +64,6 @@ int Usage() {
   return 2;
 }
 
-bool ParseU64(const std::string& s, std::uint64_t* out) {
-  const auto result = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return result.ec == std::errc() && result.ptr == s.data() + s.size();
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  const auto result = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return result.ec == std::errc() && result.ptr == s.data() + s.size();
-}
-
 std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::string item;
@@ -81,18 +71,6 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   while (std::getline(in, item, sep)) out.push_back(item);
   if (out.empty()) out.push_back("");
   return out;
-}
-
-bool ParseEnvName(const std::string& s, audio::Environment* out) {
-  if (s == "quiet") { *out = audio::Environment::kQuietRoom; return true; }
-  if (s == "office") { *out = audio::Environment::kOffice; return true; }
-  if (s == "classroom") { *out = audio::Environment::kClassroom; return true; }
-  if (s == "cafe") { *out = audio::Environment::kCafe; return true; }
-  if (s == "grocery") {
-    *out = audio::Environment::kGroceryStore;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -111,35 +89,38 @@ int main(int argc, char** argv) {
     };
     std::uint64_t u = 0;
     if (arg == "--sessions") {
-      if (!ParseU64(next(), &u)) return Usage();
+      if (!cli::ParseNumber(next(), &u)) return Usage();
       spec.sessions = static_cast<std::size_t>(u);
     } else if (arg == "--seed") {
-      if (!ParseU64(next(), &spec.seed)) return Usage();
+      if (!cli::ParseNumber(next(), &spec.seed)) return Usage();
     } else if (arg == "--threads") {
-      if (!ParseU64(next(), &u) || u > sim::ParallelExecutor::kMaxThreads) {
+      if (!cli::ParseNumber(next(), &u) ||
+          u > sim::ParallelExecutor::kMaxThreads) {
         return Usage();
       }
       threads = static_cast<std::size_t>(u);
     } else if (arg == "--retries") {
-      if (!ParseU64(next(), &u)) return Usage();
-      spec.max_retries = static_cast<int>(u);
+      if (!cli::ParseNumber(next(), &spec.max_retries) ||
+          spec.max_retries < 0) {
+        return Usage();
+      }
     } else if (arg == "--impostor-every") {
-      if (!ParseU64(next(), &u)) return Usage();
+      if (!cli::ParseNumber(next(), &u)) return Usage();
       spec.impostor_every = static_cast<std::size_t>(u);
     } else if (arg == "--shard-size") {
-      if (!ParseU64(next(), &u) || u == 0) return Usage();
+      if (!cli::ParseNumber(next(), &u) || u == 0) return Usage();
       spec.sessions_per_shard = static_cast<std::size_t>(u);
     } else if (arg == "--configs") {
       spec.configs.clear();
       for (const std::string& item : Split(next(), ',')) {
-        if (!ParseU64(item, &u) || u < 1 || u > 3) return Usage();
+        if (!cli::ParseNumber(item, &u) || u < 1 || u > 3) return Usage();
         spec.configs.push_back(static_cast<int>(u));
       }
     } else if (arg == "--envs") {
       spec.environments.clear();
       for (const std::string& item : Split(next(), ',')) {
         audio::Environment env = audio::Environment::kQuietRoom;
-        if (!ParseEnvName(item, &env)) return Usage();
+        if (!cli::ParseEnvironment(item, &env)) return Usage();
         spec.environments.push_back(env);
       }
     } else if (arg == "--distances") {
@@ -148,8 +129,8 @@ int main(int argc, char** argv) {
         // Inside the reference distance the propagation model is
         // undefined.
         double d = 0.0;
-        if (!ParseDouble(item, &d) || !std::isfinite(d) ||
-            d < audio::PropagationSpec{}.reference_distance_m) {
+        if (!cli::ParseNumber(item, &d) || !std::isfinite(d) ||
+            d < audio::kReferenceDistanceM) {
           return Usage();
         }
         spec.distances_m.push_back(d);

@@ -58,7 +58,6 @@
 // --activity name, a number with trailing junk, a --distance inside the
 // propagation model's reference distance, fewer than one attempt - and
 // any unknown flag exits 2 with a usage message.
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -67,6 +66,7 @@
 
 #include "audio/impairments.h"
 #include "audio/propagation.h"
+#include "cli_args.h"
 #include "obs/log.h"
 #include "protocol/attack_agents.h"
 #include "protocol/session.h"
@@ -95,31 +95,11 @@ int Usage() {
   return 2;
 }
 
-bool ParseEnv(const std::string& s, audio::Environment* out) {
-  if (s == "quiet") { *out = audio::Environment::kQuietRoom; return true; }
-  if (s == "office") { *out = audio::Environment::kOffice; return true; }
-  if (s == "classroom") { *out = audio::Environment::kClassroom; return true; }
-  if (s == "cafe") { *out = audio::Environment::kCafe; return true; }
-  if (s == "grocery") {
-    *out = audio::Environment::kGroceryStore;
-    return true;
-  }
-  return false;
-}
-
 bool ParseActivity(const std::string& s, sensors::Activity* out) {
   if (s == "sitting") { *out = sensors::Activity::kSitting; return true; }
   if (s == "walking") { *out = sensors::Activity::kWalking; return true; }
   if (s == "running") { *out = sensors::Activity::kRunning; return true; }
   return false;
-}
-
-/// The whole string must be one number: std::from_chars (the banned-api
-/// lint rejects atoi/atof) with trailing junk rejected.
-template <typename T>
-bool ParseNumber(const std::string& s, T* out) {
-  const auto result = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return result.ec == std::errc() && result.ptr == s.data() + s.size();
 }
 
 std::string FormatReport(int attempt, const UnlockReport& report) {
@@ -170,12 +150,14 @@ int main(int argc, char** argv) {
       return Usage();
     };
     if (arg == "--env") {
-      if (!ParseEnv(next(), &config.scene.environment)) return bad_value();
+      if (!cli::ParseEnvironment(next(), &config.scene.environment)) {
+        return bad_value();
+      }
     } else if (arg == "--distance") {
       // Inside the reference distance the propagation model is undefined.
       double d = 0.0;
-      if (!ParseNumber(next(), &d) || !std::isfinite(d) ||
-          d < audio::PropagationSpec{}.reference_distance_m) {
+      if (!cli::ParseNumber(next(), &d) || !std::isfinite(d) ||
+          d < audio::kReferenceDistanceM) {
         return bad_value();
       }
       config.scene.distance_m = d;
@@ -191,19 +173,23 @@ int main(int argc, char** argv) {
       config.wireless_connected = false;
     } else if (arg == "--config") {
       int n = 0;
-      if (!ParseNumber(next(), &n) || n < 1 || n > 3) return bad_value();
+      if (!cli::ParseNumber(next(), &n) || n < 1 || n > 3) return bad_value();
       if (n == 2) config = ScenarioConfig::Config2();
       if (n == 3) config = ScenarioConfig::Config3();
     } else if (arg == "--activity") {
       if (!ParseActivity(next(), &config.activity)) return bad_value();
     } else if (arg == "--attempts") {
-      if (!ParseNumber(next(), &attempts) || attempts < 1) return bad_value();
+      if (!cli::ParseNumber(next(), &attempts) || attempts < 1) {
+        return bad_value();
+      }
     } else if (arg == "--retries") {
-      if (!ParseNumber(next(), &retries) || retries < 0) return bad_value();
+      if (!cli::ParseNumber(next(), &retries) || retries < 0) {
+        return bad_value();
+      }
     } else if (arg == "--session-log") {
       session_log_path = next();
     } else if (arg == "--seed") {
-      if (!ParseNumber(next(), &config.seed)) return bad_value();
+      if (!cli::ParseNumber(next(), &config.seed)) return bad_value();
     } else if (arg == "--faults") {
       try {
         config.faults = sim::FaultPlan::Parse(next());
@@ -272,7 +258,7 @@ int main(int argc, char** argv) {
     // sessions), with the full defense suite armed. The exit code
     // reports the DEFENSE's outcome, not the victim's.
     config.attack = sim::AttackSpec::Parse(attack_spec_str);
-    config.phone.distance_bounding.enable = true;
+    config.phone.enable_distance_bounding = true;
     if (!trace_path.empty() || !metrics_path.empty() ||
         !fault_trace_path.empty() || !channel_trace_path.empty()) {
       std::fprintf(stderr,
