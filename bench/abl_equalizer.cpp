@@ -20,6 +20,7 @@
 #include "modem/equalizer.h"
 #include "modem/modem.h"
 #include "modem/sync.h"
+#include "protocol/phone_controller.h"
 #include "sim/rng.h"
 
 namespace {
@@ -39,7 +40,9 @@ double MeasureBer(EqMode eq_mode, int rounds, sim::Rng& rng) {
   cfg.propagation = audio::PropagationSpec::IndoorLos();
   audio::AcousticChannel channel(cfg, rng.Fork());
   const double volume = audio::SpeakerModel().VolumeForSpl(
-      modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
+      modem::ProbeTxSpl(45.0, protocol::kSnrMinDb, protocol::kSecureRangeM,
+                        audio::kReferenceDistanceM) +
+      protocol::kFramePaprDb);
 
   std::vector<std::size_t> data_bins = spec.plan.data;
   std::sort(data_bins.begin(), data_bins.end());

@@ -12,6 +12,7 @@
 #include "audio/medium.h"
 #include "bench_util.h"
 #include "modem/modem.h"
+#include "protocol/phone_controller.h"
 #include "sim/rng.h"
 
 namespace {
@@ -29,7 +30,9 @@ double MeasureBer(long fine_range, double distance, bool blocked, int rounds,
                             : audio::PropagationSpec::IndoorLos();
   audio::AcousticChannel channel(cfg, rng.Fork());
   const double volume = audio::SpeakerModel().VolumeForSpl(
-      modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
+      modem::ProbeTxSpl(45.0, protocol::kSnrMinDb, protocol::kSecureRangeM,
+                        audio::kReferenceDistanceM) +
+      protocol::kFramePaprDb);
 
   std::size_t errors = 0, total = 0;
   for (int r = 0; r < rounds; ++r) {

@@ -10,8 +10,11 @@
 // controller consumes at runtime. The (modulation x noise) grid runs on
 // bench::SweepRunner: every cell is an independent task seeded from its
 // grid index, so the table is byte-identical for any --threads value.
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <new>  // NOLINT(banned-api): std::bad_alloc, not an allocation
 #include <optional>
 #include <vector>
 
@@ -27,7 +30,55 @@
 
 namespace {
 
+// Heap blocks of at least kLargeAllocBytes the process has asked for,
+// and the ones asked for inside a frame (modulate, transmit, demodulate)
+// with the frames counted. The replaced operator new below feeds them.
+constexpr std::size_t kLargeAllocBytes = 16 * 1024;
+// A warmed-up frame allocates only what the public API hands back: the
+// modulated frame and the channel's recording.
+constexpr std::uint64_t kMaxLargeAllocsPerFrame = 2;
+std::atomic<std::uint64_t> g_large_allocs{0};
+std::atomic<std::uint64_t> g_frame_large_allocs{0};
+std::atomic<std::uint64_t> g_frames{0};
+
+}  // namespace
+
+// Counts, then forwards to malloc, so sanitizers still see every block.
+// operator new[] and the nothrow forms call this one in libstdc++. GCC
+// pairs a new expression with free() once the delete below is inlined
+// and warns of a mismatch; here new is malloc, so the pair is right.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {  // NOLINT(banned-api): counting allocator
+  if (n >= kLargeAllocBytes) {
+    g_large_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }  // NOLINT(banned-api): pairs with the counting new
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }  // NOLINT(banned-api): pairs with the counting new
+#pragma GCC diagnostic pop
+
+namespace {
+
 using namespace wearlock;
+
+/// Frame-loop share of the allocation gate: adds the large blocks one
+/// frame asked for (every thread's, so exact at --threads 1).
+class FrameAllocScope {
+ public:
+  FrameAllocScope() : before_(g_large_allocs.load(std::memory_order_relaxed)) {}
+  ~FrameAllocScope() {
+    g_frame_large_allocs.fetch_add(
+        g_large_allocs.load(std::memory_order_relaxed) - before_,
+        std::memory_order_relaxed);
+    g_frames.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  std::uint64_t before_;
+};
 
 struct Point {
   double ebn0_db = 0.0;
@@ -55,9 +106,13 @@ std::optional<Point> MeasurePoint(modem::Modulation m, double noise_spl,
   for (int r = 0; r < rounds; ++r) {
     std::vector<std::uint8_t> bits(kBitsPerRound);
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng.UniformInt(0, 1));
-    const auto tx = modem.Modulate(m, bits);
-    const auto rx = channel.Transmit(tx.samples, 0.5);
-    const auto res = modem.Demodulate(rx.recording, m, bits.size());
+    std::optional<modem::DemodResult> res;
+    {
+      const FrameAllocScope frame;
+      const auto tx = modem.Modulate(m, bits);
+      const auto rx = channel.Transmit(tx.samples, 0.5);
+      res = modem.Demodulate(rx.recording, m, bits.size());
+    }
     if (!res) {
       errors += bits.size() / 2;  // undetected frame ~ coin-flip bits
       total += bits.size();
@@ -105,6 +160,8 @@ int main(int argc, char** argv) {
   const std::uint64_t misses_before = dsp::PlanCache::Shared().misses();
   const std::uint64_t growths_before = dsp::Workspace::TotalGrowths();
   const std::uint64_t spectra_before = dsp::SpectrumCache::Shared().misses();
+  const std::uint64_t frame_allocs_before = g_frame_large_allocs.load();
+  const std::uint64_t frames_before = g_frames.load();
 
   const auto cells = runner.RunGrid(
       modulations.size(), noise_spls.size(),
@@ -120,21 +177,37 @@ int main(int argc, char** argv) {
       dsp::Workspace::TotalGrowths() - growths_before;
   const std::uint64_t spectrum_delta =
       dsp::SpectrumCache::Shared().misses() - spectra_before;
+  const std::uint64_t frames = g_frames.load() - frames_before;
+  const std::uint64_t frame_allocs =
+      g_frame_large_allocs.load() - frame_allocs_before;
   std::fprintf(stderr,
                "[alloc] steady-state sweep: %llu plan-cache misses, %llu "
                "workspace growths, %llu spectrum-cache misses (plan cache: "
-               "%llu hits / %llu misses lifetime)\n",
+               "%llu hits / %llu misses lifetime); %.2f allocations of "
+               ">= %zu KiB per frame (%llu frames)\n",
                static_cast<unsigned long long>(miss_delta),
                static_cast<unsigned long long>(growth_delta),
                static_cast<unsigned long long>(spectrum_delta),
                static_cast<unsigned long long>(dsp::PlanCache::Shared().hits()),
                static_cast<unsigned long long>(
-                   dsp::PlanCache::Shared().misses()));
+                   dsp::PlanCache::Shared().misses()),
+               frames > 0 ? static_cast<double>(frame_allocs) /
+                                static_cast<double>(frames)
+                          : 0.0,
+               kLargeAllocBytes / 1024, static_cast<unsigned long long>(frames));
   if (runner.thread_count() == 1 &&
       (miss_delta != 0 || growth_delta != 0 || spectrum_delta != 0)) {
     std::fprintf(stderr,
                  "[alloc] FAIL: hot path allocated after warm-up "
                  "(zero-allocation steady state violated)\n");
+    return 1;
+  }
+  if (runner.thread_count() == 1 &&
+      frame_allocs > kMaxLargeAllocsPerFrame * frames) {
+    std::fprintf(stderr,
+                 "[alloc] FAIL: a frame allocates more than %llu large "
+                 "blocks (the buffers the modem and channel hand back)\n",
+                 static_cast<unsigned long long>(kMaxLargeAllocsPerFrame));
     return 1;
   }
 

@@ -15,6 +15,7 @@
 #include "audio/medium.h"
 #include "bench_util.h"
 #include "modem/modem.h"
+#include "protocol/phone_controller.h"
 #include "sim/rng.h"
 
 namespace {
@@ -37,7 +38,9 @@ double MeasureBer(modem::Modulation m, double distance, int rounds,
   // Fixed volume tuned for ~1 m delivery in an office (the paper holds
   // settings constant across this sweep).
   const double volume = audio::SpeakerModel().VolumeForSpl(
-      modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
+      modem::ProbeTxSpl(45.0, protocol::kSnrMinDb, protocol::kSecureRangeM,
+                        audio::kReferenceDistanceM) +
+      protocol::kFramePaprDb);
 
   std::size_t errors = 0, total = 0;
   for (int r = 0; r < rounds; ++r) {

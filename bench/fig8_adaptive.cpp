@@ -13,6 +13,7 @@
 #include "bench_util.h"
 #include "modem/modem.h"
 #include "modem/snr.h"
+#include "protocol/phone_controller.h"
 #include "sim/rng.h"
 
 namespace {
@@ -38,7 +39,9 @@ Cell Measure(double max_ber, double distance, int rounds, sim::Rng& rng) {
   cfg.microphone = audio::MicrophoneModel::Phone();
   audio::AcousticChannel channel(cfg, rng.Fork());
   const double volume = audio::SpeakerModel().VolumeForSpl(
-      modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
+      modem::ProbeTxSpl(45.0, protocol::kSnrMinDb, protocol::kSecureRangeM,
+                        audio::kReferenceDistanceM) +
+      protocol::kFramePaprDb);
 
   Cell cell;
   cell.rounds = rounds;

@@ -18,6 +18,7 @@
 #include "dsp/stats.h"
 #include "modem/modem.h"
 #include "modem/snr.h"
+#include "protocol/phone_controller.h"
 #include "sim/rng.h"
 
 namespace {
@@ -40,7 +41,9 @@ RoundResult RunRound(sim::Rng& rng) {
   cfg.environment = audio::Environment::kOffice;
   audio::AcousticChannel channel(cfg, rng.Fork());
   const double volume = audio::SpeakerModel().VolumeForSpl(
-      modem::ProbeTxSpl(45.0, 18.0, 1.0, 0.1) + 15.0);
+      modem::ProbeTxSpl(45.0, protocol::kSnrMinDb, protocol::kSecureRangeM,
+                        audio::kReferenceDistanceM) +
+      protocol::kFramePaprDb);
 
   RoundResult result;
   // Jam up to 6 random bins inside the audible data band.

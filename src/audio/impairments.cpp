@@ -7,12 +7,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "audio/propagation.h"
 #include "dsp/filter.h"
 #include "dsp/resample.h"
 #include "dsp/spl.h"
 #include "obs/instrument.h"
 #include "obs/json.h"
+#include "sim/adversary.h"
 #include "sim/spec_number.h"
 
 namespace wearlock::audio {
@@ -143,7 +143,7 @@ ChannelImpairments::ChannelImpairments(ImpairmentPlan plan, sim::Rng rng,
   // when *later* in this sequence; the order is part of the replay
   // contract (docs/channels.md).
   warp_rate_ = (1.0 + plan_.sro_ppm * 1e-6) /
-               (1.0 + plan_.doppler_mps / kSpeedOfSound);
+               (1.0 + plan_.doppler_mps / sim::kSpeedOfSoundMps);
   window_shift_ = static_cast<std::size_t>(
       std::llround(plan_.sro_ppm * 1e-6 * kClockAgeS * kSampleRate));
   Record("impairments-armed",
@@ -240,7 +240,7 @@ Samples ChannelImpairments::ApplyWatchPath(Samples at_watch) {
     at_watch = dsp::WarpTimeSinc(at_watch, warp_rate_);
   }
   if (!reverb_ir_.empty()) {
-    at_watch = dsp::Convolve(at_watch, reverb_ir_);
+    at_watch = dsp::Convolve(std::move(at_watch), reverb_ir_);
   }
   return at_watch;
 }
@@ -277,9 +277,9 @@ Samples ChannelImpairments::MaybeBurst(std::size_t n, double ambient_rms) {
   const std::size_t start =
       static_cast<std::size_t>(start_frac * static_cast<double>(n));
   const std::size_t len = std::min(SamplesFromSeconds(len_s), n - start);
-  const Samples burst = rng_.GaussianVector(len, ambient_rms * plan_.burst_mult);
   Samples out(n, 0.0);
-  for (std::size_t i = 0; i < len; ++i) out[start + i] = burst[i];
+  rng_.FillGaussian(std::span(out).subspan(start, len),
+                    ambient_rms * plan_.burst_mult);
   Record("burst", Fmt("at=+%.0f samples, %.0f samples long",
                       static_cast<double>(start), static_cast<double>(len)));
   return out;

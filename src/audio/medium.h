@@ -38,6 +38,14 @@ struct Reception {
   double spl_noise_at_rx;     ///< SPL of the noise component
 };
 
+/// Every capture's signal path: `signal` through `speaker`, `path` and the
+/// phase jitter, moved through the stages in one per-thread buffer that
+/// keeps its capacity (no allocation once warm); valid until the next call.
+Samples& RenderSignalPath(const Samples& signal, double volume,
+                          const SpeakerModel& speaker,
+                          const PropagationModel& path, double distance_m,
+                          sim::Rng& rng);
+
 /// The default SpeakerModel feeds the path; every capture opens with
 /// kLeadInSamples of ambient and closes with kChannelLeadOutSamples.
 class AcousticChannel {
@@ -54,8 +62,6 @@ class AcousticChannel {
   const ChannelConfig& config() const { return config_; }
 
  private:
-  Samples MakeNoise(std::size_t n);
-
   ChannelConfig config_;
   SpeakerModel speaker_;
   PropagationModel propagation_;

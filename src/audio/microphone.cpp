@@ -28,16 +28,15 @@ MicrophoneModel MicrophoneModel::Watch() {
   });
 }
 
-Samples MicrophoneModel::Capture(const Samples& pressure) const {
-  Samples out = pressure;
+Samples MicrophoneModel::Capture(Samples pressure) const {
   if (spec_.lowpass_cutoff_hz > 0.0 && spec_.lowpass_sections > 0) {
-    auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
+    wearlock::dsp::BiquadCascade::ButterworthLowPass(
         spec_.lowpass_cutoff_hz, kSampleRate,
-        static_cast<std::size_t>(spec_.lowpass_sections));
-    out = lpf.ProcessBlock(out);
+        static_cast<std::size_t>(spec_.lowpass_sections))
+        .ProcessBlock(pressure);
   }
-  Clip(out, spec_.clip_level);
-  return out;
+  Clip(pressure, spec_.clip_level);
+  return pressure;
 }
 
 }  // namespace wearlock::audio

@@ -34,9 +34,10 @@ class MicrophoneModel {
   /// (starts fading at 5 kHz).
   static MicrophoneModel Watch();
 
-  /// Convert incident pressure into the recorded buffer: band-limit,
-  /// clip, (self-noise is added by the medium which owns the RNG).
-  Samples Capture(const Samples& pressure) const;
+  /// Convert incident pressure into the recorded buffer, in its own
+  /// buffer: band-limit, clip (self-noise is added by the medium which
+  /// owns the RNG, see AddSelfNoise).
+  Samples Capture(Samples pressure) const;
 
   const MicrophoneSpec& spec() const { return spec_; }
 

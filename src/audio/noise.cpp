@@ -7,16 +7,25 @@
 #include "dsp/filter.h"
 #include "dsp/hilbert.h"
 #include "dsp/spl.h"
+#include "dsp/workspace.h"
 
 namespace wearlock::audio {
 namespace {
 constexpr double kPi = std::numbers::pi;
 
-/// Rescale x so its SPL is spl_db (no-op on silent buffers).
-void CalibrateSpl(Samples& x, double spl_db) {
+/// Rescale x to rms `target` (no-op on silent buffers).
+void ScaleToRms(std::span<double> x, double target) {
   const double rms = wearlock::dsp::Rms(x);
-  if (rms <= 0.0) return;
-  Scale(x, wearlock::dsp::RmsFromSpl(spl_db) / rms);
+  if (rms > 0.0) Scale(x, target / rms);
+}
+
+/// n draws from `rng` in this thread's workspace, valid until the next call.
+std::span<double> DrawGaussians(sim::Rng& rng, std::size_t n,
+                                double stddev = 1.0) {
+  const std::span<double> out = wearlock::dsp::Workspace::PerThread().RealScratch(
+      wearlock::dsp::RSlot::kGaussians, n);
+  rng.FillGaussian(out, stddev);
+  return out;
 }
 
 }  // namespace
@@ -81,59 +90,57 @@ NoiseSource::NoiseSource(NoiseProfile profile, sim::Rng rng)
 NoiseSource::NoiseSource(Environment env, sim::Rng rng)
     : NoiseSource(NoiseProfile::For(env), std::move(rng)) {}
 
-Samples NoiseSource::Generate(std::size_t n) {
+Samples NoiseSource::Generate(Samples out) {
+  const std::size_t n = out.size();
   const double tone_mix = profile_.tone_hz.empty() ? 0.0 : profile_.tone_mix;
   const double shaped_mix =
       std::max(0.0, 1.0 - profile_.broadband_mix - tone_mix);
 
   // Normalize each component to unit rms before mixing so the mix
   // fractions are energy fractions.
-  auto unit = [](Samples s) {
-    const double r = wearlock::dsp::Rms(s);
-    if (r > 0.0) Scale(s, 1.0 / r);
-    return s;
-  };
-  Samples out;
+  const double broad_gain = std::sqrt(profile_.broadband_mix);
   if (shaped_mix == 0.0 && profile_.broadband_mix > 0.0) {
-    // White noise: the shaped part would add +-0 to a broadband part
-    // that never holds -0.0 (docs/perf.md, "Work no output reads").
+    // White noise: the shaped part would add +-0 to a broadband part that
+    // never holds -0.0 (docs/perf.md, "Work no output reads"), drawn here.
     rng_.SkipGaussians(n);
-    out.assign(n, 0.0);
+    rng_.FillGaussian(out);
+    ScaleToRms(out, 1.0);
+    Scale(out, broad_gain);
   } else {
     // Shaped (low-passed) component carries the bulk of ambient energy.
-    out = rng_.GaussianVector(n);
+    rng_.FillGaussian(out);
     if (profile_.lowpass_hz > 0.0 && profile_.lowpass_hz < kSampleRate / 2.0) {
-      auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
-          profile_.lowpass_hz, kSampleRate, 2);
-      out = lpf.ProcessBlock(out);
+      wearlock::dsp::BiquadCascade::ButterworthLowPass(profile_.lowpass_hz,
+                                                       kSampleRate, 2)
+          .ProcessBlock(out);
     }
-    out = unit(std::move(out));
+    ScaleToRms(out, 1.0);
     Scale(out, std::sqrt(shaped_mix));
+    const std::span<double> broad = DrawGaussians(rng_, n);
+    ScaleToRms(broad, 1.0);
+    Scale(broad, broad_gain);
+    for (std::size_t i = 0; i < n; ++i) out[i] += broad[i];
   }
-  Samples broad = unit(rng_.GaussianVector(n));
-  Scale(broad, std::sqrt(profile_.broadband_mix));
-  MixInto(out, broad);
 
   if (tone_mix > 0.0) {
-    Samples tones(n, 0.0);
     const double per_tone =
         std::sqrt(tone_mix / static_cast<double>(profile_.tone_hz.size()));
-    for (std::size_t t = 0; t < profile_.tone_hz.size(); ++t) {
-      const double f = profile_.tone_hz[t];
-      const double phase0 =
-          tone_phase_seed_ + static_cast<double>(t) * 1.234;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double time =
-            static_cast<double>(samples_generated_ + i) / kSampleRate;
-        tones[i] += per_tone * std::sqrt(2.0) *
-                    std::sin(2.0 * kPi * f * time + phase0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double time =
+          static_cast<double>(samples_generated_ + i) / kSampleRate;
+      double tones = 0.0;
+      for (std::size_t t = 0; t < profile_.tone_hz.size(); ++t) {
+        const double phase0 =
+            tone_phase_seed_ + static_cast<double>(t) * 1.234;
+        tones += per_tone * std::sqrt(2.0) *
+                 std::sin(2.0 * kPi * profile_.tone_hz[t] * time + phase0);
       }
+      out[i] += tones;
     }
-    MixInto(out, tones);
   }
 
   samples_generated_ += n;
-  CalibrateSpl(out, profile_.spl_db);
+  ScaleToRms(out, wearlock::dsp::RmsFromSpl(profile_.spl_db));
   return out;
 }
 
@@ -157,21 +164,26 @@ Samples ToneJammer::Generate(std::size_t n) const {
       out[i] += std::sin(2.0 * kPi * f * t + 0.731 * static_cast<double>(b));
     }
   }
-  const double rms = wearlock::dsp::Rms(out);
-  if (rms > 0.0) Scale(out, wearlock::dsp::RmsFromSpl(spl_db_) / rms);
+  ScaleToRms(out, wearlock::dsp::RmsFromSpl(spl_db_));
   return out;
 }
 
 Samples ApplyPhaseJitter(Samples x, sim::Rng& rng) {
   static_assert(kPhaseJitterBandwidthHz < kSampleRate / 2.0);
   if (x.empty()) return x;
-  Samples theta = rng.GaussianVector(x.size());
-  wearlock::dsp::Biquad lpf =
-      wearlock::dsp::Biquad::LowPass(kPhaseJitterBandwidthHz, kSampleRate);
-  theta = lpf.ProcessBlock(theta);
-  const double rms = wearlock::dsp::Rms(theta);
-  if (rms > 0.0) Scale(theta, kPhaseJitterRmsRad / rms);
-  return wearlock::dsp::RotatePhase(x, theta);
+  const std::span<double> theta = DrawGaussians(rng, x.size());
+  wearlock::dsp::Biquad::LowPass(kPhaseJitterBandwidthHz, kSampleRate)
+      .ProcessBlock(theta);
+  ScaleToRms(theta, kPhaseJitterRmsRad);
+  return wearlock::dsp::RotatePhase(std::move(x), theta);
+}
+
+Samples AddSelfNoise(Samples pressure, const MicrophoneModel& mic,
+                     sim::Rng& rng) {
+  const std::span<const double> self = DrawGaussians(
+      rng, pressure.size(), wearlock::dsp::RmsFromSpl(mic.spec().self_noise_spl));
+  for (std::size_t i = 0; i < pressure.size(); ++i) pressure[i] += self[i];
+  return pressure;
 }
 
 }  // namespace wearlock::audio

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "audio/microphone.h"
 #include "audio/signal.h"
 #include "sim/rng.h"
 
@@ -50,8 +51,8 @@ class NoiseSource {
   NoiseSource(NoiseProfile profile, sim::Rng rng);
   NoiseSource(Environment env, sim::Rng rng);
 
-  /// n samples of ambient noise at the profile's SPL.
-  Samples Generate(std::size_t n);
+  /// Overwrites `out` with ambient noise at the profile's SPL.
+  Samples Generate(Samples out);
 
  private:
   NoiseProfile profile_;
@@ -71,10 +72,15 @@ inline constexpr double kPhaseJitterBandwidthHz = 600.0;
 
 /// Receive-chain phase jitter: rotates x's phase by a Gaussian process
 /// of RMS kPhaseJitterRmsRad radians, low-passed to
-/// kPhaseJitterBandwidthHz. Every capture path (TwoMicScene,
-/// AcousticChannel) applies it. Draws x.size() Gaussians from `rng`
-/// unless x is empty, in which case x is returned unchanged.
+/// kPhaseJitterBandwidthHz, in x's buffer. Every capture path
+/// (TwoMicScene, AcousticChannel) applies it. Draws x.size() Gaussians
+/// from `rng` unless x is empty, in which case x is returned unchanged.
 Samples ApplyPhaseJitter(Samples x, sim::Rng& rng);
+
+/// `mic`'s self-noise floor added to `pressure` in its own buffer:
+/// pressure.size() Gaussian draws from `rng` (the medium owns the RNG).
+Samples AddSelfNoise(Samples pressure, const MicrophoneModel& mic,
+                     sim::Rng& rng);
 
 /// Up to `kMaxTones` sine tones, each aimed at the centre frequency of an
 /// OFDM sub-channel (bin index at a given FFT size / sample rate).

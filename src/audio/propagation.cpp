@@ -6,6 +6,7 @@
 #include "dsp/filter.h"
 #include "dsp/resample.h"
 #include "dsp/spl.h"
+#include "sim/adversary.h"
 
 namespace wearlock::audio {
 
@@ -49,32 +50,31 @@ double PropagationModel::LossDbAt(double distance_m) const {
                                         kGeometricConstant);
 }
 
-Samples PropagationModel::Propagate(const Samples& emitted,
-                                    double distance_m) const {
+Samples PropagationModel::Propagate(Samples emitted, double distance_m) const {
   if (distance_m < kReferenceDistanceM) {
     throw std::invalid_argument(
         "PropagationModel: receiver closer than reference distance");
   }
   const double direct_gain = GainAt(distance_m) * spec_.direct_gain;
   const double direct_delay =
-      distance_m / kSpeedOfSound * kSampleRate;
+      distance_m / sim::kSpeedOfSoundMps * kSampleRate;
 
-  Samples out;
-  {
-    Samples direct = wearlock::dsp::DelayFractional(emitted, direct_delay);
-    if (spec_.direct_lowpass_hz > 0.0) {
-      auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
-          spec_.direct_lowpass_hz, kSampleRate, 2);
-      direct = lpf.ProcessBlock(direct);
-    }
-    Scale(direct, direct_gain);
-    out = std::move(direct);
+  // Every reflection starts from the emission as it left the speaker.
+  const Samples source = spec_.taps.empty() ? Samples{} : emitted;
+  Samples out = wearlock::dsp::DelayFractional(std::move(emitted), direct_delay);
+  if (spec_.direct_lowpass_hz > 0.0) {
+    wearlock::dsp::BiquadCascade::ButterworthLowPass(spec_.direct_lowpass_hz,
+                                                     kSampleRate, 2)
+        .ProcessBlock(out);
   }
+  Scale(out, direct_gain);
+  Samples echo;
   for (const MultipathTap& tap : spec_.taps) {
     const double path_m = distance_m + tap.extra_distance_m;
     const double tap_gain = GainAt(path_m) * tap.gain;
-    const double tap_delay = path_m / kSpeedOfSound * kSampleRate;
-    Samples echo = wearlock::dsp::DelayFractional(emitted, tap_delay);
+    const double tap_delay = path_m / sim::kSpeedOfSoundMps * kSampleRate;
+    echo.assign(source.begin(), source.end());
+    echo = wearlock::dsp::DelayFractional(std::move(echo), tap_delay);
     Scale(echo, tap_gain);
     MixInto(out, echo);
   }

@@ -14,8 +14,6 @@
 
 namespace wearlock::audio {
 
-inline constexpr double kSpeedOfSound = 343.0;  // m/s at room temperature
-
 /// Geometric spreading constant g (1 = spherical point source).
 inline constexpr double kGeometricConstant = 1.0;
 /// Reference distance d0: the transmitter's own mic-to-speaker distance.
@@ -55,10 +53,10 @@ class PropagationModel {
   explicit PropagationModel(PropagationSpec spec = PropagationSpec::Los());
 
   /// Propagate `emitted` (pressure at d0) to a receiver `distance_m`
-  /// away. Applies spreading loss, speed-of-sound delay (fractional
-  /// samples) and the tap set.
+  /// away, in its own buffer. Applies spreading loss, speed-of-sound
+  /// delay (fractional samples) and the tap set.
   /// @throws std::invalid_argument if distance < reference distance.
-  Samples Propagate(const Samples& emitted, double distance_m) const;
+  Samples Propagate(Samples emitted, double distance_m) const;
 
   /// Spreading-loss gain (linear) at a distance.
   double GainAt(double distance_m) const;

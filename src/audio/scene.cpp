@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "audio/medium.h"
 #include "dsp/spl.h"
 
 namespace wearlock::audio {
@@ -54,18 +55,12 @@ void TwoMicScene::AdvanceTimeMs(double ms) {
   }
 }
 
-Samples TwoMicScene::MicNoise(std::size_t n, const MicrophoneModel& mic) {
-  const double rms = wearlock::dsp::RmsFromSpl(mic.spec().self_noise_spl);
-  return rng_.GaussianVector(n, rms);
-}
-
 SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
                                               double volume) {
-  const Samples emitted = config_.phone_speaker.Emit(signal, volume);
-
-  // Watch side: propagate, jitter, then sit it in ambient noise.
-  Samples at_watch = ApplyPhaseJitter(
-      propagation_.Propagate(emitted, config_.distance_m), rng_);
+  // Watch side: emit, propagate, jitter, then sit it in ambient noise.
+  Samples& at_watch =
+      RenderSignalPath(signal, volume, config_.phone_speaker, propagation_,
+                       config_.distance_m, rng_);
   if (impairments_) {
     // SRO/Doppler warp + room late field, as the watch's clock hears it.
     at_watch = impairments_->ApplyWatchPath(std::move(at_watch));
@@ -76,10 +71,13 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
 
   // A separated watch hears its own ambience; the shared stream still
   // advances, as if the phone had recorded it.
-  Samples watch_pressure = SharedAmbient(total);
-  if (!config_.co_located) watch_pressure = IndependentAmbient(total);
+  Samples watch_pressure = shared_ambient_.Generate(Samples(total));
+  if (!config_.co_located) {
+    watch_pressure = watch_ambient_.Generate(std::move(watch_pressure));
+  }
   if (jammer_) MixInto(watch_pressure, jammer_->Generate(total));
-  MixInto(watch_pressure, MicNoise(total, config_.watch_mic));
+  watch_pressure =
+      AddSelfNoise(std::move(watch_pressure), config_.watch_mic, rng_);
   if (impairments_) {
     if (impairments_->has_neighbors()) {
       MixInto(watch_pressure, impairments_->NeighborWaveform(total));
@@ -107,18 +105,19 @@ SceneReception TwoMicScene::TransmitFromPhone(const Samples& signal,
   r.signal_start = kLeadInSamples;
   r.watch_spl_signal = wearlock::dsp::SplOf(at_watch);
   r.watch_spl_noise = watch_noise_spl;
-  r.watch_recording = config_.watch_mic.Capture(watch_pressure);
+  r.watch_recording = config_.watch_mic.Capture(std::move(watch_pressure));
   return r;
 }
 
 std::pair<Samples, Samples> TwoMicScene::RecordAmbientPair(std::size_t n) {
-  Samples shared = SharedAmbient(n);
-  Samples phone_pressure = shared;
-  MixInto(phone_pressure, MicNoise(n, MicrophoneModel::Phone()));
-  Samples watch_pressure = config_.co_located ? std::move(shared)
-                                              : IndependentAmbient(n);
+  Samples shared = shared_ambient_.Generate(Samples(n));
+  Samples phone_pressure = AddSelfNoise(shared, MicrophoneModel::Phone(), rng_);
+  Samples watch_pressure = config_.co_located
+                               ? std::move(shared)
+                               : watch_ambient_.Generate(Samples(n));
   if (jammer_) MixInto(watch_pressure, jammer_->Generate(n));
-  MixInto(watch_pressure, MicNoise(n, config_.watch_mic));
+  watch_pressure =
+      AddSelfNoise(std::move(watch_pressure), config_.watch_mic, rng_);
   if (impairments_) {
     if (impairments_->has_neighbors()) {
       const Samples neighbor = impairments_->NeighborWaveform(n);
@@ -133,34 +132,26 @@ std::pair<Samples, Samples> TwoMicScene::RecordAmbientPair(std::size_t n) {
     }
     impairments_->AdvanceCursor(n);
   }
-  return {MicrophoneModel::Phone().Capture(phone_pressure),
-          config_.watch_mic.Capture(watch_pressure)};
+  return {MicrophoneModel::Phone().Capture(std::move(phone_pressure)),
+          config_.watch_mic.Capture(std::move(watch_pressure))};
 }
 
 Samples TwoMicScene::RecordAtDistance(const Samples& signal, double volume,
                                       double eavesdropper_distance_m,
                                       const PropagationSpec& path,
                                       double gain_db) {
-  const Samples emitted = config_.phone_speaker.Emit(signal, volume);
-  PropagationModel prop(path);
-  Samples at_ear =
-      ApplyPhaseJitter(prop.Propagate(emitted, eavesdropper_distance_m), rng_);
+  Samples& at_ear =
+      RenderSignalPath(signal, volume, config_.phone_speaker,
+                       PropagationModel(path), eavesdropper_distance_m, rng_);
   if (gain_db != 0.0) Scale(at_ear, std::pow(10.0, gain_db / 20.0));
   const std::size_t total =
       kLeadInSamples + at_ear.size() + kSceneLeadOutSamples;
-  Samples pressure = IndependentAmbient(total);
-  MixInto(pressure, MicNoise(total, MicrophoneModel::Phone()));
+  Samples pressure = AddSelfNoise(watch_ambient_.Generate(Samples(total)),
+                                  MicrophoneModel::Phone(), rng_);
   MixIntoAt(pressure, at_ear, kLeadInSamples);
   // Assume the attacker carries full-band recording gear.
-  return MicrophoneModel::Phone().Capture(pressure);
+  return MicrophoneModel::Phone().Capture(std::move(pressure));
 }
 
-Samples TwoMicScene::SharedAmbient(std::size_t n) {
-  return shared_ambient_.Generate(n);
-}
-
-Samples TwoMicScene::IndependentAmbient(std::size_t n) {
-  return watch_ambient_.Generate(n);
-}
 
 }  // namespace wearlock::audio

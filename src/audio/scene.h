@@ -103,10 +103,6 @@ class TwoMicScene {
   void AdvanceTimeMs(double ms);
 
  private:
-  Samples SharedAmbient(std::size_t n);
-  Samples IndependentAmbient(std::size_t n);
-  Samples MicNoise(std::size_t n, const MicrophoneModel& mic);
-
   SceneConfig config_;
   PropagationModel propagation_;
   NoiseSource shared_ambient_;

@@ -12,11 +12,11 @@ void MixIntoAt(Samples& y, const Samples& x, std::size_t offset) {
   for (std::size_t i = 0; i < x.size(); ++i) y[offset + i] += x[i];
 }
 
-void Scale(Samples& x, double gain) {
+void Scale(std::span<double> x, double gain) {
   for (double& v : x) v *= gain;
 }
 
-void Clip(Samples& x, double limit) {
+void Clip(std::span<double> x, double limit) {
   for (double& v : x) v = std::clamp(v, -limit, limit);
 }
 

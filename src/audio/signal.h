@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace wearlock::audio {
@@ -33,10 +34,10 @@ void MixInto(Samples& y, const Samples& x);
 void MixIntoAt(Samples& y, const Samples& x, std::size_t offset);
 
 /// Elementwise scale in place.
-void Scale(Samples& x, double gain);
+void Scale(std::span<double> x, double gain);
 
 /// Hard-clip to [-limit, limit] (speaker/mic saturation).
-void Clip(Samples& x, double limit);
+void Clip(std::span<double> x, double limit);
 
 /// Concatenate b onto a.
 void Append(Samples& a, const Samples& b);

@@ -6,8 +6,10 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "dsp/correlate.h"
 #include "dsp/fft.h"
 #include "dsp/filter.h"
+#include "dsp/hilbert.h"
 #include "dsp/spl.h"
 
 namespace wearlock::audio {
@@ -23,46 +25,38 @@ double FullScaleSineSpl() {
 
 std::span<const wearlock::dsp::Complex> PhaseRippleTable::Get(
     const SpeakerSpec& spec, std::size_t n) {
-  const std::array<std::uint64_t, 5> key = {
-      std::bit_cast<std::uint64_t>(spec.phase_ripple_rad),
-      std::bit_cast<std::uint64_t>(spec.ripple_period1_hz),
-      std::bit_cast<std::uint64_t>(spec.ripple_phase1_rad),
-      std::bit_cast<std::uint64_t>(spec.ripple_period2_hz),
-      std::bit_cast<std::uint64_t>(spec.ripple_phase2_rad)};
-  // Find or build under one lock, as dsp::SpectrumCache::Get does: each
-  // key is built (and counted as a miss) exactly once.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& entry : entries_) {
-    if (entry->n == n && entry->key == key) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return entry->rot;
+  const Key key = {n,
+                   std::bit_cast<std::uint64_t>(spec.phase_ripple_rad),
+                   std::bit_cast<std::uint64_t>(spec.ripple_period1_hz),
+                   std::bit_cast<std::uint64_t>(spec.ripple_phase1_rad),
+                   std::bit_cast<std::uint64_t>(spec.ripple_period2_hz),
+                   std::bit_cast<std::uint64_t>(spec.ripple_phase2_rad)};
+  return Find(key, [&] {
+    wearlock::dsp::ComplexVec rot(n / 2, wearlock::dsp::Complex(1.0, 0.0));
+    const double fs = kSampleRate;
+    for (std::size_t k = 1; k < n / 2; ++k) {
+      const double f = static_cast<double>(k) * fs / static_cast<double>(n);
+      const double phi =
+          spec.phase_ripple_rad *
+          (0.65 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period1_hz +
+                           spec.ripple_phase1_rad) +
+           0.45 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period2_hz +
+                           spec.ripple_phase2_rad));
+      rot[k] = std::polar(1.0, phi);
     }
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->n = n;
-  entry->key = key;
-  entry->rot.assign(n / 2, wearlock::dsp::Complex(1.0, 0.0));
-  const double fs = kSampleRate;
-  for (std::size_t k = 1; k < n / 2; ++k) {
-    const double f = static_cast<double>(k) * fs / static_cast<double>(n);
-    const double phi =
-        spec.phase_ripple_rad *
-        (0.65 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period1_hz +
-                         spec.ripple_phase1_rad) +
-         0.45 * std::sin(2.0 * std::numbers::pi * f / spec.ripple_period2_hz +
-                         spec.ripple_phase2_rad));
-    entry->rot[k] = std::polar(1.0, phi);
-  }
-  entries_.push_back(std::move(entry));
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return entries_.back()->rot;
+    return rot;
+  });
 }
 
-PhaseRippleTable& PhaseRippleTable::Shared() {
-  // Leaked on purpose, like dsp::SpectrumCache::Shared: spans into the
-  // entries must outlive every worker thread.
-  static PhaseRippleTable* const table = new PhaseRippleTable();  // NOLINT(banned-api): intentional leak
-  return *table;
+std::span<const double> RiseEnvelopeTable::Get(double tau) {
+  return Find({std::bit_cast<std::uint64_t>(tau)}, [&] {
+    std::vector<double> env;
+    for (std::size_t n = 0;; ++n) {
+      const double e = 1.0 - std::exp(-static_cast<double>(n + 1) / tau);
+      if (e == 1.0) return env;
+      env.push_back(e);
+    }
+  });
 }
 
 SpeakerModel::SpeakerModel(SpeakerSpec spec) : spec_(spec) {
@@ -82,32 +76,30 @@ SpeakerModel::SpeakerModel(SpeakerSpec spec) : spec_(spec) {
   }
 }
 
-Samples SpeakerModel::Emit(const Samples& input, double volume) const {
+Samples SpeakerModel::Emit(Samples drive, double volume) const {
   if (volume < 0.0 || volume > 1.0) {
     throw std::invalid_argument("SpeakerModel::Emit: volume must be in [0, 1]");
   }
   // Digital drive with excursion clipping.
-  Samples drive = input;
   Scale(drive, volume);
   Clip(drive, spec_.clip_level);
 
   // Rise effect: first-order attack envelope from signal onset.
-  const double tau = std::max(spec_.rise_time_s, 1e-6) * kSampleRate;
-  for (std::size_t n = 0; n < drive.size(); ++n) {
-    const double env = 1.0 - std::exp(-static_cast<double>(n + 1) / tau);
-    drive[n] *= env;
+  const std::span<const double> rise = RiseEnvelopeTable::Shared().Get(
+      std::max(spec_.rise_time_s, 1e-6) * kSampleRate);
+  for (std::size_t n = 0; n < std::min(drive.size(), rise.size()); ++n) {
+    drive[n] *= rise[n];
   }
 
-  // Ringing: convolve with the reverberation impulse response.
-  Samples out = wearlock::dsp::Convolve(drive, ringing_ir_);
+  // Ringing: convolve with the reverberation impulse response, whose
+  // spectrum every transform-path frame of this size shares.
+  Samples out = wearlock::dsp::Convolve(std::move(drive), ringing_ir_,
+                                        &wearlock::dsp::SpectrumCache::Shared());
 
   // Static phase-response ripple (see SpeakerSpec::phase_ripple_rad).
   if (spec_.phase_ripple_rad > 0.0 && !out.empty()) {
-    const std::size_t n = wearlock::dsp::NextPowerOfTwo(out.size());
-    wearlock::dsp::ComplexVec spec(n, wearlock::dsp::Complex(0.0, 0.0));
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      spec[i] = wearlock::dsp::Complex(out[i], 0.0);
-    }
+    wearlock::dsp::ComplexVec& spec = wearlock::dsp::PaddedComplex(out);
+    const std::size_t n = spec.size();
     wearlock::dsp::Fft(spec);
     const std::span<const wearlock::dsp::Complex> rot =
         PhaseRippleTable::Shared().Get(spec_, n);

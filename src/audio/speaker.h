@@ -15,7 +15,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -59,54 +59,77 @@ struct SpeakerSpec {
   double ripple_phase2_rad = 1.3;
 };
 
-/// Thread-safe, process-wide table of the static phase-ripple rotations
-/// SpeakerModel::Emit applies to its output spectrum. They depend only on
-/// the transform size and the spec's ripple fields, so each (n,
-/// phase_ripple_rad, ripple_period1_hz, ripple_phase1_rad,
-/// ripple_period2_hz, ripple_phase2_rad) key - the doubles compared by
-/// their exact bits - is computed once. Entries are immutable and never
-/// evicted, so a returned span stays valid for the life of the process;
-/// only the first request for a key allocates.
-class PhaseRippleTable {
+/// Thread-safe table of values SpeakerModel::Emit derives from its spec
+/// alone, keyed by the exact bits of the doubles they depend on (and a
+/// transform size). Each key is built once, under one lock, and counted
+/// as one miss; entries are never evicted, so a span stays valid.
+template <typename Table, typename T, std::size_t KeyWords>
+class SpeakerTable {
+ public:
+  /// Lifetime lookup counters; steady state is all hits.
+  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::uint64_t misses() const {
+    return misses_.load(std::memory_order_relaxed);
+  }
+
+  /// The process-wide table every SpeakerModel uses, leaked on purpose:
+  /// spans into the entries must outlive every worker thread.
+  static Table& Shared() {
+    static Table* const table = new Table();  // NOLINT(banned-api): intentional leak
+    return *table;
+  }
+
+ protected:
+  using Key = std::array<std::uint64_t, KeyWords>;
+
+  template <typename Build>
+  std::span<const T> Find(const Key& key, const Build& build) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto [entry, fresh] = entries_.try_emplace(key);
+    if (fresh) entry->second = build();
+    (fresh ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
+    return entry->second;
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<Key, std::vector<T>> entries_;  // guarded by mu_; nodes never move
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+};
+
+/// The static phase-ripple rotations Emit applies to its output
+/// spectrum, keyed by the transform size and the five ripple fields.
+class PhaseRippleTable
+    : public SpeakerTable<PhaseRippleTable, wearlock::dsp::Complex, 6> {
  public:
   /// rot[k] for 1 <= k < n/2 (rot[0] is unused): the unit rotation by
   /// the ripple phase at bin k's frequency k * fs / n, bit-identical to
   /// evaluating it on every call.
   std::span<const wearlock::dsp::Complex> Get(const SpeakerSpec& spec,
                                               std::size_t n);
+};
 
-  /// Lifetime lookup counters. Steady state is all hits: one miss per
-  /// key.
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
-  /// The process-wide table every SpeakerModel uses.
-  static PhaseRippleTable& Shared();
-
- private:
-  struct Entry {
-    std::size_t n = 0;
-    std::array<std::uint64_t, 5> key{};  // the ripple fields' bits
-    wearlock::dsp::ComplexVec rot;
-  };
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<const Entry>> entries_;  // guarded by mu_
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+/// The rise (attack) envelope Emit multiplies its drive by, keyed by the
+/// time constant tau in samples.
+class RiseEnvelopeTable : public SpeakerTable<RiseEnvelopeTable, double, 1> {
+ public:
+  /// env[n] = 1 - exp(-(n + 1) / tau) for a finite tau > 0, as Emit
+  /// evaluated it per sample, up to the first n where it rounds to 1.0;
+  /// every later term shrinks by ~1/tau, far past exp's error, so it
+  /// rounds to 1.0 too, and x * 1.0 == x leaves those samples' bits.
+  std::span<const double> Get(double tau);
 };
 
 class SpeakerModel {
  public:
   explicit SpeakerModel(SpeakerSpec spec = {});
 
-  /// Render `input` (digital signal in [-1, 1]) at `volume` in [0, 1].
-  /// Returns the pressure signal emitted at the reference distance d0,
-  /// with rise/ringing applied. Output is longer than input by the
-  /// ringing tail.
+  /// Render `drive` (digital signal in [-1, 1]) at `volume` in [0, 1] in
+  /// its own buffer: the pressure signal emitted at the reference distance
+  /// d0, with rise/ringing applied, longer by the ringing tail.
   /// @throws std::invalid_argument if volume is outside [0, 1].
-  Samples Emit(const Samples& input, double volume) const;
+  Samples Emit(Samples drive, double volume) const;
 
   /// SPL (dB at d0) a full-scale sine would produce at `volume`.
   double SplAtVolume(double volume) const;

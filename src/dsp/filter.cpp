@@ -7,6 +7,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "dsp/correlate.h"
 #include "dsp/fft_plan.h"
 #include "dsp/simd.h"
 #include "dsp/workspace.h"
@@ -54,10 +55,8 @@ double Biquad::Process(double x) {
   return y;
 }
 
-std::vector<double> Biquad::ProcessBlock(const std::vector<double>& x) {
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = Process(x[i]);
-  return y;
+void Biquad::ProcessBlock(std::span<double> x) {
+  for (double& v : x) v = Process(v);
 }
 
 BiquadCascade::BiquadCascade(std::vector<Biquad> sections)
@@ -87,10 +86,8 @@ double BiquadCascade::Process(double x) {
   return x;
 }
 
-std::vector<double> BiquadCascade::ProcessBlock(const std::vector<double>& x) {
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = Process(x[i]);
-  return y;
+void BiquadCascade::ProcessBlock(std::span<double> x) {
+  for (double& v : x) v = Process(v);
 }
 
 namespace {
@@ -108,32 +105,42 @@ constexpr std::size_t kFftKernelMin = 64;
 constexpr std::size_t kFftSignalMin = 2048;
 
 // lint: hot-path
-std::vector<double> ConvolveFft(const std::vector<double>& x,
-                                const std::vector<double>& h) {
+std::vector<double> ConvolveFft(std::vector<double> x,
+                                const std::vector<double>& h,
+                                SpectrumCache* kernel_spectra) {
   const std::size_t out_len = x.size() + h.size() - 1;
   const std::size_t n = NextPowerOfTwo(out_len);
   const auto plan = PlanCache::Shared().Get(n);
   Workspace& ws = Workspace::PerThread();
   ComplexVec& fx = ws.ComplexZeroed(CSlot::kConvX, n);
-  ComplexVec& fh = ws.ComplexZeroed(CSlot::kConvH, n);
   for (std::size_t i = 0; i < x.size(); ++i) fx[i] = Complex(x[i], 0.0);
-  for (std::size_t i = 0; i < h.size(); ++i) fh[i] = Complex(h[i], 0.0);
   plan->Forward(fx.data());
-  plan->Forward(fh.data());
+  // The cache builds h's spectrum exactly as the per-call branch does:
+  // h zero-padded to n, then the same plan's forward transform.
+  std::span<const Complex> fh;
+  if (kernel_spectra) {
+    fh = kernel_spectra->Get(h, *plan);
+  } else {
+    ComplexVec& own = ws.ComplexZeroed(CSlot::kConvH, n);
+    for (std::size_t i = 0; i < h.size(); ++i) own[i] = Complex(h[i], 0.0);
+    plan->Forward(own.data());
+    fh = own;
+  }
   for (std::size_t i = 0; i < n; ++i) fx[i] *= fh[i];
   plan->Inverse(fx.data());
-  std::vector<double> y(out_len);  // NOLINT(hot-path-alloc): the result
-  for (std::size_t k = 0; k < out_len; ++k) y[k] = fx[k].real();
-  return y;
+  x.resize(out_len);  // NOLINT(hot-path-alloc): the result, in x's buffer
+  for (std::size_t k = 0; k < out_len; ++k) x[k] = fx[k].real();
+  return x;
 }
 
 }  // namespace
 
-std::vector<double> Convolve(const std::vector<double>& x,
-                             const std::vector<double>& h) {
+std::vector<double> Convolve(std::vector<double> x,
+                             const std::vector<double>& h,
+                             SpectrumCache* kernel_spectra) {
   if (x.empty() || h.empty()) return {};
   if (h.size() >= kFftKernelMin && x.size() >= kFftSignalMin) {
-    return ConvolveFft(x, h);
+    return ConvolveFft(std::move(x), h, kernel_spectra);
   }
   // Direct form, output-stationary: y[k] sums x[i] * h[k - i] in
   // ascending i from +0.0, as the reversed kernel against the input
@@ -152,7 +159,6 @@ std::vector<double> Convolve(const std::vector<double>& x,
   std::reverse_copy(h.begin(), h.end(), hr.begin());
   RealVec& xp = ws.RealZeroed(RSlot::kConvShift, x.size() + 2 * pad);
   std::copy(x.begin(), x.end(), xp.begin() + static_cast<std::ptrdiff_t>(pad));
-  std::vector<double> y(x.size() + pad, 0.0);
 
   // The input's nonzero stretches (padded positions), split at runs of
   // at least 16 zeros; past the last slot, stretches merge (skipping
@@ -175,6 +181,9 @@ std::vector<double> Convolve(const std::vector<double>& x,
       stretches[count++] = {begin, i - zeros};
     }
   }
+  // The output overwrites the input, which now lives in xp.
+  std::vector<double>& y = x;
+  y.assign(x.size() + pad, 0.0);
 
   const double* hk = hr.data();
   std::size_t first = 0;  // first stretch ending after the window start
@@ -233,7 +242,7 @@ std::vector<double> Convolve(const std::vector<double>& x,
       y[k++] = a;
     }
   }
-  return y;
+  return x;
 }
 
 }  // namespace wearlock::dsp

@@ -6,9 +6,12 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace wearlock::dsp {
+
+class SpectrumCache;  // dsp/correlate.h
 
 /// One direct-form-I biquad: y = (b0 x + b1 x1 + b2 x2 - a1 y1 - a2 y2).
 /// Coefficients are normalized (a0 == 1).
@@ -24,8 +27,8 @@ class Biquad {
 
   /// Filter one sample, updating internal state.
   double Process(double x);
-  /// Filter a whole buffer (stateful across calls).
-  std::vector<double> ProcessBlock(const std::vector<double>& x);
+  /// Filter a whole buffer in place (stateful across calls).
+  void ProcessBlock(std::span<double> x);
 
  private:
   double b0_ = 1.0, b1_ = 0.0, b2_ = 0.0, a1_ = 0.0, a2_ = 0.0;
@@ -45,20 +48,21 @@ class BiquadCascade {
                                           std::size_t sections);
 
   double Process(double x);
-  std::vector<double> ProcessBlock(const std::vector<double>& x);
+  void ProcessBlock(std::span<double> x);
   std::size_t size() const { return sections_.size(); }
 
  private:
   std::vector<Biquad> sections_;
 };
 
-/// Full linear convolution y = x * h (length |x|+|h|-1). Short inputs or
-/// kernels run the direct form, as a gather loop over the per-thread
-/// workspace whose every output equals the textbook scatter loop's bit
-/// for bit (for a finite kernel); long signal x long kernel pairs take
-/// an FFT overlap-free path through the shared plan cache and the
-/// per-thread workspace.
-std::vector<double> Convolve(const std::vector<double>& x,
-                             const std::vector<double>& h);
+/// Full linear convolution y = x * h (length |x|+|h|-1), in x's buffer.
+/// Short inputs or kernels run the direct form, as a gather loop over the
+/// per-thread workspace whose every output equals the textbook scatter
+/// loop's bit for bit (for a finite kernel); long signal x long kernel
+/// pairs take an FFT overlap-free path, with h's zero-padded spectrum
+/// from `kernel_spectra` if given, else transformed per call (same bits).
+std::vector<double> Convolve(std::vector<double> x,
+                             const std::vector<double>& h,
+                             SpectrumCache* kernel_spectra = nullptr);
 
 }  // namespace wearlock::dsp

@@ -8,33 +8,36 @@
 
 namespace wearlock::dsp {
 
-ComplexVec AnalyticSignal(const RealVec& x) {
-  if (x.empty()) return {};
-  const std::size_t n = NextPowerOfTwo(x.size());
-  const auto plan = PlanCache::Shared().Get(n);
-  ComplexVec& spec =
-      Workspace::PerThread().ComplexZeroed(CSlot::kFftScratch, n);
+ComplexVec& PaddedComplex(std::span<const double> x) {
+  ComplexVec& spec = Workspace::PerThread().ComplexZeroed(
+      CSlot::kFftScratch, NextPowerOfTwo(x.size()));
   for (std::size_t i = 0; i < x.size(); ++i) spec[i] = Complex(x[i], 0.0);
+  return spec;
+}
+
+std::span<const Complex> AnalyticSignal(std::span<const double> x) {
+  if (x.empty()) return {};
+  ComplexVec& spec = PaddedComplex(x);
+  const std::size_t n = spec.size();
+  const auto plan = PlanCache::Shared().Get(n);
   plan->Forward(spec.data());
   // Analytic filter: keep DC and Nyquist, double positive freqs, zero
   // negative freqs.
   for (std::size_t k = 1; k < n / 2; ++k) spec[k] *= 2.0;
   for (std::size_t k = n / 2 + 1; k < n; ++k) spec[k] = Complex(0.0, 0.0);
   plan->Inverse(spec.data());
-  return ComplexVec(spec.begin(),
-                    spec.begin() + static_cast<std::ptrdiff_t>(x.size()));
+  return {spec.data(), x.size()};
 }
 
-RealVec RotatePhase(const RealVec& x, const RealVec& theta) {
+RealVec RotatePhase(RealVec x, std::span<const double> theta) {
   if (x.size() != theta.size()) {
     throw std::invalid_argument("RotatePhase: size mismatch");
   }
-  const ComplexVec analytic = AnalyticSignal(x);
-  RealVec out(x.size());
+  const std::span<const Complex> analytic = AnalyticSignal(x);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = (analytic[i] * std::polar(1.0, theta[i])).real();
+    x[i] = (analytic[i] * std::polar(1.0, theta[i])).real();
   }
-  return out;
+  return x;
 }
 
 }  // namespace wearlock::dsp

@@ -8,22 +8,27 @@
 // asymmetry corrupt phase first).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "dsp/fft.h"
 
 namespace wearlock::dsp {
 
-/// Analytic signal via the FFT method (zero negative frequencies, double
-/// positive ones). Internally zero-pads to a power of two; the returned
-/// vector has x.size() entries. Real part equals x (up to padding error
-/// at the very edges).
-ComplexVec AnalyticSignal(const RealVec& x);
+/// x as complex samples zero-padded to NextPowerOfTwo(x.size()) in this
+/// thread's workspace, valid until the next call: the transform buffer
+/// of AnalyticSignal and of the speaker's phase ripple.
+ComplexVec& PaddedComplex(std::span<const double> x);
 
-/// Rotate the instantaneous phase of x by theta[i] radians per sample.
-/// theta must be the same length as x. Returns the real signal with the
-/// same envelope and shifted phase.
+/// Analytic signal via the FFT method (zero negative frequencies, double
+/// positive ones): x.size() entries in PaddedComplex's buffer, valid
+/// until its next call. Real part equals x (up to edge padding error).
+std::span<const Complex> AnalyticSignal(std::span<const double> x);
+
+/// Rotate the instantaneous phase of x by theta[i] radians per sample,
+/// in x's buffer. theta must be the same length as x. Returns the real
+/// signal with the same envelope and shifted phase.
 /// @throws std::invalid_argument on length mismatch.
-RealVec RotatePhase(const RealVec& x, const RealVec& theta);
+RealVec RotatePhase(RealVec x, std::span<const double> theta);
 
 }  // namespace wearlock::dsp

@@ -20,14 +20,13 @@ double Sinc(double x) {
 
 }  // namespace
 
-std::vector<double> DelayInteger(const std::vector<double>& x,
+std::vector<double> DelayInteger(std::vector<double> x,
                                  std::size_t delay_samples) {
-  std::vector<double> y(x.size() + delay_samples, 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) y[i + delay_samples] = x[i];
-  return y;
+  x.insert(x.begin(), delay_samples, 0.0);
+  return x;
 }
 
-std::vector<double> DelayFractional(const std::vector<double>& x,
+std::vector<double> DelayFractional(std::vector<double> x,
                                     double delay_samples, std::size_t taps) {
   if (delay_samples < 0.0) {
     throw std::invalid_argument("DelayFractional: negative delay");
@@ -37,7 +36,7 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
   }
   const std::size_t whole = static_cast<std::size_t>(delay_samples);
   const double frac = delay_samples - static_cast<double>(whole);
-  if (frac < 1e-12) return DelayInteger(x, whole);
+  if (frac < 1e-12) return DelayInteger(std::move(x), whole);
 
   // Windowed-sinc interpolation of the fractional part. Taps and the
   // padded input live in this thread's workspace: channel simulation
@@ -75,7 +74,10 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
   const std::size_t pad = taps - 1;
   RealVec& xp = ws.RealZeroed(RSlot::kResampleShift, n + 2 * pad);
   std::copy(x.begin(), x.end(), xp.begin() + static_cast<std::ptrdiff_t>(pad));
-  std::vector<double> y(n + whole + 1, 0.0);
+  // The output overwrites the input, which now lives in xp.
+  std::vector<double>& y = x;
+  y.resize(n + whole + 1);
+  std::fill(y.begin(), y.end(), 0.0);
   const std::size_t begin = whole > half ? whole - half : 0;
   const std::size_t end = std::min(y.size(), n + pad + whole - half);
   const double* hr = h.data();
@@ -110,7 +112,7 @@ std::vector<double> DelayFractional(const std::vector<double>& x,
       y[i++] = a;
     }
   }
-  return y;
+  return x;
 }
 
 std::vector<double> WarpTimeSinc(const std::vector<double>& x, double rate,

@@ -11,15 +11,17 @@
 
 namespace wearlock::dsp {
 
-/// Delay `x` by an integer number of samples (prepends zeros).
-std::vector<double> DelayInteger(const std::vector<double>& x,
+/// Delay `x` by an integer number of samples (prepends zeros), in x's
+/// buffer.
+std::vector<double> DelayInteger(std::vector<double> x,
                                  std::size_t delay_samples);
 
 /// Delay `x` by a (possibly fractional, possibly > 1) number of samples
 /// using a windowed-sinc interpolator with `taps` coefficients per output
-/// sample (odd, default 33). Output length is x.size() + ceil(delay).
+/// sample (odd, default 33), in x's buffer. Output length is x.size() +
+/// ceil(delay).
 /// @throws std::invalid_argument for negative delay or even/zero taps.
-std::vector<double> DelayFractional(const std::vector<double>& x,
+std::vector<double> DelayFractional(std::vector<double> x,
                                     double delay_samples,
                                     std::size_t taps = 33);
 

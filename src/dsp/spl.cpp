@@ -6,7 +6,7 @@
 
 namespace wearlock::dsp {
 
-double Rms(const std::vector<double>& x) {
+double Rms(std::span<const double> x) {
   if (x.empty()) return 0.0;
   double acc = 0.0;
   for (double v : x) acc += v * v;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace wearlock::dsp {
@@ -18,7 +19,7 @@ namespace wearlock::dsp {
 inline constexpr double kReferencePressure = 1.411e-5;
 
 /// Root-mean-square of a buffer (0 for empty input).
-double Rms(const std::vector<double>& x);
+double Rms(std::span<const double> x);
 
 /// SPL (dB) of an rms pressure value. @throws if rms < 0.
 double SplFromRms(double rms);

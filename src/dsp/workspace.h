@@ -22,7 +22,7 @@ namespace wearlock::dsp {
 
 /// Complex scratch slots; the comment names the sole owning function.
 enum class CSlot : std::size_t {
-  kFftScratch,      // AnalyticSignal: zero-padded transform buffer
+  kFftScratch,      // PaddedComplex: a real signal's zero-padded transform
   kInterpSpec,      // FftInterpolateInto: forward spectrum of the points
   kInterpPadded,    // FftInterpolateInto: padded spectrum, then result
   kCorrX,           // CorrelateWithSpectrum: padded signal spectrum
@@ -50,6 +50,7 @@ enum class RSlot : std::size_t {
   kFftSplit,        // FftPlan::SplitTransform split real/imaginary arrays
   kConvTaps,        // Convolve (direct form): kernel, reversed
   kConvShift,       // Convolve (direct form): zero-padded input copy
+  kGaussians,       // DrawGaussians (audio): one world stage's noise draws
   kCount
 };
 

@@ -9,12 +9,12 @@
 namespace wearlock::protocol {
 namespace {
 
-audio::Samples BandPass(const audio::Samples& x) {
+audio::Samples BandPass(audio::Samples x) {
   static_assert(0.0 < kAmbientBandLowHz &&
                 kAmbientBandHighHz < audio::kSampleRate / 2.0);
-  auto hp = dsp::Biquad::HighPass(kAmbientBandLowHz, audio::kSampleRate);
-  auto lp = dsp::Biquad::LowPass(kAmbientBandHighHz, audio::kSampleRate);
-  return lp.ProcessBlock(hp.ProcessBlock(x));
+  dsp::Biquad::HighPass(kAmbientBandLowHz, audio::kSampleRate).ProcessBlock(x);
+  dsp::Biquad::LowPass(kAmbientBandHighHz, audio::kSampleRate).ProcessBlock(x);
+  return x;
 }
 
 }  // namespace

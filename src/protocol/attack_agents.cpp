@@ -261,11 +261,11 @@ AttackReport Probe(const ScenarioConfig& base, const sim::AttackSpec& spec) {
     audio::Samples train;
     train.reserve(span + chirp.size());
     while (train.size() < span) audio::Append(train, chirp);
-    const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
-        train, AttackerDrive(victim_volume > 0.0 ? victim_volume : 1.0,
-                             spec.level));
+    audio::Samples emitted = scenario.scene.phone_speaker.Emit(
+        std::move(train), AttackerDrive(victim_volume > 0.0 ? victim_volume : 1.0,
+                                        spec.level));
     const audio::PropagationModel path(scenario.scene.propagation);
-    return path.Propagate(emitted, spec.distance_m);
+    return path.Propagate(std::move(emitted), spec.distance_m);
   };
   const UnlockReport rep = attacked.session.Attempt(inj);
 
@@ -304,13 +304,14 @@ AttackReport Overshadow(const ScenarioConfig& base,
     const modem::TxFrame forged = tx.Modulate(*recon_rep.mode, guess);
     const double victim_volume =
         recon_rep.probe_volume > 0.0 ? recon_rep.probe_volume : 1.0;
-    const audio::Samples emitted = scenario.scene.phone_speaker.Emit(
+    audio::Samples emitted = scenario.scene.phone_speaker.Emit(
         forged.samples, AttackerDrive(victim_volume, spec.level));
     const audio::PropagationModel path(scenario.scene.propagation);
     // Aligned with the legitimate frame start (the overshadower is
     // synchronized up to its own propagation delay).
     audio::Samples interference = audio::Silence(audio::kLeadInSamples);
-    audio::Append(interference, path.Propagate(emitted, spec.distance_m));
+    audio::Append(interference,
+                  path.Propagate(std::move(emitted), spec.distance_m));
     inj.phase2_interference = [interference](double) { return interference; };
     dev.Record("overshadow-emit", spec.level);
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "modem/detector.h"
+#include "sim/adversary.h"
 
 namespace wearlock::protocol {
 
@@ -43,7 +44,7 @@ RangingResult AcousticRange(audio::TwoMicScene& scene,
       rng.Gaussian(kDetectionJitterStdMs);
 
   result.estimated_distance_m =
-      std::max(0.0, arrival_ms / 1000.0 * audio::kSpeedOfSound);
+      std::max(0.0, arrival_ms / 1000.0 * sim::kSpeedOfSoundMps);
   result.within_bound = result.estimated_distance_m <= kMaxRangingDistanceM;
   return result;
 }

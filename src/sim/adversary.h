@@ -23,10 +23,10 @@
 
 namespace wearlock::sim {
 
-/// Speed of sound in air (m/s) - duplicated from audio/propagation.h
-/// because sim is a DAG leaf and may not include audio. Distance
-/// bounding leans on this being a physical constant no attacker can
-/// beat: a relay only ever *adds* path.
+/// Speed of sound in air at room temperature (m/s). The one definition:
+/// sim sits below audio in the layer DAG, so the channel model reads it
+/// from here. Distance bounding leans on this being a physical constant
+/// no attacker can beat: a relay only ever *adds* path.
 inline constexpr double kSpeedOfSoundMps = 343.0;
 
 enum class AttackKind {

@@ -171,8 +171,12 @@ double Rng::Gaussian(double stddev) {
 
 std::vector<double> Rng::GaussianVector(std::size_t n, double stddev) {
   std::vector<double> v(n);
-  PolarWalk(engine_, n, stddev, v.data());
+  FillGaussian(v, stddev);
   return v;
+}
+
+void Rng::FillGaussian(std::span<double> out, double stddev) {
+  PolarWalk(engine_, out.size(), stddev, out.data());
 }
 
 void Rng::SkipGaussians(std::size_t n) { PolarWalk(engine_, n, 1.0, nullptr); }

@@ -90,6 +90,9 @@ class Rng {
   /// of n draws from one std::normal_distribution<double>(0, stddev).
   std::vector<double> GaussianVector(std::size_t n, double stddev = 1.0);
 
+  /// GaussianVector(out.size(), stddev)'s draws, into the caller's `out`.
+  void FillGaussian(std::span<double> out, double stddev = 1.0);
+
   /// Consumes exactly the engine words GaussianVector(n) would, without
   /// their values: an unread capture still advances its stream. ROADMAP
   /// item 3's counter-based generator would make skipping free and delete it.

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <numbers>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "audio/medium.h"
 #include "audio/scene.h"
 #include "audio/speaker.h"
+#include "dsp/correlate.h"
 #include "dsp/fft.h"
 #include "dsp/filter.h"
 #include "dsp/spl.h"
@@ -104,10 +106,11 @@ TEST(Speaker, VolumeOutOfRangeThrows) {
   EXPECT_THROW(speaker.Emit({1.0}, 1.1), std::invalid_argument);
 }
 
-// SpeakerModel::Emit as it ran before the phase-ripple table: the same
-// drive, rise envelope, ringing convolution and gain, with the ripple's
-// two sines and std::polar evaluated per bin on every call. Emit must
-// match it bit for bit.
+// SpeakerModel::Emit as it ran before its tables: the same drive and
+// gain, the rise envelope's exp evaluated per sample, the ringing
+// kernel's spectrum transformed on every call (Convolve without a
+// cache), and the ripple's two sines and std::polar evaluated per bin.
+// Emit must match it bit for bit.
 Samples ReferenceEmit(const SpeakerSpec& spec, const Samples& input,
                       double volume) {
   const std::size_t tail_len = SamplesFromSeconds(spec.ringing_tail_s);
@@ -168,22 +171,67 @@ Samples Drive(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(Speaker, EmitMatchesTheRecomputedRippleBitForBit) {
-  SpeakerSpec unit;  // a second speaker unit's ripple phases
+  SpeakerSpec unit;  // a second unit: ripple phases and a slower rise
   unit.ripple_phase1_rad = 2.1;
   unit.ripple_phase2_rad = 4.0;
+  unit.rise_time_s = 0.003;
   for (const SpeakerSpec& spec : {SpeakerSpec{}, unit}) {
     const SpeakerModel speaker(spec);
-    // 1 664 samples convolve in the direct form, 2 048 and 2 432 through
-    // the transform; all three ripple at n = 4 096, and 4 000 at 8 192.
-    for (const std::size_t n : {1664u, 2048u, 2432u, 4000u}) {
+    // The envelope table ends near 3 300 samples at the default rise
+    // and 5 000 at the slower one, so both see drives on either side.
+    const std::size_t rise = RiseEnvelopeTable::Shared()
+                                 .Get(std::max(spec.rise_time_s, 1e-6) *
+                                      kSampleRate)
+                                 .size();
+    EXPECT_GT(rise, 2432u);
+    EXPECT_LT(rise, 8192u);
+    // 1 664 samples convolve in the direct form, 2 048, 2 432 and 8 192
+    // through the transform with the cached kernel spectrum; the first
+    // three ripple at n = 4 096, 4 000 at 8 192 and 8 192 at 16 384.
+    for (const std::size_t n : {1664u, 2048u, 2432u, 4000u, 8192u}) {
       const Samples x = Drive(n, n);
       for (const double volume : {0.5, 1.0}) {
         EXPECT_TRUE(SameBits(speaker.Emit(x, volume),
                              ReferenceEmit(spec, x, volume)))
-            << "n=" << n << " volume=" << volume;
+            << "n=" << n << " volume=" << volume << " rise=" << rise;
       }
     }
   }
+}
+
+TEST(RiseEnvelopeTable, EndsWhereTheEnvelopeRoundsToOne) {
+  RiseEnvelopeTable table;
+  for (const double tau : {0.044, 88.2, 132.3, 1000.0}) {
+    const std::span<const double> env = table.Get(tau);
+    const auto at = [tau](std::size_t n) {
+      return 1.0 - std::exp(-static_cast<double>(n + 1) / tau);
+    };
+    for (std::size_t n = 0; n < env.size(); ++n) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(env[n]),
+                std::bit_cast<std::uint64_t>(at(n)))
+          << "tau=" << tau << " n=" << n;
+      ASSERT_LT(env[n], 1.0);
+    }
+    // Past the table the envelope is 1.0, which changes no sample.
+    for (std::size_t n = env.size(); n < env.size() + 20000; ++n) {
+      ASSERT_EQ(at(n), 1.0) << "tau=" << tau << " n=" << n;
+    }
+    EXPECT_EQ(table.Get(tau).data(), env.data());
+  }
+  EXPECT_EQ(table.misses(), 4u);
+  EXPECT_EQ(table.hits(), 4u);
+}
+
+TEST(Impairments, ReverbTailStaysOutOfTheSpectrumCache) {
+  // One tail per scene: its spectrum is transformed per call, never
+  // kept process-wide.
+  ChannelImpairments impairments(ImpairmentPlan::Parse("reverb=400"),
+                                 sim::Rng(3));
+  const std::uint64_t misses = wearlock::dsp::SpectrumCache::Shared().misses();
+  const std::uint64_t hits = wearlock::dsp::SpectrumCache::Shared().hits();
+  EXPECT_GT(impairments.ApplyWatchPath(Drive(4000, 9)).size(), 4000u);
+  EXPECT_EQ(wearlock::dsp::SpectrumCache::Shared().misses(), misses);
+  EXPECT_EQ(wearlock::dsp::SpectrumCache::Shared().hits(), hits);
 }
 
 TEST(PhaseRippleTable, ConcurrentFirstUseBuildsEachKeyOnce) {
@@ -318,7 +366,7 @@ TEST(Noise, CalibratedSpl) {
   for (Environment env :
        {Environment::kQuietRoom, Environment::kOffice, Environment::kCafe}) {
     NoiseSource source(env, rng.Fork());
-    const Samples noise = source.Generate(44100);
+    const Samples noise = source.Generate(Samples(44100));
     EXPECT_NEAR(wearlock::dsp::SplOf(noise), NoiseProfile::For(env).spl_db, 0.5)
         << ToString(env);
   }
@@ -350,7 +398,8 @@ class ReferenceNoise {
     if (profile_.lowpass_hz > 0.0 && profile_.lowpass_hz < kSampleRate / 2.0) {
       auto lpf = wearlock::dsp::BiquadCascade::ButterworthLowPass(
           profile_.lowpass_hz, kSampleRate, 2);
-      shaped = lpf.ProcessBlock(white);
+      shaped = white;
+      lpf.ProcessBlock(shaped);
     } else {
       shaped = white;
     }
@@ -421,7 +470,7 @@ TEST(Noise, SkippedZeroWeightComponentChangesNoBit) {
     NoiseSource source(profile, sim::Rng(91));
     ReferenceNoise reference(profile, sim::Rng(91));
     for (const std::size_t n : {4096u, 1001u, 8192u}) {
-      EXPECT_TRUE(SameBits(source.Generate(n), reference.Generate(n)))
+      EXPECT_TRUE(SameBits(source.Generate(Samples(n)), reference.Generate(n)))
           << "spl " << profile.spl_db << " n=" << n;
     }
   }
@@ -551,9 +600,10 @@ class ReferenceScene {
     const std::size_t total =
         kLeadInSamples + at_watch.size() + kSceneLeadOutSamples +
         (impairments_ ? impairments_->rx_guard_samples() : 0);
-    Samples shared = shared_ambient_.Generate(total);
-    Samples watch_pressure =
-        config_.co_located ? shared : watch_ambient_.Generate(total);
+    Samples shared = shared_ambient_.Generate(Samples(total));
+    Samples watch_pressure = config_.co_located
+                                 ? shared
+                                 : watch_ambient_.Generate(Samples(total));
     MixInto(watch_pressure, MicNoise(total, config_.watch_mic));
     Samples neighbor;
     Samples burst;
@@ -593,11 +643,12 @@ class ReferenceScene {
   }
 
   std::pair<Samples, Samples> RecordAmbientPair(std::size_t n) {
-    Samples shared = shared_ambient_.Generate(n);
+    Samples shared = shared_ambient_.Generate(Samples(n));
     Samples phone_pressure = shared;
     MixInto(phone_pressure, MicNoise(n, MicrophoneModel::Phone()));
-    Samples watch_pressure = config_.co_located ? std::move(shared)
-                                                : watch_ambient_.Generate(n);
+    Samples watch_pressure = config_.co_located
+                                 ? std::move(shared)
+                                 : watch_ambient_.Generate(Samples(n));
     MixInto(watch_pressure, MicNoise(n, config_.watch_mic));
     if (impairments_) {
       if (impairments_->has_neighbors()) {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -221,6 +223,87 @@ TEST(Sync, RecoversInjectedOffset) {
     const auto sync = FineSync(rec, static_cast<std::size_t>(claimed), spec, 16);
     EXPECT_EQ(sync.offset, shift) << "shift " << shift;
     EXPECT_GT(sync.metric, 0.9);
+  }
+}
+
+/// FineSyncJoint as it ran before four offsets shared a pass: one
+/// scalar CP metric per offset per symbol.
+FineSyncResult ScalarFineSyncJoint(std::span<const double> recording,
+                                   std::size_t symbols_start,
+                                   std::size_t n_symbols, const FrameSpec& spec,
+                                   long search_range) {
+  const std::size_t tg = spec.cyclic_prefix_samples;
+  const std::size_t ts = spec.fft_size();
+  const auto metric_at = [&](long cp_start) {
+    if (cp_start < 0) return 0.0;
+    const std::size_t s = static_cast<std::size_t>(cp_start);
+    if (s + tg + ts > recording.size()) return 0.0;
+    double dot = 0.0, e_head = 0.0, e_tail = 0.0;
+    for (std::size_t t = 0; t < tg; ++t) {
+      const double head = recording[s + t];
+      const double tail = recording[s + t + ts];
+      dot += head * tail;
+      e_head += head * head;
+      e_tail += tail * tail;
+    }
+    const double denom = std::sqrt(e_head * e_tail);
+    return denom > 1e-30 ? dot / denom : 0.0;
+  };
+  FineSyncResult best;
+  if (n_symbols == 0) return best;
+  bool found = false;
+  for (long tf = -search_range; tf <= search_range; ++tf) {
+    double acc = 0.0;
+    for (std::size_t s = 0; s < n_symbols; ++s) {
+      acc += metric_at(static_cast<long>(symbols_start) + tf +
+                       static_cast<long>(s * spec.symbol_samples()));
+    }
+    const double metric = acc / static_cast<double>(n_symbols);
+    if (!found || metric > best.metric) {
+      best = {tf, metric};
+      found = true;
+    }
+  }
+  return best;
+}
+
+TEST(Sync, JointSearchMatchesTheScalarLoopBitForBit) {
+  const FrameSpec spec = DefaultSpec();
+  const std::size_t sym = spec.symbol_samples();
+  sim::Rng rng(29);
+  const Modulator mod(spec);
+  std::vector<std::uint8_t> bits(96);
+  for (auto& b : bits) b = static_cast<std::uint8_t>(rng.UniformInt(0, 1));
+  audio::Samples frame = mod.ModulateBits(Modulation::kQpsk, bits).samples;
+  // Noise, the frame, an all-zero stretch, then -0.0 samples.
+  audio::Samples rec = rng.GaussianVector(700, 1e-3);
+  audio::Append(rec, frame);
+  rec.insert(rec.end(), 3 * sym, 0.0);
+  rec.insert(rec.end(), 2 * sym, -0.0);
+  for (std::size_t i = 0; i < rec.size(); i += 7) {
+    if (rec[i] == 0.0) rec[i] = -0.0;
+  }
+  const std::size_t frame_symbols = 700 + spec.header_samples();
+  const std::size_t tail = rec.size() - 3 * sym;  // the last three windows
+  struct Case {
+    std::size_t start, symbols;
+  };
+  for (const Case c : {Case{frame_symbols, 6},   // the frame itself
+                       Case{5, 4},               // the recording's start
+                       Case{tail, 3},            // runs off its end
+                       Case{rec.size() - 5 * sym, 5},  // zeros and -0.0
+                       Case{frame_symbols, 1}, Case{frame_symbols, 0}}) {
+    for (const long range : {0L, 1L, 3L, 4L, 5L, 7L, 48L}) {
+      const FineSyncResult got =
+          FineSyncJoint(rec, c.start, c.symbols, spec, range);
+      const FineSyncResult want =
+          ScalarFineSyncJoint(rec, c.start, c.symbols, spec, range);
+      EXPECT_EQ(got.offset, want.offset)
+          << "start " << c.start << " symbols " << c.symbols << " range " << range;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.metric),
+                std::bit_cast<std::uint64_t>(want.metric))
+          << "start " << c.start << " symbols " << c.symbols << " range " << range;
+    }
   }
 }
 

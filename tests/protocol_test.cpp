@@ -143,7 +143,7 @@ TEST(OtpService, CodeRendering) {
 TEST(Ambient, SharedNoiseScoresHigh) {
   sim::Rng rng(61);
   audio::NoiseSource source(audio::Environment::kOffice, rng.Fork());
-  const auto shared = source.Generate(8192);
+  const auto shared = source.Generate(audio::Samples(8192));
   // Both devices hear the same ambience plus small independent noise.
   audio::Samples phone = shared, watch = shared;
   for (auto& v : phone) v += 1e-5 * rng.Gaussian();
@@ -156,8 +156,8 @@ TEST(Ambient, IndependentNoiseScoresLow) {
   sim::Rng rng(62);
   audio::NoiseSource a(audio::Environment::kOffice, rng.Fork());
   audio::NoiseSource b(audio::Environment::kOffice, rng.Fork());
-  const auto phone = a.Generate(8192);
-  const auto watch = b.Generate(8192);
+  const auto phone = a.Generate(audio::Samples(8192));
+  const auto watch = b.Generate(audio::Samples(8192));
   EXPECT_LT(AmbientSimilarity(phone, watch), 0.55);
   EXPECT_LT(AmbientSimilarity(phone, watch), kAmbientSimilarityThreshold);
 }
@@ -165,7 +165,7 @@ TEST(Ambient, IndependentNoiseScoresLow) {
 TEST(Ambient, SurvivesClockSkew) {
   sim::Rng rng(63);
   audio::NoiseSource source(audio::Environment::kCafe, rng.Fork());
-  const auto shared = source.Generate(10000);
+  const auto shared = source.Generate(audio::Samples(10000));
   audio::Samples phone = shared;
   // Watch recording starts 700 samples later (clock skew).
   audio::Samples watch(shared.begin() + 700, shared.end());
